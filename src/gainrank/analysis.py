@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import (
-    cycle_matching_condition,
-    cycle_records,
-    cycles_pairwise_disjoint,
-    cyclomatic_number,
-    enumerate_cycles,
-    matching_number,
-)
+from .combinatorics import cycle_records, enumerate_cycles
 from .errors import SizeLimitError, TheoremViolation
-from .graphs import GainGraph, underlying
+from .graphs import GainGraph
 from .spectral import hermitian_adjacency, inertia
 from .spectral import rank as spectral_rank
 from .theorems import (
@@ -29,7 +22,7 @@ from .theorems import (
     check_rank_bounds,
     check_refined_bounds,
     classify_cycle,
-    graph_rank,
+    component_facts,
     verify_equivalence,
 )
 
@@ -85,12 +78,14 @@ def analyze(
     rank = p+ + n- identity is consistent by construction at any tol.
     """
     violations: list[str] = []
-    G = underlying(g)
+    facts = component_facts(g)
+    basic = check_rank_bounds(facts)
+    verdict = verify_equivalence(facts)
 
     h = hermitian_adjacency(g)
     ine = inertia(h, tol)
     if mode is None:
-        r, backend = graph_rank(g)
+        r, backend = verdict.rank, verdict.rank_backend
     elif mode == "numeric":
         r, backend = ine.rank, "numeric"
     else:
@@ -101,9 +96,7 @@ def analyze(
             f"rank {r} ({backend}) disagrees with inertia sum "
             f"{ine.p_plus}+{ine.n_minus} at tol {ine.tol_used:.3g}"
         )
-
-    basic = check_rank_bounds(g)
-    if basic.rank != r and backend != "numeric":
+    if mode not in (None, "numeric") and r != basic.rank:
         violations.append(f"rank backends disagree: {r} ({backend}) vs {basic.rank}")
     if not basic.holds_basic:
         violations.append(
@@ -112,7 +105,7 @@ def analyze(
 
     refined: BoundReport | None = None
     try:
-        refined = check_refined_bounds(g)
+        refined = check_refined_bounds(facts)
         if not refined.holds_refined:
             violations.append(
                 f"rank {refined.rank} escapes refined "
@@ -125,7 +118,7 @@ def analyze(
 
     cycles: tuple[CycleSummary, ...] | None
     try:
-        found = enumerate_cycles(G, limit=max_cycles)
+        found = enumerate_cycles(g, limit=max_cycles)
         records = cycle_records(g, found)
         cycles = tuple(
             CycleSummary(
@@ -140,23 +133,18 @@ def analyze(
     except SizeLimitError:
         cycles = None
 
-    disjoint, _ = cycles_pairwise_disjoint(G)
-    cond: bool | None = None
-    if disjoint:
-        cond = cycle_matching_condition(G)[0]
+    # both are conjunctions over components: cycles in different components
+    # never meet, and per component m(contracted) >= m(G - cycle vertices)
+    disjoint = all(f.cycles is not None for f in facts.components)
+    cond = all(f.condition_iii for f in facts.components) if disjoint else None
 
-    verdict = verify_equivalence(g)
     if not verdict.consistent:
         violations.append("spectral and structural optimality verdicts disagree")
-    if verdict.rank != basic.rank:
-        violations.append(
-            f"verdict rank {verdict.rank} differs from bound-report rank {basic.rank}"
-        )
 
     return AnalysisReport(
         n=g.n,
         edge_count=len(g.edges),
-        component_count=len(g.components()),
+        component_count=len(facts.components),
         m=basic.m,
         c=basic.c,
         rank=r,

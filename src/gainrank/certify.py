@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -45,14 +44,13 @@ from .combinatorics import (
     rank_combinatorial,
 )
 from .errors import SizeLimitError, TheoremViolation
-from .gains import Gain
+from .gains import AXIS_ANGLES, Gain
 from .generators import CactusStructure, enumerate_connected_cacti, enumerate_connected_graphs
 from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
 
 COEFF_RANK_TOL = 1e-6
 _ESCALATE_LO = 1e-9
 _ESCALATE_HI = 1e-3
-_AXIS = {Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)}
 
 # real parts of the eighth roots of unity, indexed by octant
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
@@ -161,7 +159,7 @@ def _static_facts(G: SimpleGraph) -> _Static:
 
 def _integer_coeff_alphabet(alphabet: tuple[Gain, ...]) -> bool:
     """Gains in {1,-1,i,-i} give integer characteristic coefficients."""
-    return all(g.angle in _AXIS for g in alphabet)
+    return all(g.angle in AXIS_ANGLES for g in alphabet)
 
 
 def _rank_threshold(n: int, max_degree: int) -> float:

@@ -32,6 +32,7 @@ from .theorems import (
     check_rank_bounds,
     check_refined_bounds,
     classify_cycle,
+    component_facts,
     deletion_bounds_check,
     pendant_reduction_check,
     verify_equivalence,
@@ -61,7 +62,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.path)
         rep = analyze(g, tol=args.tol, mode=args.mode)
-    except (OSError, ParseError, ValueError) as exc:
+    except (OSError, ParseError, ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     doc = {"command": "analyze", **report_to_dict(rep)}
@@ -136,14 +137,15 @@ def _verify_shard(params: tuple) -> dict:
         G = random_connected_graph(n, extra, seed=s + 1)
         g = assign_gains(G, GainSetSpec(spec.kind, q=spec.q, seed=s + 2))
 
-        note("basic_bounds", check_rank_bounds(g).holds_basic, i, g)
+        facts = component_facts(g)
+        note("basic_bounds", check_rank_bounds(facts).holds_basic, i, g)
         if n <= VERIFY_REFINED_LIMIT:
-            note("refined_bounds", bool(check_refined_bounds(g).holds_refined), i, g)
-        note("equivalence", verify_equivalence(g).consistent, i, g)
-        pend = pendant_reduction_check(g)
+            note("refined_bounds", bool(check_refined_bounds(facts).holds_refined), i, g)
+        note("equivalence", verify_equivalence(facts).consistent, i, g)
+        pend = pendant_reduction_check(facts)
         if pend is not None:
             note("pendant_reduction", pend, i, g)
-        note("deletion_bounds", deletion_bounds_check(g, rng.randrange(n)), i, g)
+        note("deletion_bounds", deletion_bounds_check(facts, rng.randrange(n)), i, g)
     return {"counts": counts, "failures": failures}
 
 

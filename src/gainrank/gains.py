@@ -25,27 +25,22 @@ UNIT_TOL = 1e-6
 # one of 1, -1, i, -i are snapped to the exact axis angle
 SNAP_TOL = 1e-12
 
-_AXIS_ANGLES = {
-    Fraction(0): "1",
-    Fraction(1, 2): "-1",
-    Fraction(1, 4): "i",
-    Fraction(3, 4): "-i",
+# the four axis angles with exact value and token; the package's one copy
+AXIS_ANGLES = {
+    Fraction(0): (1 + 0j, "1"),
+    Fraction(1, 2): (-1 + 0j, "-1"),
+    Fraction(1, 4): (1j, "i"),
+    Fraction(3, 4): (-1j, "-i"),
 }
-_TOKEN_ANGLES = {tok: ang for ang, tok in _AXIS_ANGLES.items()}
+_TOKEN_ANGLES = {tok: ang for ang, (_, tok) in AXIS_ANGLES.items()}
 _ROT_RE = re.compile(r"rot\((-?\d+)/(\d+)\)\Z")
 _CPLX_RE = re.compile(r"c\(([^,()]+),([^,()]+)\)\Z")
 
 
 def _angle_value(angle: Fraction) -> complex:
     # exact values on the axes, cmath elsewhere
-    if angle == 0:
-        return 1 + 0j
-    if angle == Fraction(1, 2):
-        return -1 + 0j
-    if angle == Fraction(1, 4):
-        return 1j
-    if angle == Fraction(3, 4):
-        return -1j
+    if angle in AXIS_ANGLES:
+        return AXIS_ANGLES[angle][0]
     return cmath.exp(2j * math.pi * float(angle))
 
 
@@ -78,9 +73,9 @@ class Gain:
         if abs(mod - 1.0) > UNIT_TOL:
             raise ValueError(f"gain {z!r} has modulus {mod:.8g}, not 1")
         z = z / mod
-        for angle in _AXIS_ANGLES:
-            if abs(z - _angle_value(angle)) <= SNAP_TOL:
-                return cls(_angle_value(angle), angle)
+        for angle, (value, _) in AXIS_ANGLES.items():
+            if abs(z - value) <= SNAP_TOL:
+                return cls(value, angle)
         return cls(z, None)
 
     @classmethod
@@ -138,8 +133,8 @@ class Gain:
 
     def token(self) -> str:
         if self.angle is not None:
-            if self.angle in _AXIS_ANGLES:
-                return _AXIS_ANGLES[self.angle]
+            if self.angle in AXIS_ANGLES:
+                return AXIS_ANGLES[self.angle][1]
             return f"rot({self.angle.numerator}/{self.angle.denominator})"
         return f"c({self.value.real:.17g},{self.value.imag:.17g})"
 

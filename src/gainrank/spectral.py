@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gains import Gain
+from .gains import AXIS_ANGLES, Gain
 from .graphs import GainGraph
 
 # eigenvalue magnitudes below max(RANK_TOL_FLOOR, n * eps * max|lambda|)
@@ -75,19 +75,12 @@ def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
 
 # -- exact rank over the Gaussian rationals --------------------------------
 
-_EXACT_ENTRIES = {
-    Fraction(0): (Fraction(1), Fraction(0)),
-    Fraction(1, 2): (Fraction(-1), Fraction(0)),
-    Fraction(1, 4): (Fraction(0), Fraction(1)),
-    Fraction(3, 4): (Fraction(0), Fraction(-1)),
-}
-
-
 def _gaussian_unit(gain: Gain):
     """(re, im) Fraction pair for gains in {1, -1, i, -i}, else None."""
-    if gain.angle is not None:
-        return _EXACT_ENTRIES.get(gain.angle)
-    return None
+    if gain.angle not in AXIS_ANGLES:
+        return None
+    z = AXIS_ANGLES[gain.angle][0]
+    return Fraction(int(z.real)), Fraction(int(z.imag))
 
 
 def exact_rank(g: GainGraph) -> int:

@@ -8,14 +8,13 @@ paper over a disagreement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .combinatorics import (
     block_decomposition,
     cycle_matching_condition,
     cycle_record,
-    cycle_vertex_set,
     cycles_pairwise_disjoint,
     cyclomatic_number,
     matching_number,
@@ -24,14 +23,13 @@ from .combinatorics import (
 )
 from .combinatorics.cycles import CycleRecord
 from .errors import TheoremViolation
+from .gains import AXIS_ANGLES
 from .graphs import GainGraph, SimpleGraph, pendant_vertices, serialize_gain_graph, underlying
 from .spectral import rank as spectral_rank
 
 TYPE_TOL = 1e-9
 ORACLE_LIMIT = 12
 CROSS_CHECK_LIMIT = 9
-
-_AXIS_ANGLES = {Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)}
 
 
 class CycleType(enum.Enum):
@@ -139,6 +137,34 @@ class OptimalityVerdict:
     rank_backend: str
 
 
+@dataclass(frozen=True)
+class ComponentFacts:
+    """Every invariant of one connected component, computed once. Rank, m
+    and c add over components and both extremal characterizations hold
+    componentwise, so every report is a function of these records."""
+
+    graph: GainGraph
+    kept: tuple[int, ...]  # component vertex id -> parent vertex id
+    rank: int
+    backend: str
+    m: int
+    c: int
+    cycles: tuple[tuple[int, ...], ...] | None  # None when two cycles share a vertex
+    types: tuple[CycleType, ...] | None  # one per cycle, when cycles is set
+    condition_iii: bool | None  # defined only when cycles are disjoint
+
+
+@dataclass(frozen=True)
+class GraphFacts:
+    """A graph with the facts of each of its components, and their totals."""
+
+    graph: GainGraph
+    components: tuple[ComponentFacts, ...]
+    rank: int
+    m: int
+    c: int
+
+
 def _component_rank(g: GainGraph) -> tuple[int, str]:
     """Rank of a connected piece, preferring backends that cannot round.
 
@@ -147,7 +173,7 @@ def _component_rank(g: GainGraph) -> tuple[int, str]:
     Small graphs additionally cross-check against the numeric value, and a
     disagreement is an internal bug worth crashing on.
     """
-    if all(e.gain.angle in _AXIS_ANGLES for e in g.edges):
+    if all(e.gain.angle in AXIS_ANGLES for e in g.edges):
         r, backend = spectral_rank(g, mode="exact"), "exact"
     elif g.n <= ORACLE_LIMIT:
         r, backend = spectral_rank(g, mode="oracle"), "oracle"
@@ -162,51 +188,71 @@ def _component_rank(g: GainGraph) -> tuple[int, str]:
     return r, backend
 
 
-def graph_rank(g: GainGraph) -> tuple[int, str]:
-    """Rank summed over components, with the set of backends that produced it."""
-    total = 0
-    backends: set[str] = set()
-    for sub, _ in g.components():
+def component_facts(g: GainGraph) -> GraphFacts:
+    """Facts of every connected component of g, from one pass over them."""
+    out = []
+    for sub, kept in g.components():
         r, backend = _component_rank(sub)
-        total += r
-        backends.add(backend)
-    return total, "+".join(sorted(backends)) if backends else "trivial"
-
-
-def check_rank_bounds(g: GainGraph) -> BoundReport:
-    """Rank against 2m-2c and 2m+c. Valid componentwise, hence globally."""
-    r, _ = graph_rank(g)
-    m = matching_number(underlying(g))
-    c = cyclomatic_number(g)
-    lower, upper = 2 * m - 2 * c, 2 * m + c
-    return BoundReport(
-        rank=r, m=m, c=c,
-        lower_basic=lower, upper_basic=upper,
-        holds_basic=lower <= r <= upper,
+        G = underlying(sub)
+        disjoint, cycles = cycles_pairwise_disjoint(G)
+        out.append(ComponentFacts(
+            graph=sub, kept=kept, rank=r, backend=backend,
+            m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
+            types=tuple(classify_cycle(sub, v) for v in cycles) if disjoint else None,
+            condition_iii=cycle_matching_condition(G)[0] if disjoint else None,
+        ))
+    return GraphFacts(
+        g, tuple(out), sum(f.rank for f in out), sum(f.m for f in out), sum(f.c for f in out)
     )
 
 
-def check_refined_bounds(g: GainGraph) -> BoundReport:
+def _facts(g: GainGraph | GraphFacts) -> GraphFacts:
+    """Every check takes a graph, or its facts when the caller has them."""
+    return g if isinstance(g, GraphFacts) else component_facts(g)
+
+
+def _graph(g: GainGraph | GraphFacts) -> GainGraph:
+    return g.graph if isinstance(g, GraphFacts) else g
+
+
+def graph_rank(g: GainGraph | GraphFacts) -> tuple[int, str]:
+    """Rank summed over components, with the set of backends that produced it."""
+    facts = _facts(g)
+    backends = sorted({f.backend for f in facts.components})
+    return facts.rank, "+".join(backends) if backends else "trivial"
+
+
+def check_rank_bounds(g: GainGraph | GraphFacts) -> BoundReport:
+    """Rank against 2m-2c and 2m+c. Valid componentwise, hence globally."""
+    f = _facts(g)
+    lower, upper = 2 * f.m - 2 * f.c, 2 * f.m + f.c
+    return BoundReport(
+        rank=f.rank, m=f.m, c=f.c,
+        lower_basic=lower, upper_basic=upper,
+        holds_basic=lower <= f.rank <= upper,
+    )
+
+
+def check_refined_bounds(g: GainGraph | GraphFacts) -> BoundReport:
     """Adds the transversal upper bound and the acyclic-deletion lower bound.
 
     The refined interval always sits inside the basic one; that containment
-    is asserted because it is proven, not observed.
+    is asserted because it is proven, not observed. The two searches run
+    first, so a graph past their size limit fails before any rank is taken.
     """
+    G = underlying(_graph(g))
+    b, _ = odd_cycle_transversal(G)
+    adv, _ = max_acyclic_deletion_matching(G)
     base = check_rank_bounds(g)
-    b, _ = odd_cycle_transversal(underlying(g))
-    adv, _ = max_acyclic_deletion_matching(underlying(g))
     lower, upper = 2 * adv, 2 * base.m + b
     if lower < base.lower_basic or upper > base.upper_basic:
         raise TheoremViolation(
             f"refined interval [{lower}, {upper}] escapes basic "
             f"[{base.lower_basic}, {base.upper_basic}]",
-            instance=serialize_gain_graph(g),
+            instance=serialize_gain_graph(_graph(g)),
         )
-    return BoundReport(
-        rank=base.rank, m=base.m, c=base.c,
-        lower_basic=base.lower_basic, upper_basic=base.upper_basic,
-        holds_basic=base.holds_basic,
-        b=b, acyclic_deletion_value=adv,
+    return replace(
+        base, b=b, acyclic_deletion_value=adv,
         lower_refined=lower, upper_refined=upper,
         holds_refined=lower <= base.rank <= upper,
     )
@@ -230,26 +276,28 @@ def _overlap_witness(G: SimpleGraph) -> tuple[int, ...]:
     raise AssertionError("no overlap found despite disjointness failure")
 
 
-def _structural_component(g: GainGraph, accept) -> StructuralReport:
-    ok, cycles = cycles_pairwise_disjoint(g)
-    if not ok:
+def _structural_component(f: ComponentFacts, accepted: set[CycleType]) -> StructuralReport:
+    """One component's report, witnesses given in the parent graph's ids."""
+
+    def lift(verts):
+        return tuple(f.kept[v] for v in verts)
+
+    if f.cycles is None:
         return StructuralReport(
             holds=False, first_failure="disjoint",
-            witness=_overlap_witness(underlying(g)),
+            witness=lift(_overlap_witness(underlying(f.graph))),
             cycles_disjoint=False, types_ok=None, matching_ok=None,
         )
-    for verts in cycles:
-        t = classify_cycle(g, verts)
-        if not accept(t):
+    for verts, t in zip(f.cycles, f.types):
+        if t not in accepted:
             return StructuralReport(
-                holds=False, first_failure="types", witness=verts,
+                holds=False, first_failure="types", witness=lift(verts),
                 cycles_disjoint=True, types_ok=False, matching_ok=None,
             )
-    okm, _, _ = cycle_matching_condition(g)
-    if not okm:
+    if not f.condition_iii:
         return StructuralReport(
             holds=False, first_failure="matching",
-            witness=tuple(sorted(cycle_vertex_set(g))),
+            witness=lift(sorted(v for cyc in f.cycles for v in cyc)),
             cycles_disjoint=True, types_ok=True, matching_ok=False,
         )
     return StructuralReport(
@@ -258,28 +306,12 @@ def _structural_component(g: GainGraph, accept) -> StructuralReport:
     )
 
 
-def _structural(g: GainGraph, accept) -> StructuralReport:
-    """Componentwise evaluation, witnesses translated back to g's vertex ids."""
-    parts: list[StructuralReport] = []
-    for sub, kept in g.components():
-        rep = _structural_component(sub, accept)
-        if rep.witness is not None:
-            rep = StructuralReport(
-                holds=rep.holds, first_failure=rep.first_failure,
-                witness=tuple(kept[v] for v in rep.witness),
-                cycles_disjoint=rep.cycles_disjoint,
-                types_ok=rep.types_ok, matching_ok=rep.matching_ok,
-            )
-        parts.append(rep)
+def _structural(g: GainGraph | GraphFacts, accepted: set[CycleType]) -> StructuralReport:
+    parts = [_structural_component(f, accepted) for f in _facts(g).components]
     failing = [p for p in parts if not p.holds]
 
     def merged(flags):
-        vals = [f for f in flags if f is not None]
-        if any(f is False for f in vals):
-            return False
-        if len(vals) < len(list(flags)):
-            return None
-        return True
+        return False if False in flags else None if None in flags else True
 
     return StructuralReport(
         holds=not failing,
@@ -292,46 +324,39 @@ def _structural(g: GainGraph, accept) -> StructuralReport:
     )
 
 
-def lower_optimal_structural(g: GainGraph) -> StructuralReport:
+def lower_optimal_structural(g: GainGraph | GraphFacts) -> StructuralReport:
     """Structural test for rank hitting 2m-2c: disjoint singular even cycles
     plus the matching condition. Acyclic components pass vacuously."""
-    return _structural(g, lambda t: t is CycleType.EVEN_SINGULAR)
+    return _structural(g, {CycleType.EVEN_SINGULAR})
 
 
-def upper_optimal_structural(g: GainGraph) -> StructuralReport:
+def upper_optimal_structural(g: GainGraph | GraphFacts) -> StructuralReport:
     """Structural test for rank hitting 2m+c: disjoint odd cycles whose gain
     products keep a nonzero real part, plus the matching condition."""
-    return _structural(g, lambda t: t in (CycleType.ODD_POSITIVE, CycleType.ODD_NEGATIVE))
+    return _structural(g, {CycleType.ODD_POSITIVE, CycleType.ODD_NEGATIVE})
 
 
-def verify_equivalence(g: GainGraph) -> OptimalityVerdict:
+def verify_equivalence(g: GainGraph | GraphFacts) -> OptimalityVerdict:
     """Spectral extremality versus structural characterization, per component.
 
     Both spectral equalities and both structural predicates distribute over
     components (rank, matching number, and cyclomatic number are additive),
     so the graph-level flag is the conjunction of component flags.
     """
-    spectral_lower = spectral_upper = True
-    total = 0
-    backends: set[str] = set()
-    for sub, _ in g.components():
-        r, backend = _component_rank(sub)
-        backends.add(backend)
-        m = matching_number(underlying(sub))
-        c = cyclomatic_number(sub)
-        spectral_lower &= r == 2 * m - 2 * c
-        spectral_upper &= r == 2 * m + c
-        total += r
-    sl = lower_optimal_structural(g)
-    su = upper_optimal_structural(g)
+    facts = _facts(g)
+    spectral_lower = all(f.rank == 2 * f.m - 2 * f.c for f in facts.components)
+    spectral_upper = all(f.rank == 2 * f.m + f.c for f in facts.components)
+    sl = lower_optimal_structural(facts)
+    su = upper_optimal_structural(facts)
+    r, backend = graph_rank(facts)
     return OptimalityVerdict(
         spectral_lower=spectral_lower,
         spectral_upper=spectral_upper,
         structural_lower=sl,
         structural_upper=su,
         consistent=(spectral_lower == sl.holds) and (spectral_upper == su.holds),
-        rank=total,
-        rank_backend="+".join(sorted(backends)) if backends else "trivial",
+        rank=r,
+        rank_backend=backend,
     )
 
 
@@ -356,32 +381,27 @@ def signed_cycle_rule(l: int, sign: int) -> bool:
     return is_singular
 
 
-def pendant_reduction_check(g: GainGraph) -> bool | None:
+def pendant_reduction_check(g: GainGraph | GraphFacts) -> bool | None:
     """Deleting a pendant vertex with its support drops rank by 2 and m by 1.
 
     None when the graph has no pendant vertex. The pair removed is the
     smallest pendant and its unique neighbour.
     """
-    G = underlying(g)
+    G = underlying(_graph(g))
     pend = pendant_vertices(G)
     if not pend:
         return None
     x = min(pend)
     y = G.neighbors()[x][0]
-    sub, _ = g.delete_vertices((x, y))
-    rank_drop = graph_rank(g)[0] - graph_rank(sub)[0]
-    m_drop = matching_number(G) - matching_number(underlying(sub))
-    return rank_drop == 2 and m_drop == 1
+    sub, _ = _graph(g).delete_vertices((x, y))
+    before, after = _facts(g), component_facts(sub)
+    return before.rank - after.rank == 2 and before.m - after.m == 1
 
 
-def deletion_bounds_check(g: GainGraph, v: int) -> bool:
+def deletion_bounds_check(g: GainGraph | GraphFacts, v: int) -> bool:
     """One vertex out: rank moves by at most 2 downward, m by at most 1."""
-    if not 0 <= v < g.n:
+    if not 0 <= v < _graph(g).n:
         raise ValueError(f"vertex {v} out of range")
-    sub, _ = g.delete_vertices((v,))
-    r = graph_rank(g)[0]
-    rs = graph_rank(sub)[0]
-    G = underlying(g)
-    m = matching_number(G)
-    ms = matching_number(underlying(sub))
-    return r - 2 <= rs <= r and m - 1 <= ms <= m
+    sub, _ = _graph(g).delete_vertices((v,))
+    before, after = _facts(g), component_facts(sub)
+    return 0 <= before.rank - after.rank <= 2 and 0 <= before.m - after.m <= 1

@@ -82,3 +82,86 @@ def test_disconnected_graph_reports_components():
     assert rep.component_count == 3
     assert rep.rank == 4
     assert rep.ok
+
+
+def _count_calls(monkeypatch, original):
+    """Replace original at every gainrank binding; returns the call log."""
+    import sys
+
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(kwargs.get("mode", args[1] if len(args) > 1 else "numeric"))
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gainrank" or name.startswith("gainrank."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return log
+
+
+def test_analyze_takes_one_rank_and_one_component_pass(monkeypatch):
+    from gainrank import spectral
+    from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph
+    from gainrank.theorems import CROSS_CHECK_LIMIT
+
+    G = random_connected_graph(12, 4, seed=7)
+    g = assign_gains(G, GainSetSpec("gaussian", seed=8))
+    assert g.is_connected() and g.n > CROSS_CHECK_LIMIT
+    ranks = _count_calls(monkeypatch, spectral.rank)
+    components = []
+    original = GainGraph.components
+
+    def counted_components(self):
+        components.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(GainGraph, "components", counted_components)
+    rep = analyze(g)
+    assert rep.ok and rep.rank_backend == "exact"
+    assert ranks == ["exact"]
+    assert components == [12]
+
+
+def _union(*parts):
+    edges, offset = [], 0
+    for n, part in parts:
+        edges.extend((u + offset, v + offset, t) for u, v, t in part)
+        offset += n
+    return GainGraph.build(offset, edges)
+
+
+_SQUARE = (4, [(0, 1, "1"), (1, 2, "1"), (2, 3, "1"), (3, 0, "1")])
+_TRIANGLE = (3, [(0, 1, "1"), (1, 2, "i"), (2, 0, "1")])
+_SQUARE_PENDANT = (5, _SQUARE[1] + [(0, 4, "1")])  # condition (iii) fails
+_TWO_SQUARES = (7, [(0, 1, "1"), (1, 2, "1"), (2, 3, "1"), (3, 0, "1"),
+                    (0, 4, "-1"), (4, 5, "1"), (5, 6, "1"), (6, 0, "1")])  # share vertex 0
+_TRIANGLE_TAIL = (5, _TRIANGLE[1] + [(2, 3, "1"), (3, 4, "-1")])
+_POINT = (1, [])
+
+
+@pytest.mark.parametrize("parts", [
+    (_SQUARE, _TRIANGLE),
+    (_SQUARE_PENDANT, _TRIANGLE),
+    (_TRIANGLE, _SQUARE_PENDANT, _POINT),
+    (_TWO_SQUARES, _SQUARE),
+    (_TRIANGLE_TAIL, _SQUARE, _POINT),
+    (_TRIANGLE_TAIL, _TWO_SQUARES),
+    (_SQUARE_PENDANT, _SQUARE_PENDANT),
+])
+def test_graph_flags_are_conjunctions_over_components(parts):
+    from gainrank.combinatorics import cycle_matching_condition, cycles_pairwise_disjoint
+
+    g = _union(*parts)
+    rep = analyze(g)
+    subs = [analyze(GainGraph.build(n, part)) for n, part in parts]
+    assert rep.component_count == len(parts) and rep.ok
+    assert rep.disjoint_cycles == all(s.disjoint_cycles for s in subs)
+    assert rep.disjoint_cycles == cycles_pairwise_disjoint(g)[0]
+    if rep.disjoint_cycles:
+        assert rep.condition_iii == all(s.condition_iii for s in subs)
+        assert rep.condition_iii == cycle_matching_condition(g)[0]
+    else:
+        assert rep.condition_iii is None

@@ -195,3 +195,12 @@ def test_enumerate_rejects_uniform(capsys):
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "uniform"]) == 1
     assert cli.main(["enumerate", "--n-max", "9", "--gains", "signed"]) == 1
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "signed", "--cap", "0"]) == 1
+
+
+def test_analyze_size_limit_is_an_input_error(tmp_path, capsys):
+    # the combinatorial oracle stops at n = 12
+    p = tmp_path / "path14.txt"
+    p.write_text("n 14\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(13)))
+    assert cli.main(["analyze", str(p), "--mode", "oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n <= 12" in err
