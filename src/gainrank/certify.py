@@ -140,7 +140,7 @@ def _static_facts(G: SimpleGraph) -> _Static:
     conjs: list[np.ndarray] = []
     lens: list[int] = []
     if ok:
-        cond = cycle_matching_condition(G)[0]
+        cond = cycle_matching_condition(G, cycles)[0]
         col_of = {e: i for i, e in enumerate(G.edges)}
         for cyc in cycles:
             idx = []

@@ -39,6 +39,48 @@ class BlockDecomposition:
     def cycle_blocks(self) -> tuple[tuple[Edge, ...], ...]:
         return tuple(self.block_edges[i] for i in self.cycle_block_indices())
 
+    def disjoint_cycles(self) -> tuple[tuple[int, ...], ...] | None:
+        """The cycles when no two share a vertex, else None.
+
+        Requires every non-bridge block to be a single cycle, and on top of
+        that the cycle blocks must not meet even in a cut vertex (two cycles
+        through one shared vertex live in distinct blocks, so the block test
+        alone is not enough). Each cycle is in canonical vertex order, and
+        they are sorted by least vertex.
+        """
+        cyc_idx = set(self.cycle_block_indices())
+        cycles = []
+        for i, blk in enumerate(self.block_edges):
+            if len(blk) == 1:
+                continue
+            if i not in cyc_idx:
+                return None
+            cycles.append(_block_as_cycle(blk))
+        seen: set[int] = set()
+        for cyc in cycles:
+            if seen.intersection(cyc):
+                return None
+            seen.update(cyc)
+        cycles.sort(key=lambda c: c[0])
+        return tuple(cycles)
+
+    def overlap_witness(self) -> tuple[int, ...]:
+        """Vertices showing that cycles are not pairwise disjoint: a block
+        that is not a single cycle, or two cycle blocks meeting in a vertex."""
+        cyc_idx = set(self.cycle_block_indices())
+        for i, blk in enumerate(self.block_edges):
+            if len(blk) > 1 and i not in cyc_idx:
+                return tuple(sorted({v for e in blk for v in e}))
+        # all non-bridge blocks are cycles, so two of them meet in a cut vertex
+        owner: dict[int, int] = {}
+        vsets = self.blocks
+        for i in cyc_idx:
+            for v in vsets[i]:
+                if v in owner:
+                    return tuple(sorted(vsets[owner[v]] | vsets[i]))
+                owner[v] = i
+        raise ValueError("cycles are pairwise disjoint; there is no overlap")
+
     def is_cactus(self) -> bool:
         """Every block is a bridge or a single cycle."""
         cyc = set(self.cycle_block_indices())
@@ -141,46 +183,32 @@ def _block_as_cycle(block: tuple[Edge, ...]) -> tuple[int, ...]:
 def cycles_pairwise_disjoint(
     G: SimpleGraph | GainGraph,
 ) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """Whether no two cycles share a vertex; if so, also the cycles themselves.
-
-    Requires every non-bridge block to be a single cycle, and on top of that
-    the cycle blocks must not meet even in a cut vertex (two cycles through
-    one shared vertex live in distinct blocks, so the block test alone is not
-    enough). Returns (True, cycles) with each cycle in canonical vertex
-    order, sorted by least vertex; or (False, None).
+    """Whether no two cycles share a vertex; if so, also the cycles themselves
+    (see BlockDecomposition.disjoint_cycles). Returns (True, cycles) or
+    (False, None).
     """
     if isinstance(G, GainGraph):
         G = underlying(G)
-    dec = block_decomposition(G)
-    cyc_idx = set(dec.cycle_block_indices())
-    cycles = []
-    for i, blk in enumerate(dec.block_edges):
-        if len(blk) == 1:
-            continue
-        if i not in cyc_idx:
-            return False, None
-        cycles.append(_block_as_cycle(blk))
-    seen: set[int] = set()
-    for cyc in cycles:
-        if seen.intersection(cyc):
-            return False, None
-        seen.update(cyc)
-    cycles.sort(key=lambda c: c[0])
-    return True, tuple(cycles)
+    cycles = block_decomposition(G).disjoint_cycles()
+    return cycles is not None, cycles
 
 
-def contract_cycles(G: SimpleGraph | GainGraph) -> tuple[SimpleGraph, tuple[int, ...], frozenset[int]]:
+def contract_cycles(
+    G: SimpleGraph | GainGraph, cycles: tuple[tuple[int, ...], ...] | None = None
+) -> tuple[SimpleGraph, tuple[int, ...], frozenset[int]]:
     """Shrink each cycle to a single vertex; only valid when cycles are disjoint.
 
     Returns (contracted graph, old-to-new vertex map, new ids that came from
     cycles). New ids follow the original vertex order, a cycle taking the slot
-    of its least vertex.
+    of its least vertex. A caller that already holds the disjoint cycles of G
+    passes them as `cycles`, which skips the block decomposition.
     """
     if isinstance(G, GainGraph):
         G = underlying(G)
-    ok, cycles = cycles_pairwise_disjoint(G)
-    if not ok:
-        raise ValueError("cycle contraction requires pairwise vertex-disjoint cycles")
+    if cycles is None:
+        ok, cycles = cycles_pairwise_disjoint(G)
+        if not ok:
+            raise ValueError("cycle contraction requires pairwise vertex-disjoint cycles")
     cycle_of = {}
     for ci, cyc in enumerate(cycles):
         for v in cyc:
@@ -209,18 +237,21 @@ def contract_cycles(G: SimpleGraph | GainGraph) -> tuple[SimpleGraph, tuple[int,
     return contracted, tuple(new_id), frozenset(cycle_new.values())
 
 
-def cycle_matching_condition(G: SimpleGraph | GainGraph) -> tuple[bool, int, int]:
+def cycle_matching_condition(
+    G: SimpleGraph | GainGraph, cycles: tuple[tuple[int, ...], ...] | None = None
+) -> tuple[bool, int, int]:
     """Compare matchings of the cycle-contracted graph and of G minus cycle vertices.
 
     Returns (equal, contracted value, deleted value). Only meaningful when
-    cycles are pairwise vertex-disjoint; raises ValueError otherwise.
+    cycles are pairwise vertex-disjoint; raises ValueError otherwise. As in
+    contract_cycles, `cycles` may carry the disjoint cycles already known.
     """
     from .matching import matching_number
 
     if isinstance(G, GainGraph):
         G = underlying(G)
-    contracted, _, _ = contract_cycles(G)
+    contracted, new_id, from_cycles = contract_cycles(G, cycles)
     m_contracted = matching_number(contracted)
-    without, _ = G.delete_vertices(cycle_vertex_set(G))
+    without, _ = G.delete_vertices(v for v in range(G.n) if new_id[v] in from_cycles)
     m_deleted = matching_number(without)
     return m_contracted == m_deleted, m_contracted, m_deleted

@@ -7,6 +7,7 @@ stored. That makes Hermitian symmetry structurally unviolable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -126,13 +127,18 @@ class GainGraph:
     def degrees(self) -> list[int]:
         return self.underlying().degrees()
 
+    @cached_property
+    def _gain_index(self) -> dict[tuple[int, int], Gain]:
+        # built on first lookup, once per graph; not a dataclass field
+        return {(e.u, e.v): e.gain for e in self.edges}
+
     def gain(self, u: int, v: int) -> Gain:
         """Gain of the oriented edge u -> v (conjugate of the stored one for v < u)."""
-        for e in self.edges:
-            if (e.u, e.v) == (u, v):
-                return e.gain
-            if (e.u, e.v) == (v, u):
-                return e.gain.conjugate()
+        index = self._gain_index
+        if (u, v) in index:
+            return index[u, v]
+        if (v, u) in index:
+            return index[v, u].conjugate()
         raise KeyError(f"no edge between {u} and {v}")
 
     def delete_vertices(self, s: Iterable[int]) -> tuple["GainGraph", tuple[int, ...]]:

@@ -15,7 +15,6 @@ from .combinatorics import (
     block_decomposition,
     cycle_matching_condition,
     cycle_record,
-    cycles_pairwise_disjoint,
     cyclomatic_number,
     matching_number,
     max_acyclic_deletion_matching,
@@ -23,12 +22,11 @@ from .combinatorics import (
 )
 from .combinatorics.cycles import CycleRecord
 from .errors import TheoremViolation
-from .gains import AXIS_ANGLES
-from .graphs import GainGraph, SimpleGraph, pendant_vertices, serialize_gain_graph, underlying
+from .graphs import GainGraph, pendant_vertices, serialize_gain_graph, underlying
+from .spectral import EXACT_ORDER_LIMIT, cyclotomic_order
 from .spectral import rank as spectral_rank
 
 TYPE_TOL = 1e-9
-ORACLE_LIMIT = 12
 CROSS_CHECK_LIMIT = 9
 
 
@@ -52,9 +50,9 @@ class CycleType(enum.Enum):
 
 
 def classify_cycle(g: GainGraph, cycle: "CycleRecord | tuple[int, ...]") -> CycleType:
-    """Type of one cycle of g; validates that the sequence really is a cycle."""
-    verts = cycle.vertices if isinstance(cycle, CycleRecord) else tuple(cycle)
-    rec = cycle_record(g, verts)
+    """Type of one cycle of g. A vertex sequence is validated as a cycle of g;
+    a CycleRecord already carries its gain product, which is used as is."""
+    rec = cycle if isinstance(cycle, CycleRecord) else cycle_record(g, tuple(cycle))
     l = rec.length
     if l % 2 == 0:
         target_angle = Fraction(0) if (l // 2) % 2 == 0 else Fraction(1, 2)
@@ -150,6 +148,7 @@ class ComponentFacts:
     m: int
     c: int
     cycles: tuple[tuple[int, ...], ...] | None  # None when two cycles share a vertex
+    overlap: tuple[int, ...] | None  # vertices where cycles meet, when cycles is None
     types: tuple[CycleType, ...] | None  # one per cycle, when cycles is set
     condition_iii: bool | None  # defined only when cycles are disjoint
 
@@ -166,17 +165,17 @@ class GraphFacts:
 
 
 def _component_rank(g: GainGraph) -> tuple[int, str]:
-    """Rank of a connected piece, preferring backends that cannot round.
+    """Rank of a connected piece, exact whenever it can be.
 
-    Exact elimination handles fourth-root gains; the coefficient oracle covers
-    everything small; numerics remain for large graphs with irrational gains.
-    Small graphs additionally cross-check against the numeric value, and a
-    disagreement is an internal bug worth crashing on.
+    Gains that are q-th roots of unity, q <= EXACT_ORDER_LIMIT, get exact
+    elimination over Z[zeta_q]; float gains and larger q get the numeric
+    eigenvalue cut. Small graphs additionally cross-check the exact rank
+    against the numeric value, and a disagreement is an internal bug worth
+    crashing on.
     """
-    if all(e.gain.angle in AXIS_ANGLES for e in g.edges):
+    q = cyclotomic_order(g)
+    if q is not None and q <= EXACT_ORDER_LIMIT:
         r, backend = spectral_rank(g, mode="exact"), "exact"
-    elif g.n <= ORACLE_LIMIT:
-        r, backend = spectral_rank(g, mode="oracle"), "oracle"
     else:
         r, backend = spectral_rank(g, mode="numeric"), "numeric"
     if backend != "numeric" and g.n <= CROSS_CHECK_LIMIT:
@@ -194,12 +193,15 @@ def component_facts(g: GainGraph) -> GraphFacts:
     for sub, kept in g.components():
         r, backend = _component_rank(sub)
         G = underlying(sub)
-        disjoint, cycles = cycles_pairwise_disjoint(G)
+        dec = block_decomposition(G)
+        cycles = dec.disjoint_cycles()
+        disjoint = cycles is not None
         out.append(ComponentFacts(
             graph=sub, kept=kept, rank=r, backend=backend,
             m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
+            overlap=None if disjoint else dec.overlap_witness(),
             types=tuple(classify_cycle(sub, v) for v in cycles) if disjoint else None,
-            condition_iii=cycle_matching_condition(G)[0] if disjoint else None,
+            condition_iii=cycle_matching_condition(G, cycles)[0] if disjoint else None,
         ))
     return GraphFacts(
         g, tuple(out), sum(f.rank for f in out), sum(f.m for f in out), sum(f.c for f in out)
@@ -258,24 +260,6 @@ def check_refined_bounds(g: GainGraph | GraphFacts) -> BoundReport:
     )
 
 
-def _overlap_witness(G: SimpleGraph) -> tuple[int, ...]:
-    """Vertices demonstrating that cycles are not pairwise disjoint."""
-    dec = block_decomposition(G)
-    cyc_idx = set(dec.cycle_block_indices())
-    for i, blk in enumerate(dec.block_edges):
-        if len(blk) > 1 and i not in cyc_idx:
-            return tuple(sorted({v for e in blk for v in e}))
-    # all non-bridge blocks are cycles, so two of them meet in a cut vertex
-    owner: dict[int, int] = {}
-    vsets = dec.blocks
-    for i in cyc_idx:
-        for v in vsets[i]:
-            if v in owner:
-                return tuple(sorted(vsets[owner[v]] | vsets[i]))
-            owner[v] = i
-    raise AssertionError("no overlap found despite disjointness failure")
-
-
 def _structural_component(f: ComponentFacts, accepted: set[CycleType]) -> StructuralReport:
     """One component's report, witnesses given in the parent graph's ids."""
 
@@ -285,7 +269,7 @@ def _structural_component(f: ComponentFacts, accepted: set[CycleType]) -> Struct
     if f.cycles is None:
         return StructuralReport(
             holds=False, first_failure="disjoint",
-            witness=lift(_overlap_witness(underlying(f.graph))),
+            witness=lift(f.overlap),
             cycles_disjoint=False, types_ok=None, matching_ok=None,
         )
     for verts, t in zip(f.cycles, f.types):
@@ -381,6 +365,12 @@ def signed_cycle_rule(l: int, sign: int) -> bool:
     return is_singular
 
 
+def _rank_and_matching(g: GainGraph) -> tuple[int, int]:
+    """Rank and matching number alone, all the reduction checks read of a subgraph."""
+    rank = sum(_component_rank(sub)[0] for sub, _ in g.components())
+    return rank, matching_number(underlying(g))
+
+
 def pendant_reduction_check(g: GainGraph | GraphFacts) -> bool | None:
     """Deleting a pendant vertex with its support drops rank by 2 and m by 1.
 
@@ -394,8 +384,8 @@ def pendant_reduction_check(g: GainGraph | GraphFacts) -> bool | None:
     x = min(pend)
     y = G.neighbors()[x][0]
     sub, _ = _graph(g).delete_vertices((x, y))
-    before, after = _facts(g), component_facts(sub)
-    return before.rank - after.rank == 2 and before.m - after.m == 1
+    before, (rank, m) = _facts(g), _rank_and_matching(sub)
+    return before.rank - rank == 2 and before.m - m == 1
 
 
 def deletion_bounds_check(g: GainGraph | GraphFacts, v: int) -> bool:
@@ -403,5 +393,5 @@ def deletion_bounds_check(g: GainGraph | GraphFacts, v: int) -> bool:
     if not 0 <= v < _graph(g).n:
         raise ValueError(f"vertex {v} out of range")
     sub, _ = _graph(g).delete_vertices((v,))
-    before, after = _facts(g), component_facts(sub)
-    return 0 <= before.rank - after.rank <= 2 and 0 <= before.m - after.m <= 1
+    before, (rank, m) = _facts(g), _rank_and_matching(sub)
+    return 0 <= before.rank - rank <= 2 and 0 <= before.m - m <= 1

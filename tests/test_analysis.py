@@ -125,6 +125,20 @@ def test_analyze_takes_one_rank_and_one_component_pass(monkeypatch):
     assert components == [12]
 
 
+def test_analyze_walks_each_cycle_gain_once(monkeypatch):
+    from gainrank.combinatorics import cycle_record
+
+    # K4 with a pendant vertex: 7 cycles, no two disjoint
+    g = GainGraph.build(5, [
+        (0, 1, "i"), (0, 2, "1"), (0, 3, "-1"), (1, 2, "-1"),
+        (1, 3, "1"), (2, 3, "-i"), (3, 4, "1"),
+    ])
+    walks = _count_calls(monkeypatch, cycle_record)
+    rep = analyze(g)
+    assert rep.ok and rep.cycles is not None and len(rep.cycles) == 7
+    assert len(walks) == 7
+
+
 def _union(*parts):
     edges, offset = [], 0
     for n, part in parts:

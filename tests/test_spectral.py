@@ -1,15 +1,19 @@
 """Hermitian adjacency, inertia, and the three rank backends."""
 
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 from conftest import small_gain_graphs
 from hypothesis import given, settings
 
+from gainrank.errors import SizeLimitError
 from gainrank.gains import Gain
 from gainrank.graphs import GainGraph
 from gainrank.spectral import (
+    EXACT_ORDER_LIMIT,
     char_poly_numeric,
     eigenvalues,
     exact_rank,
@@ -60,8 +64,56 @@ def test_backends_agree_on_axis_gains(g):
     assert exact_rank(g) == r
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 8, 12])
+@settings(max_examples=25, deadline=None)  # the oracle is the slow reference here
+@given(g=small_gain_graphs())
+def test_backends_agree_on_root_of_unity_gains(q, g):
+    # snap to q-th roots of unity, half of them to 1 so that singular
+    # cycles and rank drops are common
+    edges = [
+        (e.u, e.v, Gain.from_angle(max(0, round(2 * q * e.gain.angle) - q), q))
+        for e in g.edges
+    ]
+    g = GainGraph.build(g.n, edges)
+    r = rank(g, mode="exact")
+    assert rank(g, mode="numeric") == r
+    assert rank(g, mode="oracle") == r
+
+
+def test_exact_rank_on_singular_blow_up():
+    # two twin classes joined by switched roots of unity: rank 2 at n = 40
+    q, t = 8, 20
+    shift = [(7 * v) % q for v in range(2 * t)]
+    edges = [
+        (u, v, Gain.from_angle(3 + shift[u] - shift[v], q)) for u in range(t) for v in range(t, 2 * t)
+    ]
+    g = GainGraph.build(2 * t, edges)
+    assert exact_rank(g) == 2 == rank(g, mode="numeric")
+
+
+def test_exact_rank_on_dense_graphs():
+    # pivot norms keep every row a rational multiple of its Schur-complement
+    # row; with p*row - a*pivot_row alone the coefficients blow up here
+    for q in (4, 8):
+        rng = random.Random(q)
+        g = GainGraph.build(32, [
+            (u, v, Gain.from_angle(rng.randrange(q), q)) for u in range(32) for v in range(u + 1, 32)
+        ])
+        assert exact_rank(g) == rank(g, mode="numeric")
+
+
+def test_exact_rank_order_limit_is_prompt():
+    # q = 997 * 991 is refused before any table over Z[zeta_q] is built
+    g = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)")])
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        rank(g, mode="exact")
+    assert time.perf_counter() - t0 < 1.0
+    assert 997 * 991 > EXACT_ORDER_LIMIT
+
+
 def test_exact_mode_rejects_general_rotation():
-    g = GainGraph.build(2, [(0, 1, "rot(1/8)")])
+    g = GainGraph.build(2, [(0, 1, "c(0.6,0.8)")])
     with pytest.raises(ValueError):
         exact_rank(g)
     assert rank(g, mode="numeric") == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gainrank.combinatorics.matching import matching_number
 from gainrank.combinatorics.blocks import cyclomatic_number
-from gainrank.errors import TheoremViolation
+from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
 from gainrank.graphs import GainGraph, underlying
 from gainrank.theorems import (
@@ -25,6 +25,7 @@ from gainrank.theorems import (
     verify_equivalence,
 )
 from gainrank.spectral import hermitian_adjacency, inertia
+from gainrank.spectral import rank as spectral_rank
 
 
 def make_cycle_with_gain(l, token):
@@ -191,6 +192,23 @@ def test_rank_backend_labels(double_squares):
     g = GainGraph.build(2, [(0, 1, "rot(1/8)")])
     r2, backend2 = graph_rank(g)
     assert r2 == 2
+
+
+def test_auto_mode_ranks_root_of_unity_gains_exactly():
+    from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph
+
+    g = assign_gains(random_connected_graph(20, 6, seed=3), GainSetSpec("roots", q=8, seed=4))
+    assert g.is_connected()
+    r, backend = graph_rank(g)
+    assert backend == "exact"
+    assert r == spectral_rank(g, mode="numeric")
+
+
+def test_auto_mode_goes_numeric_past_the_order_limit():
+    g = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)"), (0, 2, "1")])
+    with pytest.raises(SizeLimitError):
+        spectral_rank(g, mode="exact")
+    assert graph_rank(g) == (spectral_rank(g, mode="numeric"), "numeric")
 
 
 def test_pendant_reduction(double_squares, square):
