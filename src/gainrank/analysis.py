@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import cycle_records, enumerate_cycles
+from .combinatorics import CycleRecord, cycle_record, enumerate_cycles
 from .errors import SizeLimitError, TheoremViolation
 from .graphs import GainGraph
 from .spectral import hermitian_adjacency, inertia
@@ -116,10 +116,19 @@ def analyze(
     except TheoremViolation as exc:
         violations.append(str(exc))
 
+    # the facts walked every cycle of a component whose cycles are disjoint;
+    # ids lift in order, so canonical forms and directions carry over
+    walked = {
+        tuple(f.kept[v] for v in rec.vertices): rec.gain
+        for f in facts.components
+        for rec in f.records or ()
+    }
     cycles: tuple[CycleSummary, ...] | None
     try:
         found = enumerate_cycles(g, limit=max_cycles)
-        records = cycle_records(g, found)
+        records = [
+            CycleRecord(c, walked[c]) if c in walked else cycle_record(g, c) for c in found
+        ]
         cycles = tuple(
             CycleSummary(
                 vertices=rec.vertices,

@@ -3,12 +3,18 @@
 Two engines, sized to what they must cover on a single core:
 
 * Alphabet engine: every connected labeled graph up to a small n, every (or
-  a capped subsample of) gain assignment from a finite alphabet. Ranks come
-  from batched Hermitian eigensolves. For alphabets inside {1,-1,i,-i} the
-  characteristic polynomial has integer coefficients, so nonzero
-  eigenvalues are bounded away from zero by 1/deg^(n-1) and a threshold
-  decides rank exactly. Other alphabets fall back to a guard band plus
-  per-instance escalation to the combinatorial oracle.
+  a capped subsample of) gain assignment from the group of q-th roots of
+  unity. Switching by a diagonal unitary D maps H to D*HD, which keeps the
+  spectrum and every cycle gain, so the exhaustive pass ranks one
+  representative per switching class: gain 1 on a spanning tree, all q^c
+  choices on the cotree edges, each class standing for q^(n-1) labeled
+  assignments. A switched copy of one representative per graph, solved in
+  the same batch, must reproduce its spectrum and structural flags. Ranks
+  come from batched Hermitian eigensolves. For alphabets inside
+  {1,-1,i,-i} the characteristic polynomial has integer coefficients, so
+  nonzero eigenvalues are bounded away from zero by 1/deg^(n-1) and a
+  threshold decides rank exactly. Other alphabets fall back to a guard band
+  plus per-representative escalation to the combinatorial oracle.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
@@ -23,9 +29,10 @@ Two engines, sized to what they must cover on a single core:
   which keeps the two sides of the equivalence independent where the
   coefficient route would be circular.
 
-Both engines check, per instance: rank == 2m-2c exactly when the lower
-structural conditions hold, and rank == 2m+c exactly when the upper ones
-hold. Any counterexample is serialized for replay.
+Both engines check, per instance (per class representative in the
+exhaustive alphabet pass): rank == 2m-2c exactly when the lower structural
+conditions hold, and rank == 2m+c exactly when the upper ones hold. Any
+counterexample is serialized for replay.
 """
 from __future__ import annotations
 
@@ -67,6 +74,8 @@ class SliceReport:
     name: str
     graphs: int = 0
     instances: int = 0
+    classes: int = 0  # switching-class representatives eigensolved
+    switching_checks: int = 0  # switched copies compared with their representative
     cross_checks: int = 0
     elapsed: float = 0.0
     failures: list[Failure] = field(default_factory=list)
@@ -202,6 +211,65 @@ def _structural_flags(st: _Static, gvals: np.ndarray) -> tuple[np.ndarray, np.nd
     return lower, upper
 
 
+def _group_positions(alphabet: tuple[Gain, ...]) -> np.ndarray:
+    """pos[k] is the alphabet index of exp(2*pi*i*k/q), q = len(alphabet).
+
+    The class reduction needs the alphabet to be the whole group of q-th
+    roots of unity: gauge-fixed representatives and switched copies must
+    stay inside it.
+    """
+    q = len(alphabet)
+    pos = np.full(q, -1, dtype=np.int64)
+    for i, g in enumerate(alphabet):
+        if g.angle is None or (g.angle * q).denominator != 1:
+            raise ValueError(f"gain {g!r} is not a {q}-th root of unity")
+        pos[int(g.angle * q)] = i
+    if q == 0 or (pos < 0).any():
+        raise ValueError(f"alphabet of {q} gains is not the group of {q}-th roots of unity")
+    return pos
+
+
+def _cotree_columns(G: SimpleGraph) -> list[int]:
+    """Edge columns outside the spanning forest union-find grows in edge order."""
+    parent = list(range(G.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    cotree = []
+    for e, (u, v) in enumerate(G.edges):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            cotree.append(e)
+        else:
+            parent[ru] = rv
+    return cotree
+
+
+def _switched_copy(
+    G: SimpleGraph, ends: np.ndarray, expo: np.ndarray, q: int
+) -> tuple[int, np.ndarray]:
+    """One representative, picked by the graph alone, and a switched copy.
+
+    ends is G.edges as an (E, 2) array and expo holds the representatives'
+    gain exponents, one row each. The copy is phi'(u,v) = s_u phi(u,v) s_v^-1
+    with s_v = exp(2*pi*i*k_v/q), which is D H D* for D = diag(s): the same
+    spectrum and cycle gains. The choice depends on the edge set only, never
+    on how graphs are split into shards.
+    """
+    h = G.n
+    for u, v in G.edges:
+        h = (h * 1_000_003 + u * G.n + v + 1) % (1 << 61)
+    r = h % expo.shape[0]
+    k = np.array([(h // q**v) % q for v in range(G.n)], dtype=np.int64)
+    if q > 1 and (k == k[0]).all():  # a scalar switching changes nothing
+        k[-1] = (k[-1] + 1) % q
+    return r, (expo[r] + k[ends[:, 0]] - k[ends[:, 1]]) % q
+
+
 def run_alphabet_slice(
     graphs: Iterable[SimpleGraph],
     alphabet: tuple[Gain, ...],
@@ -212,13 +280,21 @@ def run_alphabet_slice(
 ) -> SliceReport:
     """Certify both equivalences on every graph x assignment instance.
 
-    With cap=None every one of the |alphabet|^E assignments is taken (the
-    count must stay below ~2^20 per graph); otherwise a deterministic
-    subsample of cap assignments per graph.
+    alphabet must be the full group of q-th roots of unity, in any order.
+    With cap=None, or when the |alphabet|^E assignments of a graph fit in
+    cap, all of them are certified (the count must stay below 2^20 per
+    graph), one switching class at a time: spanning-forest edges get gain
+    1 and the c cotree edges range over the alphabet, and each of these
+    q^c representatives stands for its q^(n-k) labeled switchings, k the
+    number of components. One
+    switched copy per graph is solved in the same batch and must match its
+    representative. Otherwise a deterministic subsample of cap labeled
+    assignments per graph is certified directly.
     """
     t0 = time.perf_counter()
     rep = SliceReport(name=name)
     q = len(alphabet)
+    pos = _group_positions(alphabet)
     exact = _integer_coeff_alphabet(alphabet)
     values = np.array([g.value for g in alphabet], dtype=np.complex128)
     real_alphabet = bool(np.all(np.abs(values.imag) < 1e-15))
@@ -227,25 +303,50 @@ def run_alphabet_slice(
     for G in graphs:
         st = _static_facts(G)
         E = len(G.edges)
+        ends = np.array(G.edges, dtype=np.int64).reshape(E, 2)
         total = q**E
+        switched = None
         if cap is None or total <= cap:
             if total > 1 << 20:
                 raise SizeLimitError(f"{total} assignments on one graph; pass a cap")
-            aidx = np.arange(total, dtype=np.int64)
-            idx = (aidx[:, None] // q ** np.arange(E, dtype=np.int64)[None, :]) % q
+            cot = _cotree_columns(G)
+            assert len(cot) == st.c, (len(cot), st.c)
+            A = q ** len(cot)
+            expo = np.zeros((A, E), dtype=np.int64)
+            digits = np.arange(A, dtype=np.int64)[:, None]
+            expo[:, cot] = (digits // q ** np.arange(len(cot), dtype=np.int64)) % q
+            switched, copy = _switched_copy(G, ends, expo, q)
+            idx = pos[np.vstack([expo, copy[None, :]])]  # the copy is row A
         else:
+            A = cap
             idx = rng.integers(0, q, size=(cap, E), dtype=np.int64)
-        A = idx.shape[0]
-        gvals = values[idx]  # (A, E)
+        gvals = values[idx]  # (rows, E)
 
         dtype = np.float64 if real_alphabet else np.complex128
-        H = np.zeros((A, G.n, G.n), dtype=dtype)
-        for e, (u, v) in enumerate(G.edges):
-            col = gvals[:, e].real if real_alphabet else gvals[:, e]
-            H[:, u, v] = col
-            H[:, v, u] = np.conj(col)
+        H = np.zeros((idx.shape[0], G.n, G.n), dtype=dtype)
+        H[:, ends[:, 0], ends[:, 1]] = gvals.real if real_alphabet else gvals
+        H[:, ends[:, 1], ends[:, 0]] = np.conj(H[:, ends[:, 0], ends[:, 1]])
         w = np.linalg.eigvalsh(H)
+        s_lower, s_upper = _structural_flags(st, gvals)
 
+        if switched is not None:
+            gap = float(np.abs(w[A] - w[switched]).max(initial=0.0))
+            same_flags = (s_lower[A], s_upper[A]) == (s_lower[switched], s_upper[switched])
+            if (gap > 1e-9 or not same_flags) and len(rep.failures) < max_failures:
+                rep.failures.append(
+                    Failure(
+                        message=(
+                            f"switching check failed: spectra differ by {gap:.3g}, "
+                            f"structural flags {'agree' if same_flags else 'differ'}, "
+                            f"against class representative {switched}"
+                        ),
+                        graph_text=serialize_gain_graph(_build_instance(G, alphabet, idx[A])),
+                    )
+                )
+            rep.switching_checks += 1
+            rep.classes += A
+
+        w = w[:A]
         max_deg = max(G.degrees(), default=0)
         if exact:
             thr = _rank_threshold(G.n, max_deg)
@@ -259,7 +360,7 @@ def run_alphabet_slice(
                 ranks[i] = rank_combinatorial(inst)
                 rep.cross_checks += 1
 
-        s_lower, s_upper = _structural_flags(st, gvals)
+        s_lower, s_upper = s_lower[:A], s_upper[:A]
         want_lower = ranks == 2 * st.m - 2 * st.c
         want_upper = ranks == 2 * st.m + st.c
         bad = (want_lower != s_lower) | (want_upper != s_upper)
@@ -277,7 +378,7 @@ def run_alphabet_slice(
                     )
                 )
         rep.graphs += 1
-        rep.instances += A
+        rep.instances += total if switched is not None else A
     rep.elapsed = time.perf_counter() - t0
     return rep
 

@@ -246,6 +246,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     graphs = sum(r.graphs for r in reports)
     instances = sum(r.instances for r in reports)
+    classes = sum(r.classes for r in reports)
+    switching = sum(r.switching_checks for r in reports)
     checks = sum(r.cross_checks for r in reports)
     failures = sorted(
         ((f.message, f.graph_text) for r in reports for f in r.failures)
@@ -264,6 +266,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "cap": cap,
         "graphs": graphs,
         "instances": instances,
+        "classes": classes,
+        "switching_checks": switching,
         "oracle_escalations": checks,
         "failures": len(failures),
         "failure_file": args.out if failures else None,
@@ -271,8 +275,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     }
     lines = [
         f"enumerate: n <= {args.n_max}, gains {args.gains}, cap {cap}",
-        f"  {graphs} graph(s), {instances} instance(s), "
-        f"{checks} oracle escalation(s), {len(failures)} failure(s)",
+        f"  {graphs} graph(s), {instances} instance(s), {classes} class(es), "
+        f"{switching} switching check(s), {checks} oracle escalation(s), "
+        f"{len(failures)} failure(s)",
     ]
     if failures:
         lines.append(f"  failures written to {args.out}")

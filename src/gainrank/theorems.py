@@ -149,6 +149,7 @@ class ComponentFacts:
     c: int
     cycles: tuple[tuple[int, ...], ...] | None  # None when two cycles share a vertex
     overlap: tuple[int, ...] | None  # vertices where cycles meet, when cycles is None
+    records: tuple[CycleRecord, ...] | None  # each cycle's gain walk, when cycles is set
     types: tuple[CycleType, ...] | None  # one per cycle, when cycles is set
     condition_iii: bool | None  # defined only when cycles are disjoint
 
@@ -196,11 +197,13 @@ def component_facts(g: GainGraph) -> GraphFacts:
         dec = block_decomposition(G)
         cycles = dec.disjoint_cycles()
         disjoint = cycles is not None
+        records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
         out.append(ComponentFacts(
             graph=sub, kept=kept, rank=r, backend=backend,
             m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
             overlap=None if disjoint else dec.overlap_witness(),
-            types=tuple(classify_cycle(sub, v) for v in cycles) if disjoint else None,
+            records=records,
+            types=tuple(classify_cycle(sub, rec) for rec in records) if disjoint else None,
             condition_iii=cycle_matching_condition(G, cycles)[0] if disjoint else None,
         ))
     return GraphFacts(

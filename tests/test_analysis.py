@@ -139,6 +139,24 @@ def test_analyze_walks_each_cycle_gain_once(monkeypatch):
     assert len(walks) == 7
 
 
+def test_analyze_reuses_the_walks_of_disjoint_cycles(monkeypatch):
+    from gainrank.combinatorics import cycle_record
+
+    # two squares joined by the edge 3-4: the component facts walk both
+    g = GainGraph.build(8, [
+        (0, 1, "1"), (1, 2, "i"), (2, 3, "1"), (0, 3, "-1"), (3, 4, "1"),
+        (4, 5, "1"), (5, 6, "-1"), (6, 7, "1"), (4, 7, "-1"),
+    ])
+    walks = _count_calls(monkeypatch, cycle_record)
+    rep = analyze(g)
+    assert len(walks) == 2
+    assert rep.ok and rep.disjoint_cycles
+    assert [(cs.vertices, cs.gain, cs.kind) for cs in rep.cycles] == [
+        ((0, 1, 2, 3), "-i", "EVEN_REGULAR"),
+        ((4, 5, 6, 7), "1", "EVEN_SINGULAR"),
+    ]
+
+
 def _union(*parts):
     edges, offset = [], 0
     for n, part in parts:

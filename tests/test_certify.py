@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gainrank import certify
 from gainrank.certify import (
     _COS8,
     _batched_matching_counts,
+    _cotree_columns,
+    _group_positions,
     _max_index_positive,
     _rank_threshold,
+    _static_facts,
+    _structural_flags,
     _unpack_counts,
     certify_equivalences,
     run_alphabet_slice,
@@ -22,8 +27,8 @@ from gainrank.certify import (
 from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
-from gainrank.generators import enumerate_connected_graphs
-from gainrank.graphs import SimpleGraph
+from gainrank.generators import GainSetSpec, enumerate_connected_graphs
+from gainrank.graphs import SimpleGraph, parse_gain_graph
 
 from conftest import simple_graphs
 
@@ -121,6 +126,123 @@ def test_alphabet_slice_rejects_unbounded_product():
     signed = (Gain.from_angle(0), Gain.from_angle(1, 2))
     with pytest.raises(SizeLimitError):
         run_alphabet_slice([big], signed, cap=None)
+
+
+GROUPS = ("signed", "gaussian", "roots:3")
+
+
+@pytest.mark.parametrize("kind", GROUPS)
+def test_alphabet_slice_solves_one_representative_per_class(kind):
+    alphabet = GainSetSpec.parse(kind).values()
+    q = len(alphabet)
+    graphs = list(enumerate_connected_graphs(4))
+    rep = run_alphabet_slice(graphs, alphabet, cap=None, name=kind)
+    assert rep.ok
+    assert rep.graphs == 43
+    assert rep.instances == sum(q ** len(G.edges) for G in graphs)
+    assert rep.classes == sum(q ** (len(G.edges) - G.n + 1) for G in graphs)
+    assert rep.switching_checks == rep.graphs
+
+
+def _gauge_fixed(G, expo, q):
+    """Switch each labeled exponent row so that every spanning-forest edge
+    carries exponent 0: phi'(u,v) = s_u phi(u,v) s_v^-1, solved vertex by
+    vertex along the forest."""
+    cotree = set(_cotree_columns(G))
+    tree = [e for e in range(len(G.edges)) if e not in cotree]
+    k = np.zeros((expo.shape[0], G.n), dtype=np.int64)
+    done = [False] * G.n
+    while not all(done):
+        root = done.index(False)
+        done[root] = True
+        grown = True
+        while grown:
+            grown = False
+            for e in tree:
+                u, v = G.edges[e]
+                if done[u] != done[v]:
+                    if done[u]:
+                        k[:, v] = k[:, u] + expo[:, e]
+                    else:
+                        k[:, u] = k[:, v] - expo[:, e]
+                    done[u] = done[v] = grown = True
+    ends = np.array(G.edges, dtype=np.int64).reshape(-1, 2)
+    return (expo + k[:, ends[:, 0]] - k[:, ends[:, 1]]) % q, tree
+
+
+def _hermitian(G, gvals):
+    H = np.zeros((gvals.shape[0], G.n, G.n), dtype=np.complex128)
+    for e, (u, v) in enumerate(G.edges):
+        H[:, u, v] = gvals[:, e]
+        H[:, v, u] = np.conj(gvals[:, e])
+    return H
+
+
+@pytest.mark.parametrize("kind", GROUPS)
+def test_every_labeled_assignment_matches_its_class_representative(kind):
+    alphabet = GainSetSpec.parse(kind).values()
+    q = len(alphabet)
+    values = np.array([g.value for g in alphabet])[_group_positions(alphabet)]
+    for G in enumerate_connected_graphs(4):
+        E = len(G.edges)
+        expo = (np.arange(q**E)[:, None] // q ** np.arange(E)[None, :]) % q
+        reps, tree = _gauge_fixed(G, expo, q)
+        assert not reps[:, tree].any()
+        _, sizes = np.unique(reps, axis=0, return_counts=True)
+        assert len(sizes) == q ** (E - G.n + 1)
+        assert (sizes == q ** (G.n - 1)).all()
+        st = _static_facts(G)
+        labeled, gauged = values[expo], values[reps]
+        assert (
+            np.linalg.matrix_rank(_hermitian(G, labeled), hermitian=True)
+            == np.linalg.matrix_rank(_hermitian(G, gauged), hermitian=True)
+        ).all()
+        for flags, rep_flags in zip(_structural_flags(st, labeled), _structural_flags(st, gauged)):
+            assert (flags == rep_flags).all()
+
+
+def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
+    switched_copy = certify._switched_copy
+
+    def corrupted(G, ends, expo, q):
+        r, copy = switched_copy(G, ends, expo, q)
+        copy = copy.copy()
+        copy[-1] = (copy[-1] + 1) % q  # one edge moves alone: not a switching
+        return r, copy
+
+    monkeypatch.setattr(certify, "_switched_copy", corrupted)
+    signed = GainSetSpec.parse("signed").values()
+    triangle = SimpleGraph.build(3, [(0, 1), (1, 2), (0, 2)])
+    path = SimpleGraph.build(3, [(0, 1), (1, 2)])
+    rep = run_alphabet_slice([path, triangle], signed, cap=None)
+    # on a tree every edge change is a switching; on the triangle it flips
+    # the cycle gain, and the spectrum with it
+    assert rep.switching_checks == 2
+    assert len(rep.failures) == 1
+    failure = rep.failures[0]
+    assert failure.message.startswith("switching check failed")
+    g = parse_gain_graph(failure.graph_text)
+    assert (g.n, len(g.edges)) == (3, 3)
+
+
+@pytest.mark.parametrize("alphabet", [
+    (Gain.from_angle(0), Gain.from_angle(1, 4)),  # 1 and i: not the square roots
+    (Gain.from_angle(0), Gain.from_angle(0)),  # a repeat leaves -1 out
+    (Gain.from_angle(0), Gain.from_complex(complex(0.6, 0.8))),  # no exact angle
+    (),
+])
+def test_alphabet_slice_requires_a_root_of_unity_group(alphabet):
+    triangle = SimpleGraph.build(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError):
+        run_alphabet_slice([triangle], alphabet, cap=None)
+
+
+def test_alphabet_positions_follow_angles_not_order():
+    shuffled = (Gain.from_angle(2, 3), Gain.from_angle(0), Gain.from_angle(1, 3))
+    assert _group_positions(shuffled).tolist() == [1, 2, 0]
+    rep = run_alphabet_slice(enumerate_connected_graphs(4), shuffled, cap=None)
+    plain = run_alphabet_slice(enumerate_connected_graphs(4), GainSetSpec.parse("roots:3").values())
+    assert rep.ok and (rep.instances, rep.classes) == (plain.instances, plain.classes)
 
 
 def test_cactus_slice_tiny():

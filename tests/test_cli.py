@@ -191,6 +191,22 @@ def test_enumerate_worker_invariance(monkeypatch, capsys):
     assert solo == multi
 
 
+def test_enumerate_reports_classes_and_switching_checks(monkeypatch, capsys):
+    def run():
+        assert cli.main(["enumerate", "--n-max", "3", "--gains", "gaussian", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    monkeypatch.setenv("GAINRANK_WORKERS", "1")
+    doc = run()
+    # one edge, three paths of 4^2, a triangle of 4^3; classes fix a tree
+    assert (doc["graphs"], doc["instances"]) == (5, 4 + 3 * 16 + 64)
+    assert (doc["classes"], doc["switching_checks"]) == (1 + 3 + 4, 5)
+    monkeypatch.setenv("GAINRANK_WORKERS", "2")
+    assert run() == doc
+    assert cli.main(["enumerate", "--n-max", "3", "--gains", "signed"]) == 0
+    assert "6 class(es), 5 switching check(s)" in capsys.readouterr().out
+
+
 def test_enumerate_rejects_uniform(capsys):
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "uniform"]) == 1
     assert cli.main(["enumerate", "--n-max", "9", "--gains", "signed"]) == 1
