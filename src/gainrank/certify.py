@@ -2,17 +2,18 @@
 
 Two engines, sized to what they must cover on a single core:
 
-* Alphabet engine: every connected labeled graph up to a small n, every (or
-  a capped subsample of) gain assignment from the group of q-th roots of
-  unity. Switching by a diagonal unitary D maps H to D*HD, which keeps the
-  spectrum and every cycle gain, so the exhaustive pass ranks one
-  representative per switching class: gain 1 on a spanning tree, all q^c
-  choices on the cotree edges, each class standing for q^(n-1) labeled
-  assignments. A switched copy of one representative per graph, solved in
-  the same batch, must reproduce its spectrum and structural flags. Ranks
-  come from batched Hermitian eigensolves. For alphabets inside
-  {1,-1,i,-i} the characteristic polynomial has integer coefficients, so
-  nonzero eigenvalues are bounded away from zero by 1/deg^(n-1) and a
+* Alphabet engine: every connected labeled graph up to a small n, gains from
+  the group of q-th roots of unity. Switching by a diagonal unitary D maps
+  H to D*HD, which keeps the spectrum and every cycle gain, so the engine
+  ranks one representative per switching class: gain 1 on a spanning tree
+  and a choice on each of the c cotree edges, each class standing for
+  q^(n-1) labeled assignments. A per-graph cap bounds the classes solved:
+  all q^c of them when they fit, else a sample of distinct classes fixed by
+  the seed and the edge set. A switched copy of one representative per
+  graph, solved in the same batch, must reproduce its spectrum and
+  structural flags. Ranks come from batched Hermitian eigensolves. For q in
+  {1, 2, 3, 4, 6} the characteristic polynomial has integer coefficients,
+  so nonzero eigenvalues are bounded away from zero by 1/deg^(n-1) and a
   threshold decides rank exactly. Other alphabets fall back to a guard band
   plus per-representative escalation to the combinatorial oracle.
 
@@ -24,19 +25,22 @@ Two engines, sized to what they must cover on a single core:
   parts. Matching counts for all induced subgraphs at once come from a
   subset-mask dynamic program vectorized across graphs, and coefficients
   land on the lattice (p + q*sqrt(2))/2 whose nonzero values stay above
-  1.6e-4, so a 1e-6 threshold decides rank exactly. Trees are instead
-  certified by a direct eigensolve against the blossom matching number,
-  which keeps the two sides of the equivalence independent where the
-  coefficient route would be circular.
+  1.6e-4, so a 1e-6 threshold decides rank exactly. The same table gives
+  condition (iii); spot checks compare it, the matching number and the
+  rank with the blossom and oracle routes. Trees are instead certified by
+  a direct eigensolve against the blossom matching number, which keeps the
+  two sides of the equivalence independent where the coefficient route
+  would be circular.
 
 Both engines check, per instance (per class representative in the
-exhaustive alphabet pass): rank == 2m-2c exactly when the lower structural
+alphabet engine): rank == 2m-2c exactly when the lower structural
 conditions hold, and rank == 2m+c exactly when the upper ones hold. Any
 counterexample is serialized for replay.
 """
 from __future__ import annotations
 
 import os
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -51,13 +55,14 @@ from .combinatorics import (
     rank_combinatorial,
 )
 from .errors import SizeLimitError, TheoremViolation
-from .gains import AXIS_ANGLES, Gain
+from .gains import Gain
 from .generators import CactusStructure, enumerate_connected_cacti, enumerate_connected_graphs
 from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
 
 COEFF_RANK_TOL = 1e-6
 _ESCALATE_LO = 1e-9
 _ESCALATE_HI = 1e-3
+_SOLVE_ROWS = 1 << 16  # matrices per eigensolve call
 
 # real parts of the eighth roots of unity, indexed by octant
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
@@ -166,11 +171,6 @@ def _static_facts(G: SimpleGraph) -> _Static:
     )
 
 
-def _integer_coeff_alphabet(alphabet: tuple[Gain, ...]) -> bool:
-    """Gains in {1,-1,i,-i} give integer characteristic coefficients."""
-    return all(g.angle in AXIS_ANGLES for g in alphabet)
-
-
 def _rank_threshold(n: int, max_degree: int) -> float:
     """Safe cut between true zeros and true nonzeros, integer-coefficient case.
 
@@ -249,6 +249,15 @@ def _cotree_columns(G: SimpleGraph) -> list[int]:
     return cotree
 
 
+def _edge_set_hash(G: SimpleGraph) -> int:
+    """Deterministic 61-bit hash of n and the edge set. Per-graph choices
+    come from it, so how graphs are split into shards never changes them."""
+    h = G.n
+    for u, v in G.edges:
+        h = (h * 1_000_003 + u * G.n + v + 1) % (1 << 61)
+    return h
+
+
 def _switched_copy(
     G: SimpleGraph, ends: np.ndarray, expo: np.ndarray, q: int
 ) -> tuple[int, np.ndarray]:
@@ -257,17 +266,27 @@ def _switched_copy(
     ends is G.edges as an (E, 2) array and expo holds the representatives'
     gain exponents, one row each. The copy is phi'(u,v) = s_u phi(u,v) s_v^-1
     with s_v = exp(2*pi*i*k_v/q), which is D H D* for D = diag(s): the same
-    spectrum and cycle gains. The choice depends on the edge set only, never
-    on how graphs are split into shards.
+    spectrum and cycle gains.
     """
-    h = G.n
-    for u, v in G.edges:
-        h = (h * 1_000_003 + u * G.n + v + 1) % (1 << 61)
+    h = _edge_set_hash(G)
     r = h % expo.shape[0]
     k = np.array([(h // q**v) % q for v in range(G.n)], dtype=np.int64)
     if q > 1 and (k == k[0]).all():  # a scalar switching changes nothing
         k[-1] = (k[-1] + 1) % q
     return r, (expo[r] + k[ends[:, 0]] - k[ends[:, 1]]) % q
+
+
+def _class_indices(total: int, count: int, seed: str) -> np.ndarray:
+    """count distinct indices out of range(total), in increasing order, by
+    Floyd's sampling from seed. Python ints, so q^c never overflows."""
+    if count == total:
+        return np.arange(total, dtype=np.int64)
+    rng = random.Random(seed)
+    picked: set[int] = set()
+    for j in range(total - count, total):
+        t = rng.randrange(j + 1)
+        picked.add(j if t in picked else t)
+    return np.array(sorted(picked), dtype=np.int64 if total <= 1 << 62 else object)
 
 
 def run_alphabet_slice(
@@ -278,95 +297,83 @@ def run_alphabet_slice(
     name: str = "alphabet",
     max_failures: int = 5,
 ) -> SliceReport:
-    """Certify both equivalences on every graph x assignment instance.
+    """Certify both equivalences on every graph, one switching class at a time.
 
-    alphabet must be the full group of q-th roots of unity, in any order.
-    With cap=None, or when the |alphabet|^E assignments of a graph fit in
-    cap, all of them are certified (the count must stay below 2^20 per
-    graph), one switching class at a time: spanning-forest edges get gain
-    1 and the c cotree edges range over the alphabet, and each of these
-    q^c representatives stands for its q^(n-k) labeled switchings, k the
-    number of components. One
-    switched copy per graph is solved in the same batch and must match its
-    representative. Otherwise a deterministic subsample of cap labeled
-    assignments per graph is certified directly.
+    alphabet must be the full group of q-th roots of unity, in any order. A
+    class representative has gain 1 on a spanning forest and any gain on
+    each of the c cotree edges. All q^c classes are solved when cap is None
+    or they fit in cap (at most 2^20 per graph), else cap distinct ones
+    drawn from seed and the edge set; each counts as its q^(E-c) labeled
+    instances. One switched copy per graph must match its representative.
     """
     t0 = time.perf_counter()
     rep = SliceReport(name=name)
     q = len(alphabet)
     pos = _group_positions(alphabet)
-    exact = _integer_coeff_alphabet(alphabet)
-    values = np.array([g.value for g in alphabet], dtype=np.complex128)
-    real_alphabet = bool(np.all(np.abs(values.imag) < 1e-15))
-    rng = np.random.Generator(np.random.PCG64(seed))
+    # characteristic coefficients are real algebraic integers of Q(zeta_q),
+    # so integers when that field meets the reals in Q alone
+    exact = q in (1, 2, 3, 4, 6)
+    roots = np.real_if_close(np.array([g.value for g in alphabet])[pos])  # real: symmetric H
 
     for G in graphs:
         st = _static_facts(G)
         E = len(G.edges)
         ends = np.array(G.edges, dtype=np.int64).reshape(E, 2)
-        total = q**E
-        switched = None
-        if cap is None or total <= cap:
-            if total > 1 << 20:
-                raise SizeLimitError(f"{total} assignments on one graph; pass a cap")
-            cot = _cotree_columns(G)
-            assert len(cot) == st.c, (len(cot), st.c)
-            A = q ** len(cot)
-            expo = np.zeros((A, E), dtype=np.int64)
-            digits = np.arange(A, dtype=np.int64)[:, None]
-            expo[:, cot] = (digits // q ** np.arange(len(cot), dtype=np.int64)) % q
-            switched, copy = _switched_copy(G, ends, expo, q)
-            idx = pos[np.vstack([expo, copy[None, :]])]  # the copy is row A
-        else:
-            A = cap
-            idx = rng.integers(0, q, size=(cap, E), dtype=np.int64)
-        gvals = values[idx]  # (rows, E)
+        cot = _cotree_columns(G)
+        assert len(cot) == st.c, (len(cot), st.c)
+        total = q**st.c
+        A = total if cap is None else min(total, cap)
+        if A > 1 << 20:
+            raise SizeLimitError(f"{A} switching classes on one graph; pass a smaller cap")
+        index = _class_indices(total, A, f"{seed}/{_edge_set_hash(G)}")
+        expo = np.zeros((A + 1, E), dtype=np.min_scalar_type(q))
+        for j, e in enumerate(cot):
+            expo[:A, e] = (index // q**j) % q
+        switched, expo[A] = _switched_copy(G, ends, expo[:A], q)  # the copy is row A
 
-        dtype = np.float64 if real_alphabet else np.complex128
-        H = np.zeros((idx.shape[0], G.n, G.n), dtype=dtype)
-        H[:, ends[:, 0], ends[:, 1]] = gvals.real if real_alphabet else gvals
-        H[:, ends[:, 1], ends[:, 0]] = np.conj(H[:, ends[:, 0], ends[:, 1]])
-        w = np.linalg.eigvalsh(H)
-        s_lower, s_upper = _structural_flags(st, gvals)
+        w = np.empty((A + 1, G.n))
+        s_lower = np.empty(A + 1, dtype=bool)
+        s_upper = np.empty(A + 1, dtype=bool)
+        for lo in range(0, A + 1, _SOLVE_ROWS):
+            hi = min(lo + _SOLVE_ROWS, A + 1)
+            gvals = roots[expo[lo:hi]]
+            H = np.zeros((hi - lo, G.n, G.n), dtype=roots.dtype)
+            H[:, ends[:, 0], ends[:, 1]] = gvals
+            H[:, ends[:, 1], ends[:, 0]] = np.conj(H[:, ends[:, 0], ends[:, 1]])
+            w[lo:hi] = np.linalg.eigvalsh(H)
+            s_lower[lo:hi], s_upper[lo:hi] = _structural_flags(st, gvals)
 
-        if switched is not None:
-            gap = float(np.abs(w[A] - w[switched]).max(initial=0.0))
-            same_flags = (s_lower[A], s_upper[A]) == (s_lower[switched], s_upper[switched])
-            if (gap > 1e-9 or not same_flags) and len(rep.failures) < max_failures:
-                rep.failures.append(
-                    Failure(
-                        message=(
-                            f"switching check failed: spectra differ by {gap:.3g}, "
-                            f"structural flags {'agree' if same_flags else 'differ'}, "
-                            f"against class representative {switched}"
-                        ),
-                        graph_text=serialize_gain_graph(_build_instance(G, alphabet, idx[A])),
-                    )
+        gap = float(np.abs(w[A] - w[switched]).max(initial=0.0))
+        same_flags = (s_lower[A], s_upper[A]) == (s_lower[switched], s_upper[switched])
+        if (gap > 1e-9 or not same_flags) and len(rep.failures) < max_failures:
+            rep.failures.append(
+                Failure(
+                    message=(
+                        f"switching check failed: spectra differ by {gap:.3g}, "
+                        f"structural flags {'agree' if same_flags else 'differ'}, "
+                        f"against class representative {switched}"
+                    ),
+                    graph_text=serialize_gain_graph(_build_instance(G, alphabet, pos[expo[A]])),
                 )
-            rep.switching_checks += 1
-            rep.classes += A
+            )
 
-        w = w[:A]
-        max_deg = max(G.degrees(), default=0)
+        aw, s_lower, s_upper = np.abs(w[:A]), s_lower[:A], s_upper[:A]
         if exact:
-            thr = _rank_threshold(G.n, max_deg)
-            ranks = (np.abs(w) > thr).sum(axis=1)
+            ranks = (aw > _rank_threshold(G.n, max(G.degrees(), default=0))).sum(axis=1)
         else:
-            ranks = (np.abs(w) > COEFF_RANK_TOL).sum(axis=1)
-            aw = np.abs(w)
+            ranks = (aw > COEFF_RANK_TOL).sum(axis=1)
             shaky = ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
             for i in np.nonzero(shaky)[0]:
-                inst = _build_instance(G, alphabet, idx[i])
+                inst = _build_instance(G, alphabet, pos[expo[i]])
                 ranks[i] = rank_combinatorial(inst)
                 rep.cross_checks += 1
 
-        s_lower, s_upper = s_lower[:A], s_upper[:A]
         want_lower = ranks == 2 * st.m - 2 * st.c
         want_upper = ranks == 2 * st.m + st.c
         bad = (want_lower != s_lower) | (want_upper != s_upper)
         if bad.any():
             for i in np.nonzero(bad)[0][: max(0, max_failures - len(rep.failures))]:
-                inst = _build_instance(G, alphabet, idx[i])
+                inst = _build_instance(G, alphabet, pos[expo[i]])
                 rep.failures.append(
                     Failure(
                         message=(
@@ -378,7 +385,9 @@ def run_alphabet_slice(
                     )
                 )
         rep.graphs += 1
-        rep.instances += total if switched is not None else A
+        rep.classes += A
+        rep.switching_checks += 1
+        rep.instances += A * q ** (E - st.c)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -449,7 +458,6 @@ class _CactusBuffers:
         self.size = size
         self.count = 0
         self.adjmask = np.zeros((size, n), dtype=np.int64)
-        self.cadjmask = np.zeros((size, n), dtype=np.int64)  # contracted, padded
         self.ecount = np.zeros(size, dtype=np.int64)
         self.cyc_mask = np.zeros((size, 2), dtype=np.int64)  # cycle vertex bitmasks
         self.cyc_len = np.zeros((size, 2), dtype=np.int64)
@@ -468,36 +476,15 @@ class _CactusBuffers:
             self.adjmask[i, v] |= 1 << u
         self.ecount[i] = len(st.edges)
         col_of = {e: k for k, e in enumerate(st.edges)}
-        in_cycle: dict[int, int] = {}
         for k, cyc in enumerate(st.cycles):
             cm = 0
             for a in cyc:
                 cm |= 1 << a
-                in_cycle[a] = k
             self.cyc_mask[i, k] = cm
             self.cyc_len[i, k] = len(cyc)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 self.memb[i, k, col_of[(min(a, b), max(a, b))]] = 1 if a < b else -1
         self.ncyc[i] = len(st.cycles)
-        if st.cycles:
-            # contracted graph: cycle k collapses to vertex k, the rest pack
-            # after; padding vertices stay isolated and are matching-neutral
-            kc = len(st.cycles)
-            newid: dict[int, int] = {}
-            nxt = kc
-            for v in range(self.n):
-                if v in in_cycle:
-                    newid[v] = in_cycle[v]
-                else:
-                    newid[v] = nxt
-                    nxt += 1
-            for u, v in st.edges:
-                a, b = newid[u], newid[v]
-                if a != b:
-                    self.cadjmask[i, a] |= 1 << b
-                    self.cadjmask[i, b] |= 1 << a
-        else:
-            self.cadjmask[i] = self.adjmask[i]
         self.structs.append(st)
         self.count += 1
 
@@ -543,10 +530,17 @@ def _flush_cactus_chunk(
     m_dp = _max_index_positive(counts_full)
 
     # condition (iii): matching number of the cycle-contracted graph against
-    # the graph with all cycle vertices deleted
-    pc = _batched_matching_counts(buf.cadjmask[sl], n)
-    m_contracted = _max_index_positive(_unpack_counts(pc[full], levels))
-    no_cyc_idx = full ^ (buf.cyc_mask[sl, 0] | buf.cyc_mask[sl, 1])
+    # the graph with all cycle vertices deleted. m(G/C) is the largest m of
+    # G - V(C) plus one kept vertex per cycle, and a packed entry grows with
+    # its top nonzero level, so the largest entry carries it.
+    cyc0, cyc1 = buf.cyc_mask[sl, 0], buf.cyc_mask[sl, 1]
+    no_cyc_idx = full ^ (cyc0 | cyc1)
+    best = p[no_cyc_idx, rows]
+    for a1 in range(n):
+        for a2 in range(n):
+            kept = (cyc0 & (1 << a1)) | (cyc1 & (1 << a2))
+            best = np.maximum(best, p[no_cyc_idx | kept, rows])
+    m_contracted = _max_index_positive(_unpack_counts(best, levels))
     N_both = _unpack_counts(p[no_cyc_idx, rows], levels)
     m_no_cycles = _max_index_positive(N_both)
     cond_iii = m_contracted == m_no_cycles
@@ -673,12 +667,14 @@ def _flush_cactus_chunk(
             [(u, v, Gain.from_angle(int(octs[i, 0, e]), 8)) for e, (u, v) in enumerate(st.edges)],
         )
         ro = rank_combinatorial(inst)
-        if mb != int(m_dp[i]) or ro != int(rank[i, 0]):
+        cond = cycle_matching_condition(G, st.cycles)[0]
+        if mb != int(m_dp[i]) or ro != int(rank[i, 0]) or cond != bool(cond_iii[i]):
             rep.failures.append(
                 Failure(
                     message=(
                         f"spot check mismatch: blossom m {mb} vs table {int(m_dp[i])}, "
-                        f"oracle rank {ro} vs table {int(rank[i, 0])}"
+                        f"oracle rank {ro} vs table {int(rank[i, 0])}, "
+                        f"blossom cond (iii) {cond} vs table {bool(cond_iii[i])}"
                     ),
                     graph_text=serialize_gain_graph(inst),
                 )

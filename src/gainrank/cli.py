@@ -217,9 +217,7 @@ def _enumerate_shard(params: tuple) -> SliceReport:
             if i % workers == shard:
                 yield G
 
-    return run_alphabet_slice(
-        my_graphs(), alphabet, cap=cap, seed=seed + shard, name=f"shard-{shard}"
-    )
+    return run_alphabet_slice(my_graphs(), alphabet, cap=cap, seed=seed, name=f"shard-{shard}")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -229,15 +227,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ValueError("enumerate needs a finite gain set (not uniform)")
         if args.n_max < 2 or args.n_max > 8:
             raise ValueError("--n-max must be between 2 and 8")
-        if args.cap is not None and args.cap < 1:
+        if args.cap < 1:
             raise ValueError(f"infeasible cap {args.cap}")
         workers = worker_count()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    cap = args.cap if args.cap is not None else 4096
-    shards = [(args.n_max, args.gains, cap, args.seed, k, workers) for k in range(workers)]
+    shards = [(args.n_max, args.gains, args.cap, args.seed, k, workers) for k in range(workers)]
     if workers == 1:
         reports = [_enumerate_shard(shards[0])]
     else:
@@ -263,7 +260,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "n_max": args.n_max,
         "gains": args.gains,
-        "cap": cap,
+        "cap": args.cap,
         "graphs": graphs,
         "instances": instances,
         "classes": classes,
@@ -274,7 +271,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "ok": not failures,
     }
     lines = [
-        f"enumerate: n <= {args.n_max}, gains {args.gains}, cap {cap}",
+        f"enumerate: n <= {args.n_max}, gains {args.gains}, cap {args.cap}",
         f"  {graphs} graph(s), {instances} instance(s), {classes} class(es), "
         f"{switching} switching check(s), {checks} oracle escalation(s), "
         f"{len(failures)} failure(s)",
@@ -328,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n-max", type=int, required=True)
     pe.add_argument("--gains", required=True,
                     help="trivial | signed | gaussian | roots:Q (finite sets only)")
-    pe.add_argument("--cap", type=int, default=None,
-                    help="max assignments per graph (deterministic subsample beyond)")
+    pe.add_argument("--cap", type=int, default=4096,
+                    help="max switching classes solved per graph (default %(default)s; a "
+                         "deterministic sample of classes beyond)")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default="gainrank-failures.txt")
     pe.add_argument("--json", action="store_true")

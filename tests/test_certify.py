@@ -28,7 +28,8 @@ from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
 from gainrank.generators import GainSetSpec, enumerate_connected_graphs
-from gainrank.graphs import SimpleGraph, parse_gain_graph
+from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph
+from gainrank.spectral import exact_rank
 
 from conftest import simple_graphs
 
@@ -113,19 +114,82 @@ def test_alphabet_slice_gaussian_exhaustive():
 
 def test_alphabet_slice_subsample_cap():
     signed = (Gain.from_angle(0), Gain.from_angle(1, 2))
-    rep = run_alphabet_slice(
-        enumerate_connected_graphs(4), signed, cap=3, seed=9, name="capped"
-    )
+    graphs = list(enumerate_connected_graphs(4))
+    rep = run_alphabet_slice(graphs, signed, cap=3, seed=9, name="capped")
     assert rep.ok
-    assert rep.graphs == 43
-    assert rep.instances <= 3 * 43
+    # cap counts switching classes: min(2^c, 3) per graph, each standing
+    # for its 2^(n-1) labeled assignments
+    assert (rep.graphs, rep.classes, rep.instances) == (43, 73, 558)
+    assert rep.classes == sum(min(2 ** (len(G.edges) - G.n + 1), 3) for G in graphs)
+    assert rep.switching_checks == rep.graphs
+
+
+def test_alphabet_slice_gaussian_n5_is_exhaustive_at_the_default_cap():
+    gaussian = GainSetSpec.parse("gaussian").values()
+    graphs = list(enumerate_connected_graphs(5))
+    rep = run_alphabet_slice(graphs, gaussian, cap=4096)
+    assert rep.ok
+    assert (rep.graphs, rep.switching_checks) == (771, 771)
+    assert rep.classes == sum(4 ** (len(G.edges) - G.n + 1) for G in graphs) == 38073
+    assert rep.instances == sum(4 ** len(G.edges) for G in graphs) == 9699444
 
 
 def test_alphabet_slice_rejects_unbounded_product():
     big = SimpleGraph.build(8, list(combinations(range(8), 2)))
     signed = (Gain.from_angle(0), Gain.from_angle(1, 2))
     with pytest.raises(SizeLimitError):
-        run_alphabet_slice([big], signed, cap=None)
+        run_alphabet_slice([big], signed, cap=None)  # 2^21 classes
+
+
+def test_alphabet_slice_size_limit_counts_classes():
+    # a path with 21 edges has 2^21 labeled sign assignments but one class
+    path = SimpleGraph.build(22, [(v, v + 1) for v in range(21)])
+    rep = run_alphabet_slice([path], GainSetSpec.parse("signed").values(), cap=None)
+    assert rep.ok
+    assert (rep.classes, rep.instances, rep.switching_checks) == (1, 1 << 21, 1)
+
+
+def test_class_sample_is_distinct_and_needs_no_int64():
+    for total, count in ((10, 10), (10, 9), (1000, 7), (12**21, 5)):
+        index = certify._class_indices(total, count, "0")
+        picked = [int(x) for x in index]
+        assert len(set(picked)) == count and picked == sorted(picked)
+        assert 0 <= picked[0] and picked[-1] < total
+    # K8 has 8^21 = 2^63 switching classes over the eighth roots of unity
+    k8 = SimpleGraph.build(8, list(combinations(range(8), 2)))
+    roots8 = GainSetSpec.parse("roots:8").values()
+    rep = run_alphabet_slice([k8], roots8, cap=2, seed=5)
+    assert rep.ok
+    assert (rep.classes, rep.instances, rep.switching_checks) == (2, 2 * 8**7, 1)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "signed", "roots:3", "gaussian", "roots:6"])
+def test_integer_coefficient_alphabets_take_the_proven_threshold(kind, monkeypatch):
+    alphabet = GainSetSpec.parse(kind).values()
+    q = len(alphabet)
+    graphs = list(enumerate_connected_graphs(4))
+    cuts = []
+
+    def threshold(n, max_degree):
+        cuts.append(n)
+        return _rank_threshold(n, max_degree)
+
+    monkeypatch.setattr(certify, "_rank_threshold", threshold)
+    rep = run_alphabet_slice(graphs, alphabet, cap=None)
+    assert rep.ok and rep.cross_checks == 0
+    assert len(cuts) == len(graphs)  # one proven cut per graph, no guard band
+    values = np.array([g.value for g in alphabet])[_group_positions(alphabet)]
+    for G in graphs:
+        cot = _cotree_columns(G)
+        E = len(G.edges)
+        expo = np.zeros((q ** len(cot), E), dtype=np.int64)
+        for j, e in enumerate(cot):
+            expo[:, e] = (np.arange(q ** len(cot)) // q**j) % q
+        w = np.linalg.eigvalsh(_hermitian(G, values[expo]))
+        ranks = (np.abs(w) > _rank_threshold(G.n, max(G.degrees()))).sum(axis=1)
+        for row, r in zip(expo, ranks):
+            edges = [(u, v, Gain.from_angle(int(k), q)) for (u, v), k in zip(G.edges, row)]
+            assert exact_rank(GainGraph.build(G.n, edges)) == r
 
 
 GROUPS = ("signed", "gaussian", "roots:3")

@@ -181,14 +181,16 @@ def test_enumerate_worker_invariance(monkeypatch, capsys):
     def run():
         assert cli.main(["enumerate", "--n-max", "4", "--gains", "signed",
                          "--cap", "6", "--seed", "2", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        return doc["graphs"], doc["instances"]
+        return json.loads(capsys.readouterr().out)
 
     monkeypatch.setenv("GAINRANK_WORKERS", "1")
     solo = run()
     monkeypatch.setenv("GAINRANK_WORKERS", "3")
     multi = run()
     assert solo == multi
+    # the cap counts classes: min(2^c, 6) per graph
+    assert (solo["graphs"], solo["classes"], solo["instances"]) == (43, 82, 630)
+    assert solo["switching_checks"] == solo["graphs"]
 
 
 def test_enumerate_reports_classes_and_switching_checks(monkeypatch, capsys):
