@@ -15,7 +15,7 @@ Two engines, sized to what they must cover on a single core:
   {1, 2, 3, 4, 6} the characteristic polynomial has integer coefficients,
   so nonzero eigenvalues are bounded away from zero by 1/deg^(n-1) and a
   threshold decides rank exactly. Other alphabets fall back to a guard band
-  plus per-representative escalation to the combinatorial oracle.
+  plus per-representative escalation to the exact modular rank.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
@@ -58,6 +58,7 @@ from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
 from .generators import CactusStructure, enumerate_connected_cacti, enumerate_connected_graphs
 from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
+from .spectral import exact_rank
 
 COEFF_RANK_TOL = 1e-6
 _ESCALATE_LO = 1e-9
@@ -365,7 +366,7 @@ def run_alphabet_slice(
             shaky = ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
             for i in np.nonzero(shaky)[0]:
                 inst = _build_instance(G, alphabet, pos[expo[i]])
-                ranks[i] = rank_combinatorial(inst)
+                ranks[i] = exact_rank(inst)
                 rep.cross_checks += 1
 
         want_lower = ranks == 2 * st.m - 2 * st.c

@@ -152,8 +152,8 @@ def _verify_shard(params: tuple) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         GainSetSpec.parse(args.gains)
-        if args.count < 1 or args.n < 2:
-            raise ValueError("count must be >= 1 and --n >= 2")
+        if args.count < 1 or args.n < 2 or args.extra_edges < 0:
+            raise ValueError("count must be >= 1, --n >= 2 and --extra-edges >= 0")
         workers = worker_count()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -265,6 +265,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "instances": instances,
         "classes": classes,
         "switching_checks": switching,
+        "exact_escalations": checks,
         "oracle_escalations": checks,
         "failures": len(failures),
         "failure_file": args.out if failures else None,
@@ -273,7 +274,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     lines = [
         f"enumerate: n <= {args.n_max}, gains {args.gains}, cap {args.cap}",
         f"  {graphs} graph(s), {instances} instance(s), {classes} class(es), "
-        f"{switching} switching check(s), {checks} oracle escalation(s), "
+        f"{switching} switching check(s), {checks} exact escalation(s), "
         f"{len(failures)} failure(s)",
     ]
     if failures:

@@ -2,15 +2,16 @@
 polynomial.
 
 The numeric path goes through numpy's Hermitian eigensolver. The exact path
-eliminates over the cyclotomic integers Z[zeta_q] and is available whenever
-every gain is a q-th root of unity with q <= EXACT_ORDER_LIMIT. The oracle
+takes gains that are q-th roots of unity and eliminates over F_p for as many
+primes p = 1 (mod q) as a Hadamard bound on the minors asks for. The oracle
 path delegates to the combinatorial coefficient expansion.
 """
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,159 +76,156 @@ def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
     return tuple(float(c) for c in np.real(coeffs)[1:])
 
 
-# -- exact rank over Z[zeta_q] ---------------------------------------------
+# -- exact rank modulo primes above p = 1 (mod q) --------------------------
 
-# largest cyclotomic order q the exact backend takes, checked before any
-# table is built. An element of Z[zeta_q] carries phi(q) coefficients and a
-# pivot's norm multiplies phi(q) conjugates, so cost climbs steeply with
-# phi(q): on a dense 40-vertex graph (2-core Xeon, Python 3.11) exact rank
-# took 0.4 s at q = 12, 3.4 s at q = 11, 7.5 s at q = 13 and 104 s at q = 23
-EXACT_ORDER_LIMIT = 12
+# most primes one exact rank may use, each one sparse elimination; checked
+# before any prime is searched. rot(1/997) with rot(1/991) on a path of
+# three vertices needs 8,083 primes and raises SizeLimitError.
+EXACT_PRIME_BUDGET = 1024
 
 
-def cyclotomic_order(g: GainGraph) -> int | None:
-    """Least q with every gain a q-th root of unity; None if a gain is a float."""
-    q = 1
-    for e in g.edges:
-        if e.gain.angle is None:
-            return None
-        q = math.lcm(q, e.gain.angle.denominator)
-    return q
+def _prime_factors(q: int) -> tuple[int, ...]:
+    out, d = [], 2
+    while d * d <= q:
+        if q % d == 0:
+            out.append(d)
+            while q % d == 0:
+                q //= d
+        d += 1
+    return tuple(out + [q] if q > 1 else out)
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic(q: int) -> tuple[int, ...]:
-    """Coefficients of Phi_q, constant term first: x^q - 1 over the proper
-    divisors' cyclotomic polynomials."""
-    num = [-1] + [0] * (q - 1) + [1]
-    for d in range(1, q):
-        if q % d:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, deterministic for
+    37 < n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        for _ in range(s):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _next_modulus(q: int, factors: tuple[int, ...], after: int) -> tuple[int, int]:
+    """Least prime p > after with p = 1 (mod q), and w of order exactly q
+    mod p; factors are the primes dividing q."""
+    p = after - (after - 1) % q + q
+    while not _is_prime(p):
+        p += q
+    for x in itertools.count(2):
+        w = pow(x, (p - 1) // q, p)
+        if all(pow(w, q // f, p) != 1 for f in factors):
+            return p, w
+
+
+def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of the matrix whose row i maps column -> nonzero entry;
+    the rows are consumed. Each step pivots on the column with the fewest
+    nonzeros, in its shortest row; a column -> rows index is kept up to date
+    as rows change."""
+    cols: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            cols.setdefault(c, set()).add(i)
+    heap = [(len(h), c) for c, h in cols.items()]  # (nonzeros, column), some stale
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        k, col = heapq.heappop(heap)
+        if not k or len(cols.get(col, ())) != k:  # an emptied column, or stale
             continue
-        den = _cyclotomic(d)
-        quot = [0] * (len(num) - len(den) + 1)
-        for i in reversed(range(len(quot))):
-            quot[i] = c = num[i + len(den) - 1]
-            for j, b in enumerate(den):
-                num[i + j] -= c * b
-        assert not any(num), f"Phi_{d} does not divide x^{q} - 1"
-        num = quot
-    return tuple(num)
-
-
-@functools.lru_cache(maxsize=None)
-def _ring(q: int) -> tuple[tuple, tuple]:
-    """Tables of Z[zeta_q] = Z[x]/Phi_q in the power basis: zeta_q^k for
-    k = 0..q-1, and the basis images x^i -> x^(i*j) under each Galois
-    automorphism with 1 < j < q, gcd(j, q) = 1."""
-    phi = _cyclotomic(q)
-    cur = (1,) + (0,) * (len(phi) - 2)
-    powers = []
-    for _ in range(q):
-        powers.append(cur)
-        top, cur = cur[-1], (0,) + cur[:-1]  # times x, then x^d -> x^d - Phi_q
-        if top:
-            cur = tuple(a - top * b for a, b in zip(cur, phi))
-    d = len(phi) - 1
-    galois = tuple(
-        tuple(powers[i * j % q] for i in range(d)) for j in range(2, q) if math.gcd(j, q) == 1
-    )
-    return tuple(powers), galois
+        holders = cols.pop(col)
+        i = min(holders, key=lambda i: (len(rows[i]), i))
+        pivot = rows[i]
+        inv = pow(pivot.pop(col), -1, p)
+        for c in pivot:
+            cols[c].discard(i)
+        for j in holders - {i}:
+            r = rows[j]
+            a = r.pop(col) * inv % p
+            for c, y in pivot.items():
+                x = (r.get(c, 0) - a * y) % p
+                if x:
+                    r[c] = x
+                    cols[c].add(j)
+                elif c in r:
+                    del r[c]
+                    cols[c].discard(j)
+        for c in pivot:  # only the pivot row's columns changed their counts
+            heapq.heappush(heap, (len(cols[c]), c))
+        rank += 1
+    return rank
 
 
 def exact_rank(g: GainGraph) -> int:
-    """Rank by fraction-free elimination over Z[zeta_q], q the lcm of the
-    gains' angle denominators. Every entry is an integer vector in the power
-    basis of Z[x]/Phi_q, where zero has exactly one representation, so no
-    test needs a tolerance. Rank over Q(zeta_q) is rank over C.
+    """Rank of H(G, phi) for gains that are q-th roots of unity, decided
+    exactly by elimination over F_p for primes p = 1 (mod q) above 2^61.
 
-    Rows are sparse maps column -> element. Each step pivots on the column
-    with the fewest nonzeros, in its shortest row. The pivot row is first
-    multiplied by the Galois conjugates of its pivot entry p, which turns
-    that entry into the rational integer N(p). Every other row r holding the
-    column, with entry a there, becomes N(p)*r - a*pivot_row, divided by the
-    integer gcd of its coefficients. Each stored row is then a rational
-    multiple of the exact Schur-complement row, so coefficients stay as
-    small as its minors. Raises ValueError for float gains and
-    SizeLimitError when q exceeds EXACT_ORDER_LIMIT.
+    zeta_q -> w, an element of order exactly q mod p, is a ring map from
+    Z[zeta_q] onto F_p whose kernel is a prime P over p; H reduces entry by
+    entry. Every (r+1)-minor of H is 0, so rank mod P <= rank. A nonzero
+    r x r minor d has rows of norm sqrt(deg_i) under every embedding of
+    Q(zeta_q), so N(d)^2 <= prod_i deg_i^phi(q) (Hadamard), and a P that
+    kills d puts p | N(d), a nonzero integer. Once the product of the primes
+    squared exceeds that bound (compared in integers), some P keeps d, so
+    the largest rank over those primes is the rank. The search stops early
+    at a prime whose rank equals the number of non-isolated vertices.
+
+    Raises ValueError for float gains and SizeLimitError, before any prime
+    is searched, when the certificate needs more than EXACT_PRIME_BUDGET
+    primes.
     """
-    q = cyclotomic_order(g)
-    if q is None:
-        bad = next(e for e in g.edges if e.gain.angle is None)
-        raise ValueError(
-            f"exact rank needs rational-angle gains; edge ({bad.u}, {bad.v}) has {bad.gain.token()}"
-        )
-    if q > EXACT_ORDER_LIMIT:
+    q = 1  # least q with every gain a q-th root of unity
+    for e in g.edges:
+        if e.gain.angle is None:
+            raise ValueError(
+                f"exact rank needs rational-angle gains; edge ({e.u}, {e.v}) has {e.gain.token()}"
+            )
+        q = math.lcm(q, e.gain.angle.denominator)
+    degrees = [d for d in g.degrees() if d]
+    bound = math.prod(degrees)
+    if bound == 1:  # a perfect matching: a direct sum of invertible 2 x 2 blocks
+        return len(degrees)
+    # every prime exceeds 2^61, so k primes certify once 122 k > phi(q) log2(bound)
+    bits, room = math.log2(bound), 122 * EXACT_PRIME_BUDGET
+    # phi(q) >= sqrt(q/2), so a large q is turned away before it is factored
+    phi = min(math.isqrt(q // 2), room)
+    if phi * bits < room:
+        factors = _prime_factors(q)
+        phi = q // math.prod(factors) * math.prod(f - 1 for f in factors)
+    if phi * bits >= room:
         raise SizeLimitError(
-            f"exact rank limited to gains of order q <= {EXACT_ORDER_LIMIT}, got q={q}"
+            f"certifying exact rank at q={q} needs more than {EXACT_PRIME_BUDGET} primes"
         )
-    powers, galois = _ring(q)
-    d = len(powers[0])
-
-    def mul(a, b):
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        out = prod[:d]
-        for k in range(d, 2 * d - 1):
-            if prod[k]:
-                out = [o + prod[k] * h for o, h in zip(out, powers[k % q])]
-        return out
-
-    def conjugates(a):
-        # product of the images of a under every nontrivial automorphism
-        out = powers[0]
-        for images in galois:
-            sa = [0] * d
-            for x, img in zip(a, images):
-                if x:
-                    sa = [s + x * y for s, y in zip(sa, img)]
-            out = mul(out, sa)
-        return out
-
-    rows: list[dict] = [{} for _ in range(g.n)]  # column -> element
-    for u, v, gain in g.edges:
-        k = gain.angle.numerator * (q // gain.angle.denominator)
-        rows[u][v] = powers[k]
-        rows[v][u] = powers[-k % q]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        count = Counter(col for r in rows for col in r)
-        col = min(count, key=lambda c: (count[c], c))
-        pivot = min((r for r in rows if col in r), key=len)
-        pstar = conjugates(pivot[col])
-        scaled = {c: mul(pstar, x) for c, x in pivot.items()}
-        norm = scaled.pop(col)
-        assert not any(norm[1:]), "norm of a pivot is not a rational integer"
-        rest = []
-        for r in rows:
-            if r is pivot:
-                continue
-            if col in r:
-                a = r.pop(col)
-                new = {c: [norm[0] * x for x in e] for c, e in r.items()}
-                for c, y in scaled.items():
-                    ay = mul(a, y)
-                    new[c] = [x - z for x, z in zip(new[c], ay)] if c in new else [-z for z in ay]
-                r = {c: e for c, e in new.items() if any(e)}
-                if not r:
-                    continue
-                content = math.gcd(*(x for e in r.values() for x in e))
-                if content > 1:
-                    r = {c: [x // content for x in e] for c, e in r.items()}
-            rest.append(r)
-        rows = rest
-        rank += 1
-    return rank
+    target = bound**phi
+    best, prod, p = 0, 1, 1 << 61
+    while prod * prod <= target and best < len(degrees):
+        p, w = _next_modulus(q, factors, p)
+        rows: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for u, v, gain in g.edges:
+            k = gain.angle.numerator * (q // gain.angle.denominator)
+            rows[u][v], rows[v][u] = pow(w, k, p), pow(w, q - k, p)
+        best = max(best, _rank_mod(rows, p))
+        prod *= p
+    return best
 
 
 def rank(g: GainGraph, mode: str = "numeric", tol: float | None = None) -> int:
     """Rank of H(G, phi) via the requested backend.
 
     numeric: count eigenvalues above the zero threshold.
-    exact:   fraction-free elimination over Z[zeta_q]; rational-angle gains.
+    exact:   elimination mod primes p = 1 (mod q), certified by a Hadamard
+             bound; gains that are q-th roots of unity.
     oracle:  largest k with a nonzero combinatorial coefficient a_k.
     """
     if mode == "numeric":

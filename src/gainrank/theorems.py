@@ -21,9 +21,8 @@ from .combinatorics import (
     odd_cycle_transversal,
 )
 from .combinatorics.cycles import CycleRecord
-from .errors import TheoremViolation
+from .errors import SizeLimitError, TheoremViolation
 from .graphs import GainGraph, pendant_vertices, serialize_gain_graph, underlying
-from .spectral import EXACT_ORDER_LIMIT, cyclotomic_order
 from .spectral import rank as spectral_rank
 
 TYPE_TOL = 1e-9
@@ -168,16 +167,18 @@ class GraphFacts:
 def _component_rank(g: GainGraph) -> tuple[int, str]:
     """Rank of a connected piece, exact whenever it can be.
 
-    Gains that are q-th roots of unity, q <= EXACT_ORDER_LIMIT, get exact
-    elimination over Z[zeta_q]; float gains and larger q get the numeric
-    eigenvalue cut. Small graphs additionally cross-check the exact rank
-    against the numeric value, and a disagreement is an internal bug worth
-    crashing on.
+    Gains that are q-th roots of unity get the exact rank mod primes
+    p = 1 (mod q). It needs no tolerance: rank mod P <= rank, and p divides
+    N(d) for every prime that kills a nonzero minor d, so enough primes for
+    the Hadamard bound on N(d) reach the rank. Float gains, and a
+    certificate that needs more than EXACT_PRIME_BUDGET primes, get the
+    numeric eigenvalue cut. Small graphs additionally cross-check the exact
+    rank against the numeric value, and a disagreement is an internal bug
+    worth crashing on.
     """
-    q = cyclotomic_order(g)
-    if q is not None and q <= EXACT_ORDER_LIMIT:
+    try:
         r, backend = spectral_rank(g, mode="exact"), "exact"
-    else:
+    except (ValueError, SizeLimitError):  # float gains, or past the prime budget
         r, backend = spectral_rank(g, mode="numeric"), "numeric"
     if backend != "numeric" and g.n <= CROSS_CHECK_LIMIT:
         rn = spectral_rank(g, mode="numeric")

@@ -192,6 +192,19 @@ def test_integer_coefficient_alphabets_take_the_proven_threshold(kind, monkeypat
             assert exact_rank(GainGraph.build(G.n, edges)) == r
 
 
+def test_guard_band_escalates_to_the_exact_rank(monkeypatch):
+    # a guard band wider than every eigenvalue sends each roots:5
+    # representative to exact_rank; the float-tolerance oracle is never used
+    def no_oracle(g):
+        raise AssertionError("rank_combinatorial called")
+
+    monkeypatch.setattr(certify, "_ESCALATE_HI", 1e9)
+    monkeypatch.setattr(certify, "rank_combinatorial", no_oracle)
+    rep = run_alphabet_slice(enumerate_connected_graphs(4), GainSetSpec.parse("roots:5").values())
+    assert rep.ok
+    assert rep.cross_checks == rep.classes > 0
+
+
 GROUPS = ("signed", "gaussian", "roots:3")
 
 

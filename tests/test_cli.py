@@ -120,6 +120,23 @@ def test_verify_bad_gains(capsys):
     assert cli.main(["verify", "--count", "5", "--gains", "sedenion"]) == 1
 
 
+def test_verify_rejects_negative_extra_edges(capsys):
+    assert cli.main(["verify", "--count", "5", "--gains", "signed", "--extra-edges", "-1"]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_enumerate_reports_exact_escalations(monkeypatch, capsys):
+    from gainrank import certify
+
+    monkeypatch.setenv("GAINRANK_WORKERS", "1")
+    monkeypatch.setattr(certify, "_ESCALATE_HI", 1e9)
+    assert cli.main(["enumerate", "--n-max", "3", "--gains", "roots:5", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exact_escalations"] == doc["oracle_escalations"] == doc["classes"] > 0
+    assert cli.main(["enumerate", "--n-max", "3", "--gains", "roots:5"]) == 0
+    assert f"{doc['classes']} exact escalation(s)" in capsys.readouterr().out
+
+
 def test_bad_worker_env_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setenv("GAINRANK_WORKERS", "0")
     assert cli.main(["verify", "--count", "5", "--gains", "signed"]) == 1

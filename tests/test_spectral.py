@@ -13,7 +13,7 @@ from gainrank.errors import SizeLimitError
 from gainrank.gains import Gain
 from gainrank.graphs import GainGraph
 from gainrank.spectral import (
-    EXACT_ORDER_LIMIT,
+    EXACT_PRIME_BUDGET,
     char_poly_numeric,
     eigenvalues,
     exact_rank,
@@ -64,7 +64,7 @@ def test_backends_agree_on_axis_gains(g):
     assert exact_rank(g) == r
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 6, 8, 12])
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 8, 12, 13, 23])
 @settings(max_examples=25, deadline=None)  # the oracle is the slow reference here
 @given(g=small_gain_graphs())
 def test_backends_agree_on_root_of_unity_gains(q, g):
@@ -81,35 +81,61 @@ def test_backends_agree_on_root_of_unity_gains(q, g):
 
 
 def test_exact_rank_on_singular_blow_up():
-    # two twin classes joined by switched roots of unity: rank 2 at n = 40
-    q, t = 8, 20
-    shift = [(7 * v) % q for v in range(2 * t)]
-    edges = [
-        (u, v, Gain.from_angle(3 + shift[u] - shift[v], q)) for u in range(t) for v in range(t, 2 * t)
-    ]
-    g = GainGraph.build(2 * t, edges)
-    assert exact_rank(g) == 2 == rank(g, mode="numeric")
+    # two twin classes joined by switched roots of unity: rank 2 at n = 40,
+    # so the certificate needs every prime the Hadamard bound asks for
+    for q in (8, 23):
+        t = 20
+        shift = [(7 * v) % q for v in range(2 * t)]
+        edges = [
+            (u, v, Gain.from_angle(3 + shift[u] - shift[v], q))
+            for u in range(t) for v in range(t, 2 * t)
+        ]
+        g = GainGraph.build(2 * t, edges)
+        assert exact_rank(g) == 2 == rank(g, mode="numeric")
+
+
+def _dense_graph(n, q, seed):
+    rng = random.Random(seed)
+    return GainGraph.build(n, [
+        (u, v, Gain.from_angle(rng.randrange(q), q)) for u in range(n) for v in range(u + 1, n)
+    ])
 
 
 def test_exact_rank_on_dense_graphs():
-    # pivot norms keep every row a rational multiple of its Schur-complement
-    # row; with p*row - a*pivot_row alone the coefficients blow up here
     for q in (4, 8):
-        rng = random.Random(q)
-        g = GainGraph.build(32, [
-            (u, v, Gain.from_angle(rng.randrange(q), q)) for u in range(32) for v in range(u + 1, 32)
-        ])
+        g = _dense_graph(32, q, q)
         assert exact_rank(g) == rank(g, mode="numeric")
 
 
+def test_exact_rank_past_order_twelve_is_prompt():
+    # phi(13) = 12 and phi(23) = 22 conjugates made elimination over
+    # Z[zeta_q] take seconds to minutes here; mod p it is one prime each
+    for q in (13, 23):
+        g = _dense_graph(40, q, q)
+        t0 = time.perf_counter()
+        assert exact_rank(g) == rank(g, mode="numeric")
+        assert time.perf_counter() - t0 < 1.0
+
+
 def test_exact_rank_order_limit_is_prompt():
-    # q = 997 * 991 is refused before any table over Z[zeta_q] is built
+    # q = 997 * 991: the certificate needs ceil(phi(q) / 122) = 8,083 primes
+    # on this path, which is refused before any prime is searched
     g = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)")])
     t0 = time.perf_counter()
     with pytest.raises(SizeLimitError):
         rank(g, mode="exact")
     assert time.perf_counter() - t0 < 1.0
-    assert 997 * 991 > EXACT_ORDER_LIMIT
+    assert -(-996 * 990 // 122) > EXACT_PRIME_BUDGET
+
+
+def test_exact_rank_refuses_an_unfactorable_order_promptly():
+    # q is about 1e18, a product of two primes near 1e9 that trial division
+    # cannot split in time: phi(q) >= sqrt(q/2) refuses it unfactored
+    g = GainGraph.build(3, [(0, 1, "rot(1/1000000007)"), (1, 2, "rot(1/1000000009)")])
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        exact_rank(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_mode_rejects_general_rotation():
