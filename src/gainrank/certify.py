@@ -25,7 +25,10 @@ Two engines, sized to what they must cover on a single core:
   parts. Matching counts for all induced subgraphs at once come from a
   subset-mask dynamic program vectorized across graphs, and coefficients
   land on the lattice (p + q*sqrt(2))/2 whose nonzero values stay above
-  1.6e-4, so a 1e-6 threshold decides rank exactly. The same table gives
+  1.6e-4, so a 1e-6 threshold decides rank exactly. A real part takes one
+  of five values, so the coefficient sweep ranks at most 5^c <= 25
+  real-part classes per graph, and each sampled gain assignment reads its
+  rank and structural flags from its class. The same table gives
   condition (iii); spot checks compare it, the matching number and the
   rank with the blossom and oracle routes. Trees are instead certified by
   a direct eigensolve against the blossom matching number, which keeps the
@@ -43,7 +46,8 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,6 +71,9 @@ _SOLVE_ROWS = 1 << 16  # matrices per eigensolve call
 
 # real parts of the eighth roots of unity, indexed by octant
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
+# octant -> r with _COS8[octant] == _COS8[r], r in 0..4: the real-part class
+_COS_CLASS = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int8)
+_CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "spot_checks")
 
 
 @dataclass
@@ -85,6 +92,7 @@ class SliceReport:
     cross_checks: int = 0
     elapsed: float = 0.0
     failures: list[Failure] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)  # seconds per stage
 
     @property
     def ok(self) -> bool:
@@ -450,51 +458,69 @@ def _max_index_positive(counts: np.ndarray) -> np.ndarray:
     return best
 
 
-class _CactusBuffers:
-    """Column-packed chunk of same-n cactus structures."""
+def _group_offsets(sizes: np.ndarray) -> np.ndarray:
+    """Position of each element inside its group, for groups of the given
+    sizes laid end to end in one flat array."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    def __init__(self, n: int, size: int):
-        self.n = n
-        emax = n + 1
-        self.size = size
-        self.count = 0
-        self.adjmask = np.zeros((size, n), dtype=np.int64)
-        self.ecount = np.zeros(size, dtype=np.int64)
-        self.cyc_mask = np.zeros((size, 2), dtype=np.int64)  # cycle vertex bitmasks
-        self.cyc_len = np.zeros((size, 2), dtype=np.int64)
-        # +1/-1 when the edge column sits on cycle k, signed by whether the
-        # cycle walk agrees with the stored low-to-high edge direction; a
-        # backward edge contributes its conjugate, so its octant enters
-        # the cycle sum negated
-        self.memb = np.zeros((size, 2, emax), dtype=np.int8)
-        self.ncyc = np.zeros(size, dtype=np.int64)
-        self.structs: list[CactusStructure] = []
 
-    def add(self, st: CactusStructure) -> None:
-        i = self.count
-        for u, v in st.edges:
-            self.adjmask[i, u] |= 1 << v
-            self.adjmask[i, v] |= 1 << u
-        self.ecount[i] = len(st.edges)
-        col_of = {e: k for k, e in enumerate(st.edges)}
-        for k, cyc in enumerate(st.cycles):
-            cm = 0
-            for a in cyc:
-                cm |= 1 << a
-            self.cyc_mask[i, k] = cm
-            self.cyc_len[i, k] = len(cyc)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                self.memb[i, k, col_of[(min(a, b), max(a, b))]] = 1 if a < b else -1
-        self.ncyc[i] = len(st.cycles)
-        self.structs.append(st)
-        self.count += 1
+@dataclass
+class _CactusChunk:
+    """Same-n cactus structures packed column-wise, one row per graph."""
 
-    def full(self) -> bool:
-        return self.count >= self.size
+    n: int
+    structs: list[CactusStructure]
+    adjmask: np.ndarray  # (B, n) neighbour bitmasks
+    ecount: np.ndarray  # (B,) edge count
+    cyc_mask: np.ndarray  # (B, 2) cycle vertex bitmasks
+    cyc_len: np.ndarray  # (B, 2), 0 for an absent cycle slot
+    # (B, 2, n+1) int8: +1/-1 when the edge column sits on cycle k, signed by
+    # whether the cycle walk agrees with the stored low-to-high edge
+    # direction; a backward edge contributes its conjugate, so its octant
+    # enters the cycle sum negated
+    memb: np.ndarray
+    ncyc: np.ndarray  # (B,) number of cycles
+
+
+def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
+    """Pack a chunk in one pass over flat edge and cycle-vertex arrays."""
+    B = len(structs)
+    rows = np.arange(B)
+    ecount = np.fromiter((len(st.edges) for st in structs), np.int64, B)
+    flat = chain.from_iterable(chain.from_iterable(st.edges for st in structs))
+    ends = np.fromiter(flat, np.int64, 2 * int(ecount.sum())).reshape(-1, 2)
+    erow = np.repeat(rows, ecount)
+    adjmask = np.zeros((B, n), dtype=np.int64)
+    np.add.at(adjmask, (erow, ends[:, 0]), 1 << ends[:, 1])
+    np.add.at(adjmask, (erow, ends[:, 1]), 1 << ends[:, 0])
+    codes = np.full((B, n + 1), -1, dtype=np.int64)  # stored edge (u, v) as u*n + v
+    codes[erow, _group_offsets(ecount)] = ends[:, 0] * n + ends[:, 1]
+
+    ncyc = np.fromiter((len(st.cycles) for st in structs), np.int64, B)
+    clen = np.fromiter((len(c) for st in structs for c in st.cycles), np.int64, int(ncyc.sum()))
+    crow, cslot = np.repeat(rows, ncyc), _group_offsets(ncyc)
+    cyc_len = np.zeros((B, 2), dtype=np.int64)
+    cyc_len[crow, cslot] = clen
+    # every cycle walk step a -> b, b the successor of a on its cycle
+    verts = chain.from_iterable(c for st in structs for c in st.cycles)
+    a = np.fromiter(verts, np.int64, int(clen.sum()))
+    w = _group_offsets(clen)
+    b = a[np.arange(a.size) - w + (w + 1) % np.repeat(clen, clen)]
+    vrow, vslot = np.repeat(crow, clen), np.repeat(cslot, clen)
+    cyc_mask = np.zeros((B, 2), dtype=np.int64)
+    np.add.at(cyc_mask, (vrow, vslot), 1 << a)
+    code = np.minimum(a, b) * n + np.maximum(a, b)
+    hit = codes[vrow] == code[:, None]
+    if not hit.any(axis=1).all():
+        raise ValueError("a cycle edge is missing from its structure's edge list")
+    col = hit.argmax(axis=1)
+    memb = np.zeros((B, 2, n + 1), dtype=np.int8)
+    memb[vrow, vslot, col] = np.where(a < b, 1, -1)
+    return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, memb, ncyc)
 
 
 def _slot_flags(l: np.ndarray, re_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-instance (lower, upper) contribution of one cycle slot.
+    """Per-class (lower, upper) contribution of one cycle slot.
 
     An absent slot (l == 0) is neutral. Present: lower demands an even
     length with gain exactly the alternating sign, upper an odd length with
@@ -509,24 +535,42 @@ def _slot_flags(l: np.ndarray, re_k: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return low, up
 
 
-def _flush_cactus_chunk(
-    buf: _CactusBuffers,
-    cap: int,
-    rng: np.random.Generator,
-    rep: SliceReport,
-    max_failures: int,
-    check_every: int,
-) -> None:
-    B = buf.count
-    if B == 0:
-        return
-    n = buf.n
+class _ClassTable(NamedTuple):
+    """Per-graph facts and per-class results of one packed chunk.
+
+    Column r0 + 5*r1 is the class with Re phi(C_k) = _COS8[r_k]; an absent
+    cycle reads class 0. A chunk whose graphs have at most c cycles has 5^c
+    columns.
+    """
+
+    m: np.ndarray  # (B,) matching number
+    cond_iii: np.ndarray  # (B,) bool
+    rank: np.ndarray  # (B, 5^c)
+    lower: np.ndarray  # (B, 5^c) bool, structural lower conditions
+    upper: np.ndarray  # (B, 5^c) bool, structural upper conditions
+
+
+def _stage(timings: dict[str, float], name: str, t: float) -> float:
+    """Charge the time since t to stage name; returns the new start."""
+    now = time.perf_counter()
+    timings[name] = timings.get(name, 0.0) + now - t
+    return now
+
+
+def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _ClassTable:
+    """Matching DP, condition (iii) and the rank of every real-part class.
+
+    The spectrum depends on the gains only through Re phi(C_1) and
+    Re phi(C_2), each one of the five eighth-root real parts, so the
+    coefficient sweep runs over at most 25 classes per graph.
+    """
+    t = time.perf_counter()
+    B, n = len(chunk.structs), chunk.n
     full = (1 << n) - 1
     levels = n // 2 + 1
-    sl = slice(0, B)
     rows = np.arange(B)
 
-    p = _batched_matching_counts(buf.adjmask[sl], n)
+    p = _batched_matching_counts(chunk.adjmask, n)
     counts_full = _unpack_counts(p[full], levels)
     m_dp = _max_index_positive(counts_full)
 
@@ -534,7 +578,7 @@ def _flush_cactus_chunk(
     # the graph with all cycle vertices deleted. m(G/C) is the largest m of
     # G - V(C) plus one kept vertex per cycle, and a packed entry grows with
     # its top nonzero level, so the largest entry carries it.
-    cyc0, cyc1 = buf.cyc_mask[sl, 0], buf.cyc_mask[sl, 1]
+    cyc0, cyc1 = chunk.cyc_mask[:, 0], chunk.cyc_mask[:, 1]
     no_cyc_idx = full ^ (cyc0 | cyc1)
     best = p[no_cyc_idx, rows]
     for a1 in range(n):
@@ -543,47 +587,33 @@ def _flush_cactus_chunk(
             best = np.maximum(best, p[no_cyc_idx | kept, rows])
     m_contracted = _max_index_positive(_unpack_counts(best, levels))
     N_both = _unpack_counts(p[no_cyc_idx, rows], levels)
-    m_no_cycles = _max_index_positive(N_both)
-    cond_iii = m_contracted == m_no_cycles
+    cond_iii = m_contracted == _max_index_positive(N_both)
+    N_sub = [_unpack_counts(p[full ^ chunk.cyc_mask[:, k], rows], levels) for k in range(2)]
+    t = _stage(timings, "matching_dp", t)
 
-    c = buf.ncyc[sl]
-    l1 = buf.cyc_len[sl, 0]
-    l2 = buf.cyc_len[sl, 1]
-
-    # deterministic subsample of octant assignments; tiny assignment spaces
-    # only repeat instances, which verifies the same thing twice
-    octs = rng.integers(0, 8, size=(B, cap, buf.memb.shape[2]), dtype=np.int8)
-    space = np.minimum(8.0 ** buf.ecount[sl], float(cap)).astype(np.int64)
-
-    # cycle gain real parts per instance via signed octant sums
-    re = np.ones((2, B, cap))
-    for k in range(2):
-        s = (octs * buf.memb[sl, k][:, None, :]).sum(axis=2) % 8
-        re[k] = _COS8[s]
-        re[k][buf.cyc_len[sl, k] == 0] = 1.0
-
-    N_sub = np.zeros((2, B, levels), dtype=np.int64)
-    for k in range(2):
-        N_sub[k] = _unpack_counts(p[full ^ buf.cyc_mask[sl, k], rows], levels)
+    c = chunk.ncyc
+    l1, l2 = chunk.cyc_len[:, 0], chunk.cyc_len[:, 1]
+    K = 5 ** int(c.max(initial=0))
+    re = _COS8[np.arange(K) % 5], _COS8[np.arange(K) // 5]
 
     # characteristic coefficients, highest nonzero index gives the rank:
     # a_k = sum over cycle subsets T of (-2)^|T| prod(Re) (-1)^j N_j(G - V(T))
     # with 2j = k - total length of T
-    rank = np.zeros((B, cap), dtype=np.int64)
-    settled = np.zeros((B, cap), dtype=bool)
+    rank = np.zeros((B, K), dtype=np.int64)
+    settled = np.zeros((B, K), dtype=bool)
     for k in range(n, 0, -1):
-        ak = np.zeros((B, cap))
+        ak = np.zeros((B, K))
         if k % 2 == 0:
             j0 = k // 2
             sgn = 1.0 if j0 % 2 == 0 else -1.0
             ak += (sgn * counts_full[:, j0])[:, None]
-        for t in range(2):
-            lt = buf.cyc_len[sl, t]
+        for s in range(2):
+            lt = chunk.cyc_len[:, s]
             jj = k - lt
             valid = (lt > 0) & (jj >= 0) & (jj % 2 == 0)
             j = np.clip(jj // 2, 0, levels - 1)
-            coef = -2.0 * np.where(j % 2 == 0, 1.0, -1.0) * N_sub[t][rows, j]
-            ak += np.where(valid, coef, 0.0)[:, None] * re[t]
+            coef = -2.0 * np.where(j % 2 == 0, 1.0, -1.0) * N_sub[s][rows, j]
+            ak += np.where(valid, coef, 0.0)[:, None] * re[s]
         jj = k - l1 - l2
         valid = (c == 2) & (jj >= 0) & (jj % 2 == 0)
         j = np.clip(jj // 2, 0, levels - 1)
@@ -595,27 +625,54 @@ def _flush_cactus_chunk(
 
     low1, up1 = _slot_flags(l1, re[0])
     low2, up2 = _slot_flags(l2, re[1])
-    s_lower = low1 & low2 & cond_iii[:, None]
-    s_upper = up1 & up2 & cond_iii[:, None]
+    lower = low1 & low2 & cond_iii[:, None]
+    upper = up1 & up2 & cond_iii[:, None]
+    _stage(timings, "sweep", t)
+    return _ClassTable(m_dp, cond_iii, rank, lower, upper)
 
-    want_lower = rank == (2 * m_dp - 2 * c)[:, None]
-    want_upper = rank == (2 * m_dp + c)[:, None]
+
+def _instance_classes(chunk: _CactusChunk, octs: np.ndarray) -> np.ndarray:
+    """(B, cap) class column of each sampled octant assignment.
+
+    Cycle octant sums accumulate per edge column in int8: a wrap mod 256 is
+    harmless mod 8.
+    """
+    cls = np.zeros(octs.shape[:2], dtype=np.int8)
+    for k in range(2):
+        s = np.zeros(octs.shape[:2], dtype=np.int8)
+        for e in range(octs.shape[2]):
+            sign = chunk.memb[:, k, e]
+            if sign.any():
+                s += octs[:, :, e] * sign[:, None]
+        cls += _COS_CLASS[s & 7] * np.int8(5**k)
+    return cls
+
+
+def _flush_cactus_chunk(
+    chunk: _CactusChunk,
+    cap: int,
+    rng: np.random.Generator,
+    rep: SliceReport,
+    max_failures: int,
+    check_every: int,
+) -> None:
+    B, n = len(chunk.structs), chunk.n
+    c = chunk.ncyc
+    table = _cactus_class_table(chunk, rep.timings)
+    m_dp, cond_iii, rank = table.m, table.cond_iii, table.rank
 
     # trees: eigensolve vs blossom, independent of the matching-count table
+    t = time.perf_counter()
     tree_rows = np.nonzero(c == 0)[0]
     if tree_rows.size:
-        T = tree_rows.size
-        Ht = np.zeros((T, n, n))
-        for j, i in enumerate(tree_rows):
-            for u, v in buf.structs[i].edges:
-                Ht[j, u, v] = Ht[j, v, u] = 1.0
+        bits = 1 << np.arange(n)
+        Ht = ((chunk.adjmask[tree_rows][:, :, None] & bits) != 0).astype(float)
         wt = np.linalg.eigvalsh(Ht)
-        thr = _rank_threshold(n, n - 1)
-        r_eig = (np.abs(wt) > thr).sum(axis=1)
+        r_eig = (np.abs(wt) > _rank_threshold(n, n - 1)).sum(axis=1)
         for j, i in enumerate(tree_rows):
-            G = SimpleGraph.build(n, buf.structs[i].edges)
+            G = SimpleGraph.build(n, chunk.structs[i].edges)
             mb = matching_number(G)
-            if int(r_eig[j]) != 2 * mb or int(m_dp[i]) != mb:
+            if (int(r_eig[j]) != 2 * mb or int(m_dp[i]) != mb) and len(rep.failures) < max_failures:
                 rep.failures.append(
                     Failure(
                         message=(
@@ -627,40 +684,46 @@ def _flush_cactus_chunk(
                         ),
                     )
                 )
-        want_lower[tree_rows] = (r_eig == 2 * m_dp[tree_rows])[:, None]
-        want_upper[tree_rows] = want_lower[tree_rows]
         rank[tree_rows] = r_eig[:, None]
+    t = _stage(rep.timings, "trees", t)
 
-    bad = (want_lower != s_lower) | (want_upper != s_upper)
-    if bad.any():
-        for i, a in zip(*np.nonzero(bad)):
-            if len(rep.failures) >= max_failures:
-                break
-            st = buf.structs[i]
-            inst = GainGraph.build(
-                st.n,
-                [
-                    (u, v, Gain.from_angle(int(octs[i, a, e]), 8))
-                    for e, (u, v) in enumerate(st.edges)
-                ],
+    want_lower = rank == (2 * m_dp - 2 * c)[:, None]
+    want_upper = rank == (2 * m_dp + c)[:, None]
+    bad_class = (want_lower != table.lower) | (want_upper != table.upper)
+
+    # deterministic subsample of octant assignments; tiny assignment spaces
+    # only repeat instances, which verifies the same thing twice
+    octs = rng.integers(0, 8, size=(B, cap, n + 1), dtype=np.int8)
+    space = np.minimum(8.0 ** chunk.ecount, float(cap)).astype(np.int64)
+    cls = _instance_classes(chunk, octs)
+    bad = np.take_along_axis(bad_class, cls, axis=1)
+    for i, a in zip(*np.nonzero(bad)):
+        if len(rep.failures) >= max_failures:
+            break
+        st = chunk.structs[i]
+        r = cls[i, a]
+        inst = GainGraph.build(
+            st.n,
+            [(u, v, Gain.from_angle(int(octs[i, a, e]), 8)) for e, (u, v) in enumerate(st.edges)],
+        )
+        rep.failures.append(
+            Failure(
+                message=(
+                    f"cactus equivalence failed: rank={int(rank[i, r])} "
+                    f"m={int(m_dp[i])} c={int(c[i])} "
+                    f"structural=({bool(table.lower[i, r])},{bool(table.upper[i, r])})"
+                ),
+                graph_text=serialize_gain_graph(inst),
             )
-            rep.failures.append(
-                Failure(
-                    message=(
-                        f"cactus equivalence failed: rank={int(rank[i, a])} "
-                        f"m={int(m_dp[i])} c={int(c[i])} "
-                        f"structural=({bool(s_lower[i, a])},{bool(s_upper[i, a])})"
-                    ),
-                    graph_text=serialize_gain_graph(inst),
-                )
-            )
+        )
+    t = _stage(rep.timings, "sweep", t)
 
     # spot checks tie the vectorized tables back to the scalar engines on a
     # deterministic lattice of cyclic instances
     for i in range(0, B, check_every):
-        if buf.ncyc[i] == 0:
+        if c[i] == 0:
             continue
-        st = buf.structs[i]
+        st = chunk.structs[i]
         G = SimpleGraph.build(st.n, st.edges)
         mb = matching_number(G)
         inst = GainGraph.build(
@@ -669,18 +732,21 @@ def _flush_cactus_chunk(
         )
         ro = rank_combinatorial(inst)
         cond = cycle_matching_condition(G, st.cycles)[0]
-        if mb != int(m_dp[i]) or ro != int(rank[i, 0]) or cond != bool(cond_iii[i]):
+        r0 = int(rank[i, cls[i, 0]])
+        mismatch = mb != int(m_dp[i]) or ro != r0 or cond != bool(cond_iii[i])
+        if mismatch and len(rep.failures) < max_failures:
             rep.failures.append(
                 Failure(
                     message=(
                         f"spot check mismatch: blossom m {mb} vs table {int(m_dp[i])}, "
-                        f"oracle rank {ro} vs table {int(rank[i, 0])}, "
+                        f"oracle rank {ro} vs table {r0}, "
                         f"blossom cond (iii) {cond} vs table {bool(cond_iii[i])}"
                     ),
                     graph_text=serialize_gain_graph(inst),
                 )
             )
         rep.cross_checks += 1
+    _stage(rep.timings, "spot_checks", t)
 
     rep.graphs += B
     rep.instances += int(space.sum())
@@ -695,18 +761,25 @@ def run_cactus_slice(
     max_failures: int = 5,
     check_every: int = 997,
 ) -> SliceReport:
-    """All disjoint-cycle connected graphs to n_max, eighth-root gains."""
+    """All disjoint-cycle connected graphs to n_max, eighth-root gains.
+
+    report.timings splits the run into the stages enumerate, pack,
+    matching_dp, sweep, trees and spot_checks (seconds).
+    """
     t0 = time.perf_counter()
-    rep = SliceReport(name=name)
+    rep = SliceReport(name=name, timings=dict.fromkeys(_CACTUS_STAGES, 0.0))
     rng = np.random.Generator(np.random.PCG64(seed))
     for n in range(2, n_max + 1):
-        buf = _CactusBuffers(n, chunk)
-        for st in enumerate_connected_cacti(n):
-            buf.add(st)
-            if buf.full():
-                _flush_cactus_chunk(buf, cap, rng, rep, max_failures, check_every)
-                buf = _CactusBuffers(n, chunk)
-        _flush_cactus_chunk(buf, cap, rng, rep, max_failures, check_every)
+        structs = enumerate_connected_cacti(n)
+        while True:
+            t = time.perf_counter()
+            batch = list(islice(structs, chunk))
+            t = _stage(rep.timings, "enumerate", t)
+            if not batch:
+                break
+            packed = _pack_cacti(n, batch)
+            _stage(rep.timings, "pack", t)
+            _flush_cactus_chunk(packed, cap, rng, rep, max_failures, check_every)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

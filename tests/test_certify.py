@@ -1,7 +1,7 @@
 """The batch certification engines and their low-level kernels."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 from gainrank import certify
 from gainrank.certify import (
     _COS8,
+    _COS_CLASS,
+    _CACTUS_STAGES,
     _batched_matching_counts,
+    _cactus_class_table,
     _cotree_columns,
     _group_positions,
     _max_index_positive,
+    _pack_cacti,
     _rank_threshold,
     _static_facts,
     _structural_flags,
@@ -27,9 +31,10 @@ from gainrank.certify import (
 from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
-from gainrank.generators import GainSetSpec, enumerate_connected_graphs
+from gainrank.generators import GainSetSpec, enumerate_connected_cacti, enumerate_connected_graphs
 from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph
-from gainrank.spectral import exact_rank
+from gainrank.spectral import exact_rank, rank as spectral_rank
+from gainrank.theorems import lower_optimal_structural, upper_optimal_structural
 
 from conftest import simple_graphs
 
@@ -73,6 +78,7 @@ def test_packed_dp_induced_subsets():
 def test_cos_table():
     for k in range(8):
         assert _COS8[k] == pytest.approx(math.cos(2 * math.pi * k / 8), abs=1e-12)
+        assert _COS8[_COS_CLASS[k]] == _COS8[k] and 0 <= _COS_CLASS[k] <= 4
 
 
 def test_rank_threshold_monotone():
@@ -327,6 +333,75 @@ def test_cactus_slice_tiny():
     assert rep.ok
     assert rep.graphs == 383
     assert rep.cross_checks > 0
+
+
+def test_cactus_slice_reports_stage_timings():
+    rep = run_cactus_slice(n_max=6, cap=5, seed=0)
+    assert set(rep.timings) == set(_CACTUS_STAGES)
+    assert all(t >= 0.0 for t in rep.timings.values())
+    assert sum(rep.timings.values()) <= rep.elapsed
+
+
+def test_cactus_failures_stop_at_max_failures(monkeypatch):
+    # a wrong blossom matching number fails every tree and every spot check
+    real = certify.matching_number
+    monkeypatch.setattr(certify, "matching_number", lambda G: real(G) + 1)
+    rep = run_cactus_slice(n_max=6, cap=5, seed=0, max_failures=3)
+    assert len(rep.failures) == 3
+    assert rep.failures[0].message.startswith("tree certification failed")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_pass_packer_matches_per_structure_packing(n):
+    structs = list(enumerate_connected_cacti(n))
+    chunk = _pack_cacti(n, structs)
+    B = len(structs)
+    adjmask = np.zeros((B, n), dtype=np.int64)
+    ecount = np.zeros(B, dtype=np.int64)
+    cyc_mask = np.zeros((B, 2), dtype=np.int64)
+    cyc_len = np.zeros((B, 2), dtype=np.int64)
+    memb = np.zeros((B, 2, n + 1), dtype=np.int8)
+    ncyc = np.zeros(B, dtype=np.int64)
+    for i, st in enumerate(structs):
+        for u, v in st.edges:
+            adjmask[i, u] |= 1 << v
+            adjmask[i, v] |= 1 << u
+        ecount[i] = len(st.edges)
+        col_of = {e: k for k, e in enumerate(st.edges)}
+        for k, cyc in enumerate(st.cycles):
+            cyc_mask[i, k] = sum(1 << a for a in cyc)
+            cyc_len[i, k] = len(cyc)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                memb[i, k, col_of[(min(a, b), max(a, b))]] = 1 if a < b else -1
+        ncyc[i] = len(st.cycles)
+    assert chunk.structs == structs
+    for name, want in [
+        ("adjmask", adjmask), ("ecount", ecount), ("cyc_mask", cyc_mask),
+        ("cyc_len", cyc_len), ("memb", memb), ("ncyc", ncyc),
+    ]:
+        got = getattr(chunk, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    if n >= 3:
+        assert (memb == -1).any()  # backward cycle edges are covered
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cactus_class_table_matches_numeric_rank_and_structure(n):
+    # at n = 6 only the two-cycle graphs, the first with all 25 classes
+    structs = [st for st in enumerate_connected_cacti(n) if n < 6 or len(st.cycles) == 2]
+    table = _cactus_class_table(_pack_cacti(n, structs), {})
+    for i, st in enumerate(structs):
+        for classes in product(range(5), repeat=len(st.cycles)):
+            # the class's eighth root on the first edge of each cycle fixes
+            # Re phi(C) = _COS8[r] whichever way that edge is stored
+            gain_on = {}
+            for cyc, r in zip(st.cycles, classes):
+                gain_on[tuple(sorted(cyc[:2]))] = Gain.from_angle(r, 8)
+            g = GainGraph.build(n, [(u, v, gain_on.get((u, v), Gain.one())) for u, v in st.edges])
+            col = sum(r * 5**k for k, r in enumerate(classes))
+            assert int(table.rank[i, col]) == spectral_rank(g, mode="numeric"), (st, classes)
+            assert bool(table.lower[i, col]) == lower_optimal_structural(g).holds, (st, classes)
+            assert bool(table.upper[i, col]) == upper_optimal_structural(g).holds, (st, classes)
 
 
 def test_certify_equivalences_combined():
