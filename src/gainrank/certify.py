@@ -31,9 +31,10 @@ Two engines, sized to what they must cover on a single core:
   rank and structural flags from its class. The same table gives
   condition (iii); spot checks compare it, the matching number and the
   rank with the blossom and oracle routes. Trees are instead certified by
-  a direct eigensolve against the blossom matching number, which keeps the
-  two sides of the equivalence independent where the coefficient route
-  would be circular.
+  a direct eigensolve against a greedy leaf matching, exact on forests and
+  vectorized over the packed adjacency bitmasks, and both against the
+  table's matching number: three routes, which keep the two sides of the
+  equivalence independent where the coefficient route would be circular.
 
 Both engines check, per instance (per class representative in the
 alphabet engine): rank == 2m-2c exactly when the lower structural
@@ -73,6 +74,7 @@ _SOLVE_ROWS = 1 << 16  # matrices per eigensolve call
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
 # octant -> r with _COS8[octant] == _COS8[r], r in 0..4: the real-part class
 _COS_CLASS = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int8)
+_ALPHABET_STAGES = ("enumerate", "facts", "eigensolve", "checks")
 _CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "spot_checks")
 
 
@@ -298,6 +300,13 @@ def _class_indices(total: int, count: int, seed: str) -> np.ndarray:
     return np.array(sorted(picked), dtype=np.int64 if total <= 1 << 62 else object)
 
 
+def _stage(timings: dict[str, float], name: str, t: float) -> float:
+    """Charge the time since t to stage name; returns the new start."""
+    now = time.perf_counter()
+    timings[name] = timings.get(name, 0.0) + now - t
+    return now
+
+
 def run_alphabet_slice(
     graphs: Iterable[SimpleGraph],
     alphabet: tuple[Gain, ...],
@@ -314,9 +323,14 @@ def run_alphabet_slice(
     or they fit in cap (at most 2^20 per graph), else cap distinct ones
     drawn from seed and the edge set; each counts as its q^(E-c) labeled
     instances. One switched copy per graph must match its representative.
+
+    report.timings splits the run into the stages enumerate (pulling the
+    next graph), facts (static facts, cotree and class rows), eigensolve
+    and checks (structural flags, switching compare, ranks, escalation and
+    failures), in seconds.
     """
     t0 = time.perf_counter()
-    rep = SliceReport(name=name)
+    rep = SliceReport(name=name, timings=dict.fromkeys(_ALPHABET_STAGES, 0.0))
     q = len(alphabet)
     pos = _group_positions(alphabet)
     # characteristic coefficients are real algebraic integers of Q(zeta_q),
@@ -324,7 +338,9 @@ def run_alphabet_slice(
     exact = q in (1, 2, 3, 4, 6)
     roots = np.real_if_close(np.array([g.value for g in alphabet])[pos])  # real: symmetric H
 
+    t = time.perf_counter()
     for G in graphs:
+        t = _stage(rep.timings, "enumerate", t)
         st = _static_facts(G)
         E = len(G.edges)
         ends = np.array(G.edges, dtype=np.int64).reshape(E, 2)
@@ -339,6 +355,7 @@ def run_alphabet_slice(
         for j, e in enumerate(cot):
             expo[:A, e] = (index // q**j) % q
         switched, expo[A] = _switched_copy(G, ends, expo[:A], q)  # the copy is row A
+        t = _stage(rep.timings, "facts", t)
 
         w = np.empty((A + 1, G.n))
         s_lower = np.empty(A + 1, dtype=bool)
@@ -350,7 +367,9 @@ def run_alphabet_slice(
             H[:, ends[:, 0], ends[:, 1]] = gvals
             H[:, ends[:, 1], ends[:, 0]] = np.conj(H[:, ends[:, 0], ends[:, 1]])
             w[lo:hi] = np.linalg.eigvalsh(H)
+            t = _stage(rep.timings, "eigensolve", t)
             s_lower[lo:hi], s_upper[lo:hi] = _structural_flags(st, gvals)
+            t = _stage(rep.timings, "checks", t)
 
         gap = float(np.abs(w[A] - w[switched]).max(initial=0.0))
         same_flags = (s_lower[A], s_upper[A]) == (s_lower[switched], s_upper[switched])
@@ -397,6 +416,7 @@ def run_alphabet_slice(
         rep.classes += A
         rep.switching_checks += 1
         rep.instances += A * q ** (E - st.c)
+        t = _stage(rep.timings, "checks", t)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -456,6 +476,29 @@ def _max_index_positive(counts: np.ndarray) -> np.ndarray:
     for j in range(1, L):
         best = np.where(counts[:, j] > 0, j, best)
     return best
+
+
+def _leaf_matching(adjmask: np.ndarray) -> np.ndarray:
+    """Matching number of each forest in adjmask, (B, n) neighbour bitmasks.
+
+    Greedy leaf matching: match the lowest leaf to its neighbour and delete
+    both. Some maximum matching of a forest holds any given leaf edge, so
+    this is exact on forests. Each round matches one edge in every row that
+    has one left, so n // 2 rounds finish.
+    """
+    B, n = adjmask.shape
+    rows = np.arange(B)
+    bits = 1 << np.arange(n, dtype=adjmask.dtype)
+    alive = np.full(B, (1 << n) - 1, dtype=adjmask.dtype)
+    m = np.zeros(B, dtype=np.int64)
+    for _ in range(n // 2):
+        nb = adjmask & alive[:, None]
+        leaf = (np.bitwise_count(nb) == 1) & ((alive[:, None] & bits) != 0)
+        has = leaf.any(axis=1)
+        v = leaf.argmax(axis=1)
+        alive &= ~np.where(has, bits[v] | nb[rows, v], 0)
+        m += has
+    return m
 
 
 def _group_offsets(sizes: np.ndarray) -> np.ndarray:
@@ -548,13 +591,6 @@ class _ClassTable(NamedTuple):
     rank: np.ndarray  # (B, 5^c)
     lower: np.ndarray  # (B, 5^c) bool, structural lower conditions
     upper: np.ndarray  # (B, 5^c) bool, structural upper conditions
-
-
-def _stage(timings: dict[str, float], name: str, t: float) -> float:
-    """Charge the time since t to stage name; returns the new start."""
-    now = time.perf_counter()
-    timings[name] = timings.get(name, 0.0) + now - t
-    return now
 
 
 def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _ClassTable:
@@ -661,29 +697,29 @@ def _flush_cactus_chunk(
     table = _cactus_class_table(chunk, rep.timings)
     m_dp, cond_iii, rank = table.m, table.cond_iii, table.rank
 
-    # trees: eigensolve vs blossom, independent of the matching-count table
+    # trees: eigensolve vs leaf matching, independent of the matching-count table
     t = time.perf_counter()
     tree_rows = np.nonzero(c == 0)[0]
     if tree_rows.size:
-        bits = 1 << np.arange(n)
-        Ht = ((chunk.adjmask[tree_rows][:, :, None] & bits) != 0).astype(float)
+        adj = chunk.adjmask[tree_rows]
+        Ht = ((adj[:, :, None] & (1 << np.arange(n))) != 0).astype(float)
         wt = np.linalg.eigvalsh(Ht)
         r_eig = (np.abs(wt) > _rank_threshold(n, n - 1)).sum(axis=1)
-        for j, i in enumerate(tree_rows):
-            G = SimpleGraph.build(n, chunk.structs[i].edges)
-            mb = matching_number(G)
-            if (int(r_eig[j]) != 2 * mb or int(m_dp[i]) != mb) and len(rep.failures) < max_failures:
-                rep.failures.append(
-                    Failure(
-                        message=(
-                            f"tree certification failed: eig rank {int(r_eig[j])}, "
-                            f"blossom m {mb}, table m {int(m_dp[i])}"
-                        ),
-                        graph_text=serialize_gain_graph(
-                            GainGraph.build(n, [(u, v, Gain.one()) for u, v in G.edges])
-                        ),
-                    )
+        m_leaf = _leaf_matching(adj)
+        bad = (r_eig != 2 * m_leaf) | (m_dp[tree_rows] != m_leaf)
+        for j in np.nonzero(bad)[0][: max(0, max_failures - len(rep.failures))]:
+            i = tree_rows[j]
+            rep.failures.append(
+                Failure(
+                    message=(
+                        f"tree certification failed: eig rank {int(r_eig[j])}, "
+                        f"leaf matching m {int(m_leaf[j])}, table m {int(m_dp[i])}"
+                    ),
+                    graph_text=serialize_gain_graph(
+                        GainGraph.build(n, [(u, v, Gain.one()) for u, v in chunk.structs[i].edges])
+                    ),
                 )
+            )
         rank[tree_rows] = r_eig[:, None]
     t = _stage(rep.timings, "trees", t)
 

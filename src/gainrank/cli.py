@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import SCHEMA_VERSION, analyze, render_text, report_to_dict
@@ -234,12 +235,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    t0 = time.perf_counter()
     shards = [(args.n_max, args.gains, args.cap, args.seed, k, workers) for k in range(workers)]
     if workers == 1:
         reports = [_enumerate_shard(shards[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_enumerate_shard, shards))
+    elapsed = time.perf_counter() - t0
 
     graphs = sum(r.graphs for r in reports)
     instances = sum(r.instances for r in reports)
@@ -249,6 +252,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     failures = sorted(
         ((f.message, f.graph_text) for r in reports for f in r.failures)
     )
+    timings = {stage: sum(r.timings[stage] for r in reports) for stage in reports[0].timings}
 
     if failures and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -270,6 +274,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "failures": len(failures),
         "failure_file": args.out if failures else None,
         "ok": not failures,
+        "elapsed": elapsed,
+        "instances_per_s": instances / elapsed if elapsed > 0 else 0.0,
+        "timings": timings,  # seconds per engine stage, summed over shards
     }
     lines = [
         f"enumerate: n <= {args.n_max}, gains {args.gains}, cap {args.cap}",

@@ -10,8 +10,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import SizeLimitError
 from .gains import Gain
@@ -21,6 +23,7 @@ from .theorems import verify_equivalence
 GRAPH_ENUM_LIMIT = 8
 EXTREMAL_RETRIES = 20
 _UNIFORM_REAL_BAND = 1e-6
+_MASK_BLOCK = 1 << 20  # edge masks tested for connectivity at once
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,13 @@ class GainSetSpec:
                 return Gain.from_complex(z)
 
 
-def _strip_decode(n: int, deg: list[int], seq) -> list[tuple[int, int]]:
-    """Shared leaf-stripping decode; deg holds 1 + remaining occurrences,
-    with protected vertices set above any reachable value. Consumed leaves
-    are marked 0. The pointer only moves forward: a vertex can drop to
-    degree one below it only through the current decrement, and that case
-    is caught immediately."""
+def _strip_decode(deg: list[int], seq) -> list[tuple[int, int]]:
+    """Shared leaf-stripping decode, emitting each edge as (min, max).
+
+    deg holds 1 + remaining occurrences, with protected vertices set above
+    any reachable value. Consumed leaves are marked 0. The pointer only
+    moves forward: a vertex can drop to degree one below it only through
+    the current decrement, and that case is caught immediately."""
     ptr = 0
     leaf = -1
     edges = []
@@ -90,33 +94,27 @@ def _strip_decode(n: int, deg: list[int], seq) -> list[tuple[int, int]]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        edges.append((leaf, a))
+        edges.append((leaf, a) if leaf < a else (a, leaf))
         deg[leaf] = 0
         deg[a] -= 1
-        if deg[a] == 1 and a < ptr:
-            leaf = a
-        else:
-            leaf = -1
+        leaf = a if deg[a] == 1 and a < ptr else -1
     return edges
 
 
-def _prufer_decode(n: int, seq: Iterable[int]) -> list[tuple[int, int]]:
-    """Edges of the labeled tree with the given length n-2 sequence."""
-    seq = list(seq)
+def _prufer_decode(n: int, seq) -> list[tuple[int, int]]:
+    """Edges of the labeled tree with the given length n-2 sequence, each
+    as (min, max), in decode order."""
     deg = [1] * n
     for a in seq:
         deg[a] += 1
-    edges = _strip_decode(n, deg, seq)
-    u, v = (x for x in range(n) if deg[x] == 1)
-    edges.append((u, v))
+    edges = _strip_decode(deg, seq)
+    edges.append((deg.index(1), n - 1))  # the largest vertex is never the smallest leaf
     return edges
 
 
 def random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     if n <= 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     return _prufer_decode(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
@@ -128,7 +126,7 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> SimpleGraph:
     if not 0 <= extra_edges <= slack:
         raise ValueError(f"extra_edges={extra_edges} infeasible for n={n} (max {slack})")
     rng = random.Random(seed)
-    edges = set(tuple(sorted(e)) for e in random_tree(n, rng))
+    edges = set(random_tree(n, rng))
     non_tree = [e for e in combinations(range(n), 2) if e not in edges]
     edges.update(rng.sample(non_tree, extra_edges))
     return SimpleGraph.build(n, sorted(edges))
@@ -230,22 +228,48 @@ def make_extremal(
     )
 
 
-def _connected_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
-    adj = [0] * n
-    for i, (u, v) in enumerate(pairs):
-        if (mask >> i) & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    reach = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
+class _EdgeMasks:
+    """Edge sets on n vertices as bitmasks over combinations(range(n), 2).
+
+    That pair order is sorted order, so a mask's pairs taken by increasing
+    bit are its canonical edge tuple; the tuple is looked up in two halves.
+    """
+
+    def __init__(self, n: int):
+        pairs = list(combinations(range(n), 2))
+        self.n = n
+        self.bit = {p: 1 << i for i, p in enumerate(pairs)}
+        self.half = (len(pairs) + 1) // 2
+        self.low, self.high = _subsets(pairs[: self.half]), _subsets(pairs[self.half :])
+
+    def mask(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Mask of distinct (min, max) edges."""
+        return sum(map(self.bit.__getitem__, edges))
+
+    def edges(self, m: int) -> tuple[tuple[int, int], ...]:
+        return self.low[m & ((1 << self.half) - 1)] + self.high[m >> self.half]
+
+
+def _subsets(items: list) -> list[tuple]:
+    """Every subsequence of items, indexed by its bitmask."""
+    k = len(items)
+    return [tuple(compress(items, [(b >> i) & 1 for i in range(k)])) for b in range(1 << k)]
+
+
+def _connected_masks(em: _EdgeMasks, masks: np.ndarray) -> np.ndarray:
+    """The masks whose graph is connected: neighbour bitmasks per vertex,
+    then n-1 rounds of frontier OR from vertex 0."""
+    n = em.n
+    adj = np.zeros((n, masks.size), dtype=np.uint8)
+    for (u, v), b in em.bit.items():
+        bit = ((masks & b) != 0).astype(np.uint8)
+        adj[u] |= bit << v
+        adj[v] |= bit << u
+    reach = np.ones(masks.size, dtype=np.uint8)
+    for _ in range(n - 1):
         for v in range(n):
-            if (frontier >> v) & 1:
-                nxt |= adj[v]
-        frontier = nxt & ~reach
-        reach |= nxt
-    return reach == (1 << n) - 1
+            reach |= adj[v] & -((reach >> v) & 1)
+    return masks[reach == (1 << n) - 1]
 
 
 def enumerate_connected_graphs(n_max: int) -> Iterator[SimpleGraph]:
@@ -254,16 +278,13 @@ def enumerate_connected_graphs(n_max: int) -> Iterator[SimpleGraph]:
     if n_max > GRAPH_ENUM_LIMIT:
         raise SizeLimitError(f"exhaustive enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
     for n in range(2, n_max + 1):
-        pairs = list(combinations(range(n), 2))
-        min_edges = n - 1
-        for mask in range(1 << len(pairs)):
-            if mask.bit_count() < min_edges:
-                continue
-            if not _connected_mask(n, pairs, mask):
-                continue
-            yield SimpleGraph.build(
-                n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            )
+        em = _EdgeMasks(n)
+        total = 1 << len(em.bit)
+        for lo in range(0, total, _MASK_BLOCK):
+            masks = np.arange(lo, min(lo + _MASK_BLOCK, total))
+            masks = _connected_masks(em, masks[np.bitwise_count(masks) >= n - 1])
+            for m in masks.tolist():
+                yield SimpleGraph(n, em.edges(m))
 
 
 class CactusStructure(NamedTuple):
@@ -275,55 +296,54 @@ class CactusStructure(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
 
 
-def _rooted_forest_decode(n: int, roots: tuple[int, ...], seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Forest on n vertices in which each tree holds exactly one root.
+def _rooted_forests(em: _EdgeMasks, roots: tuple[int, ...]) -> list[int]:
+    """Edge masks of every forest on n vertices in which each tree holds
+    exactly one root.
 
-    seq has length n - len(roots); entries are stripped-leaf neighbours in
-    smallest-leaf order, the last necessarily a root. Every sequence with
-    that shape decodes to a distinct forest, which is exactly the counting
-    identity k * n^(n-k-1).
+    A forest's sequence has length n - len(roots): stripped-leaf neighbours
+    in smallest-leaf order, the last necessarily a root. Every sequence
+    with that shape decodes to a distinct forest, which is exactly the
+    counting identity k * n^(n-k-1).
     """
-    deg = [1] * n
-    for a in seq:
-        deg[a] += 1
+    n = em.n
+    base = [1] * n
     for r in roots:
-        deg[r] = n + 2  # roots are never stripped
-    return _strip_decode(n, deg, seq)
+        base[r] = n + 2  # roots are never stripped, however often they occur
+    forests = []
+    for head in product(range(n), repeat=n - len(roots) - 1):
+        deg = base.copy()
+        for a in head:
+            deg[a] += 1
+        for last in roots:
+            forests.append(em.mask(_strip_decode(deg.copy(), head + (last,))))
+    return forests
 
 
-def _cycle_edges(order: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
+def _cycle_mask(em: _EdgeMasks, order: tuple[int, ...]) -> int:
+    return em.mask((a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1]))
 
 
 def _cycle_orders(K: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Distinct cycles on vertex set K: fix the least vertex first and break
     the direction symmetry, giving (|K|-1)!/2 arrangements."""
-    rest = K[1:]
-    if len(K) == 3:
-        yield K
-        return
-    for p in permutations(rest):
+    for p in permutations(K[1:]):
         if p[0] < p[-1]:
             yield (K[0],) + p
 
 
-def _unicyclic(n: int) -> Iterator[CactusStructure]:
+def _unicyclic(em: _EdgeMasks) -> Iterator[CactusStructure]:
+    n = em.n
     for k in range(3, n + 1):
         for K in combinations(range(n), k):
+            forests = _rooted_forests(em, K) if k < n else [0]
             for order in _cycle_orders(K):
-                cyc = _cycle_edges(order)
-                if k == n:
-                    yield CactusStructure(n, tuple(sorted(tuple(sorted(e)) for e in cyc)), (order,))
-                    continue
-                free = n - k - 1
-                for head in product(range(n), repeat=free):
-                    for last in K:
-                        forest = _rooted_forest_decode(n, K, head + (last,))
-                        edges = tuple(sorted(tuple(sorted(e)) for e in cyc + forest))
-                        yield CactusStructure(n, edges, (order,))
+                cyc, cycles = _cycle_mask(em, order), (order,)
+                for forest in forests:
+                    yield CactusStructure(n, em.edges(cyc | forest), cycles)
 
 
-def _bicyclic(n: int) -> Iterator[CactusStructure]:
+def _bicyclic(em: _EdgeMasks) -> Iterator[CactusStructure]:
+    n = em.n
     for k1 in range(3, n - 2):
         for k2 in range(k1, n - k1 + 1):
             for K1 in combinations(range(n), k1):
@@ -331,37 +351,38 @@ def _bicyclic(n: int) -> Iterator[CactusStructure]:
                 for K2 in combinations(rest, k2):
                     if k1 == k2 and K2[0] < K1[0]:
                         continue
-                    yield from _bicyclic_pair(n, K1, K2)
+                    yield from _bicyclic_pair(em, K1, K2)
 
 
-def _bicyclic_pair(n: int, K1: tuple[int, ...], K2: tuple[int, ...]) -> Iterator[CactusStructure]:
-    outside = tuple(v for v in range(n) if v not in K1 and v not in K2)
-    M = len(outside) + 2  # contracted node count: outside vertices + 2 cycle nodes
-    w1, w2 = M - 2, M - 1
+def _attachments(em: _EdgeMasks, K1: tuple[int, ...], K2: tuple[int, ...]) -> list[int]:
+    """Edge masks of every way to join the cycles on K1 and K2 and the
+    remaining vertices into one tree, each cycle contracted to a node.
+
+    The contracted tree's nodes are the outside vertices, then K1, then K2;
+    each of its edges at a cycle node fans out over that cycle's vertices.
+    """
+    ends = [(v,) for v in range(em.n) if v not in K1 and v not in K2] + [K1, K2]
+    M = len(ends)
+    out = []
+    for seq in product(range(M), repeat=M - 2):
+        choices = [
+            [em.bit[(x, y) if x < y else (y, x)] for x in ends[a] for y in ends[b]]
+            for a, b in _prufer_decode(M, seq)
+        ]
+        out.extend(map(sum, product(*choices)))
+    return out
+
+
+def _bicyclic_pair(
+    em: _EdgeMasks, K1: tuple[int, ...], K2: tuple[int, ...]
+) -> Iterator[CactusStructure]:
+    attachments = _attachments(em, K1, K2)
     for order1 in _cycle_orders(K1):
-        cyc1 = _cycle_edges(order1)
+        cyc1 = _cycle_mask(em, order1)
         for order2 in _cycle_orders(K2):
-            base = cyc1 + _cycle_edges(order2)
-            cycles = (order1, order2)
-            if M == 2:
-                # no outside vertices: single connecting edge between the cycles
-                for a in K1:
-                    for b in K2:
-                        edges = tuple(sorted(tuple(sorted(e)) for e in base + [(a, b)]))
-                        yield CactusStructure(n, edges, cycles)
-                continue
-            for seq in product(range(M), repeat=M - 2):
-                tree = _prufer_decode(M, seq)
-                # every contracted-tree edge at a cycle node fans out over
-                # that cycle's vertices
-                choice_lists = []
-                for a, b in tree:
-                    ca = [outside[a]] if a < M - 2 else list(K1 if a == w1 else K2)
-                    cb = [outside[b]] if b < M - 2 else list(K1 if b == w1 else K2)
-                    choice_lists.append([(x, y) for x in ca for y in cb])
-                for picks in product(*choice_lists):
-                    edges = tuple(sorted(tuple(sorted(e)) for e in base + list(picks)))
-                    yield CactusStructure(n, edges, cycles)
+            base, cycles = cyc1 | _cycle_mask(em, order2), (order1, order2)
+            for att in attachments:
+                yield CactusStructure(em.n, em.edges(base | att), cycles)
 
 
 def enumerate_connected_cacti(n: int) -> Iterator[CactusStructure]:
@@ -375,15 +396,12 @@ def enumerate_connected_cacti(n: int) -> Iterator[CactusStructure]:
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
     if n < 2:
         return
-    if n == 2:
-        yield CactusStructure(2, ((0, 1),), ())
-        return
+    em = _EdgeMasks(n)
     for seq in product(range(n), repeat=n - 2):
-        edges = tuple(sorted(tuple(sorted(e)) for e in _prufer_decode(n, seq)))
-        yield CactusStructure(n, edges, ())
-    yield from _unicyclic(n)
+        yield CactusStructure(n, em.edges(em.mask(_prufer_decode(n, seq))), ())
+    yield from _unicyclic(em)
     if n >= 6:
-        yield from _bicyclic(n)
+        yield from _bicyclic(em)
 
 
 def double_square_pendant() -> SimpleGraph:

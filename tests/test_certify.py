@@ -1,6 +1,7 @@
 """The batch certification engines and their low-level kernels."""
 
 import math
+import random
 from itertools import combinations, product
 
 import numpy as np
@@ -11,11 +12,13 @@ from gainrank import certify
 from gainrank.certify import (
     _COS8,
     _COS_CLASS,
+    _ALPHABET_STAGES,
     _CACTUS_STAGES,
     _batched_matching_counts,
     _cactus_class_table,
     _cotree_columns,
     _group_positions,
+    _leaf_matching,
     _max_index_positive,
     _pack_cacti,
     _rank_threshold,
@@ -28,10 +31,16 @@ from gainrank.certify import (
     run_signed_slice,
     worker_count,
 )
+from gainrank.combinatorics import matching_number
 from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
-from gainrank.generators import GainSetSpec, enumerate_connected_cacti, enumerate_connected_graphs
+from gainrank.generators import (
+    GainSetSpec,
+    enumerate_connected_cacti,
+    enumerate_connected_graphs,
+    random_tree,
+)
 from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph
 from gainrank.spectral import exact_rank, rank as spectral_rank
 from gainrank.theorems import lower_optimal_structural, upper_optimal_structural
@@ -343,12 +352,40 @@ def test_cactus_slice_reports_stage_timings():
 
 
 def test_cactus_failures_stop_at_max_failures(monkeypatch):
-    # a wrong blossom matching number fails every tree and every spot check
-    real = certify.matching_number
-    monkeypatch.setattr(certify, "matching_number", lambda G: real(G) + 1)
+    # a wrong leaf matching number fails every tree
+    real = certify._leaf_matching
+    monkeypatch.setattr(certify, "_leaf_matching", lambda adjmask: real(adjmask) + 1)
     rep = run_cactus_slice(n_max=6, cap=5, seed=0, max_failures=3)
     assert len(rep.failures) == 3
     assert rep.failures[0].message.startswith("tree certification failed")
+
+
+def test_alphabet_slice_reports_stage_timings():
+    rep = run_signed_slice(5)
+    assert set(rep.timings) == set(_ALPHABET_STAGES)
+    assert all(t >= 0.0 for t in rep.timings.values())
+    assert sum(rep.timings.values()) <= rep.elapsed
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_leaf_matching_equals_blossom_on_every_tree(n):
+    trees = [st for st in enumerate_connected_cacti(n) if not st.cycles]
+    got = _leaf_matching(_pack_cacti(n, trees).adjmask)
+    assert got.tolist() == [matching_number(SimpleGraph.build(n, st.edges)) for st in trees]
+
+
+def test_leaf_matching_equals_blossom_on_random_forests():
+    rng = random.Random(11)
+    graphs = []
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        # dropping edges of a uniform tree leaves a forest, isolated vertices included
+        edges = [e for e in random_tree(n, rng) if rng.random() < 0.7]
+        graphs.append(SimpleGraph.build(n, edges))
+    for n in {G.n for G in graphs}:
+        same = [G for G in graphs if G.n == n]
+        adjmask = np.vstack([adjacency_masks(G) for G in same])
+        assert _leaf_matching(adjmask).tolist() == [matching_number(G) for G in same]
 
 
 @pytest.mark.parametrize("n", range(2, 7))

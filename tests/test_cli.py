@@ -194,11 +194,15 @@ def test_enumerate_small(capsys):
     assert doc["ok"] is True
 
 
+def _without_times(doc):
+    return {k: v for k, v in doc.items() if k not in ("elapsed", "instances_per_s", "timings")}
+
+
 def test_enumerate_worker_invariance(monkeypatch, capsys):
     def run():
         assert cli.main(["enumerate", "--n-max", "4", "--gains", "signed",
                          "--cap", "6", "--seed", "2", "--json"]) == 0
-        return json.loads(capsys.readouterr().out)
+        return _without_times(json.loads(capsys.readouterr().out))
 
     monkeypatch.setenv("GAINRANK_WORKERS", "1")
     solo = run()
@@ -213,7 +217,7 @@ def test_enumerate_worker_invariance(monkeypatch, capsys):
 def test_enumerate_reports_classes_and_switching_checks(monkeypatch, capsys):
     def run():
         assert cli.main(["enumerate", "--n-max", "3", "--gains", "gaussian", "--json"]) == 0
-        return json.loads(capsys.readouterr().out)
+        return _without_times(json.loads(capsys.readouterr().out))
 
     monkeypatch.setenv("GAINRANK_WORKERS", "1")
     doc = run()
@@ -224,6 +228,20 @@ def test_enumerate_reports_classes_and_switching_checks(monkeypatch, capsys):
     assert run() == doc
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "signed"]) == 0
     assert "6 class(es), 5 switching check(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_enumerate_reports_elapsed_throughput_and_stage_timings(workers, monkeypatch, capsys):
+    monkeypatch.setenv("GAINRANK_WORKERS", workers)
+    assert cli.main(["enumerate", "--n-max", "4", "--gains", "gaussian", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_version"] == "1"
+    assert doc["elapsed"] > 0
+    assert doc["instances_per_s"] == pytest.approx(doc["instances"] / doc["elapsed"])
+    assert set(doc["timings"]) == {"enumerate", "facts", "eigensolve", "checks"}
+    assert all(t >= 0.0 for t in doc["timings"].values())
+    if workers == "1":
+        assert sum(doc["timings"].values()) <= doc["elapsed"]
 
 
 def test_enumerate_rejects_uniform(capsys):

@@ -1,11 +1,13 @@
 """Random and exhaustive graph generation."""
 
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gainrank import generators
 from gainrank.combinatorics.blocks import cycles_pairwise_disjoint, cyclomatic_number
 from gainrank.combinatorics.cycles import cycle_record
 from gainrank.errors import SizeLimitError
@@ -19,6 +21,7 @@ from gainrank.generators import (
     make_cycle,
     make_extremal,
     random_connected_graph,
+    random_tree,
 )
 from gainrank.graphs import SimpleGraph, underlying
 from gainrank.theorems import verify_equivalence
@@ -141,21 +144,21 @@ def test_enumerate_limit():
         next(enumerate_connected_cacti(9))
 
 
-def cactus_reference_count(n):
+def cactus_reference_set(n):
     """Filter the full enumeration down to pairwise disjoint cycles."""
-    count = 0
-    for G in enumerate_connected_graphs(n):
-        if G.n == n and cycles_pairwise_disjoint(G)[0]:
-            count += 1
-    return count
+    return {
+        G.edges
+        for G in enumerate_connected_graphs(n)
+        if G.n == n and cycles_pairwise_disjoint(G)[0]
+    }
 
 
-@pytest.mark.parametrize("n,expected", [(2, 1), (3, 4), (4, 31), (5, 347)])
+@pytest.mark.parametrize("n,expected", [(2, 1), (3, 4), (4, 31), (5, 347), (6, 5046)])
 def test_cactus_counts_match_filter(n, expected):
     got = list(enumerate_connected_cacti(n))
     assert len(got) == expected
     assert len(set(c.edges for c in got)) == expected
-    assert cactus_reference_count(n) == expected
+    assert set(c.edges for c in got) == cactus_reference_set(n)
     for c in got:
         G = SimpleGraph.build(c.n, c.edges)
         assert G.is_connected()
@@ -176,3 +179,55 @@ def test_double_square_pendant_shape():
     degs = G.degrees()
     assert degs[0] == 5 and degs[7] == 1
     assert cyclomatic_number(G) == 2
+
+
+def _digest(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+# sha256 of the ordered (n, edges, cycles) stream, as the constructive
+# enumerator first produced it; the order pairs the cactus engine's gain
+# draws with its graphs
+CACTUS_STREAM_SHA256 = {
+    2: "1d8de336731c5e3f532fa5b6c6a55e73d93903011a7fd02456cf30e2c48179b6",
+    3: "ef88318ba1c2f569481bf0f821892801a12463e0ec36d2d447ad04c0476410b4",
+    4: "e4f8901f07e85d6e5047cc6e001731a1ea20f0590bcd59e4a745c67441e6622d",
+    5: "c3bb12899def171b85cb050d6f1dd8215988e8852c6b32e75bf4b50ebc250253",
+    6: "d45f8e118053fc8113331daeb23ddfee9d3caa467d3eb1af89596eba2a44a1c5",
+    7: "ee7c6d0fbc2b4aab97ecdd474700e236b2604f712a8b2ace2afd465d9c4da7e8",
+}
+# the same for the ordered (n, edges) stream of enumerate_connected_graphs(6)
+GRAPH_STREAM_SHA256 = "eb0384b93bf1a567e2b8c7223b0c9e4769247bc64522051ce699b00f788e92e5"
+
+
+@pytest.mark.parametrize("n", sorted(CACTUS_STREAM_SHA256))
+def test_cactus_stream_is_pinned(n):
+    stream = ((st.n, st.edges, st.cycles) for st in enumerate_connected_cacti(n))
+    assert _digest(stream) == CACTUS_STREAM_SHA256[n]
+
+
+def test_connected_graph_stream_is_pinned():
+    assert _digest((G.n, G.edges) for G in enumerate_connected_graphs(6)) == GRAPH_STREAM_SHA256
+
+
+def test_connected_graph_stream_does_not_depend_on_the_mask_block(monkeypatch):
+    monkeypatch.setattr(generators, "_MASK_BLOCK", 32)
+    assert _digest((G.n, G.edges) for G in enumerate_connected_graphs(6)) == GRAPH_STREAM_SHA256
+
+
+def test_random_trees_and_graphs_are_pinned():
+    # edge sets as first drawn, so verify's instances stay the same
+    rng = random.Random(1)
+    trees = (sorted(tuple(sorted(e)) for e in random_tree(n, rng)) for n in list(range(1, 30)) * 20)
+    assert _digest(trees) == "985bd978e937a9345d9140e2cfc110ee5cac944e675639252a079bc752bac6a6"
+    graphs = (
+        random_connected_graph(n, extra, seed).edges
+        for n in range(1, 13)
+        for extra in range(4)
+        for seed in range(10)
+        if extra <= n * (n - 1) // 2 - (n - 1)
+    )
+    assert _digest(graphs) == "16bfd0828dedbeea661173b25d61bb048c31f410ac4751c97d7fcff4b10bdf66"
