@@ -8,9 +8,10 @@ claiming to be a unit gain graph), never a property of the mathematics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .combinatorics import CycleRecord, cycle_record, enumerate_cycles
+from .combinatorics.transversal import TRANSVERSAL_LIMIT
 from .errors import SizeLimitError, TheoremViolation
 from .graphs import GainGraph
 from .spectral import hermitian_adjacency, inertia
@@ -58,6 +59,7 @@ class AnalysisReport:
     condition_iii: bool | None  # defined only when cycles are disjoint
     verdict: OptimalityVerdict
     violations: tuple[str, ...]
+    skipped: dict[str, str] = field(default_factory=dict)  # check -> limit that stopped it
 
     @property
     def ok(self) -> bool:
@@ -78,6 +80,7 @@ def analyze(
     rank = p+ + n- identity is consistent by construction at any tol.
     """
     violations: list[str] = []
+    skipped: dict[str, str] = {}
     facts = component_facts(g)
     basic = check_rank_bounds(facts)
     verdict = verify_equivalence(facts)
@@ -112,7 +115,7 @@ def analyze(
                 f"[{refined.lower_refined}, {refined.upper_refined}]"
             )
     except SizeLimitError:
-        pass
+        skipped["refined_bounds"] = f"n > TRANSVERSAL_LIMIT ({TRANSVERSAL_LIMIT})"
     except TheoremViolation as exc:
         violations.append(str(exc))
 
@@ -141,6 +144,7 @@ def analyze(
         )
     except SizeLimitError:
         cycles = None
+        skipped["cycles"] = f"more than max_cycles ({max_cycles}) cycles"
 
     # both are conjunctions over components: cycles in different components
     # never meet, and per component m(contracted) >= m(G - cycle vertices)
@@ -168,6 +172,7 @@ def analyze(
         condition_iii=cond,
         verdict=verdict,
         violations=tuple(violations),
+        skipped=skipped,
     )
 
 
@@ -243,6 +248,7 @@ def report_to_dict(rep: AnalysisReport) -> dict:
         "condition_iii": rep.condition_iii,
         "verdict": _verdict_dict(rep.verdict),
         "violations": list(rep.violations),
+        "skipped": dict(rep.skipped),
         "ok": rep.ok,
     }
 
@@ -265,7 +271,7 @@ def render_text(rep: AnalysisReport) -> str:
             f"{rep.refined.acyclic_deletion_value})"
         )
     if rep.cycles is None:
-        lines.append("cycles: not enumerated (over cap)")
+        lines.append(f"cycles: not enumerated ({rep.skipped['cycles']})")
     else:
         cond = "n/a" if rep.condition_iii is None else ("yes" if rep.condition_iii else "no")
         lines.append(

@@ -7,15 +7,17 @@ Two engines, sized to what they must cover on a single core:
   H to D*HD, which keeps the spectrum and every cycle gain, so the engine
   ranks one representative per switching class: gain 1 on a spanning tree
   and a choice on each of the c cotree edges, each class standing for
-  q^(n-1) labeled assignments. A per-graph cap bounds the classes solved:
-  all q^c of them when they fit, else a sample of distinct classes fixed by
-  the seed and the edge set. A switched copy of one representative per
-  graph, solved in the same batch, must reproduce its spectrum and
-  structural flags. Ranks come from batched Hermitian eigensolves. For q in
-  {1, 2, 3, 4, 6} the characteristic polynomial has integer coefficients,
-  so nonzero eigenvalues are bounded away from zero by 1/deg^(n-1) and a
-  threshold decides rank exactly. Other alphabets fall back to a guard band
-  plus per-representative escalation to the exact modular rank.
+  q^(n-1) labeled assignments, all q^c classes or a sample fixed by the
+  seed and the edge set. Per chunk of same-n graphs, the cactus engine's
+  matching DP gives m and condition (iii), fundamental cycles decide
+  disjointness, cycle-gain exponent sums decide the structural flags in
+  integers, one eigensolve ranks every representative and a switched copy
+  per graph, which must agree, and the blossom route re-checks every 97th
+  graph. For q in {1, 2, 3, 4, 6} the characteristic polynomial has integer
+  coefficients, so nonzero eigenvalues are bounded away from zero by
+  1/deg^(n-1) and a threshold decides rank exactly. Other alphabets fall
+  back to a guard band plus per-representative escalation to the exact
+  modular rank.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
@@ -46,19 +48,14 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .combinatorics import (
-    cycle_matching_condition,
-    cycles_pairwise_disjoint,
-    cyclomatic_number,
-    matching_number,
-    rank_combinatorial,
-)
+from .combinatorics import cycle_matching_condition, matching_number, rank_combinatorial
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
 from .generators import CactusStructure, enumerate_connected_cacti, enumerate_connected_graphs
@@ -68,7 +65,9 @@ from .spectral import exact_rank
 COEFF_RANK_TOL = 1e-6
 _ESCALATE_LO = 1e-9
 _ESCALATE_HI = 1e-3
-_SOLVE_ROWS = 1 << 16  # matrices per eigensolve call
+_SOLVE_ROWS = 1 << 14  # matrices per eigensolve call, and class rows per alphabet chunk
+_DP_N_MAX = 8  # largest n the packed matching table serves
+_SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
 
 # real parts of the eighth roots of unity, indexed by octant
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
@@ -143,45 +142,6 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass
-class _Static:
-    """Assignment-independent facts about one graph."""
-
-    m: int
-    c: int
-    disjoint: bool
-    cond_iii: bool  # meaningful only when disjoint
-    cycle_cols: list[np.ndarray]  # edge column indices per cycle
-    cycle_conj: list[np.ndarray]  # edge traversed against storage order
-    cycle_lens: list[int]
-
-
-def _static_facts(G: SimpleGraph) -> _Static:
-    m = matching_number(G)
-    c = cyclomatic_number(G)
-    ok, cycles = cycles_pairwise_disjoint(G)
-    cond = False
-    cols: list[np.ndarray] = []
-    conjs: list[np.ndarray] = []
-    lens: list[int] = []
-    if ok:
-        cond = cycle_matching_condition(G, cycles)[0]
-        col_of = {e: i for i, e in enumerate(G.edges)}
-        for cyc in cycles:
-            idx = []
-            conj = []
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                idx.append(col_of[(min(a, b), max(a, b))])
-                conj.append(a > b)
-            cols.append(np.array(idx, dtype=np.int64))
-            conjs.append(np.array(conj, dtype=bool))
-            lens.append(len(cyc))
-    return _Static(
-        m=m, c=c, disjoint=ok, cond_iii=cond,
-        cycle_cols=cols, cycle_conj=conjs, cycle_lens=lens,
-    )
-
-
 def _rank_threshold(n: int, max_degree: int) -> float:
     """Safe cut between true zeros and true nonzeros, integer-coefficient case.
 
@@ -199,27 +159,6 @@ def _build_instance(G: SimpleGraph, alphabet: tuple[Gain, ...], idx_row: np.ndar
     return GainGraph.build(
         G.n, [(u, v, alphabet[int(idx_row[e])]) for e, (u, v) in enumerate(G.edges)]
     )
-
-
-def _structural_flags(st: _Static, gvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) structural booleans per assignment row of gvals."""
-    A = gvals.shape[0]
-    if not st.disjoint:
-        flags = np.zeros(A, dtype=bool)
-        return flags, flags
-    lower = np.full(A, st.cond_iii, dtype=bool)
-    upper = np.full(A, st.cond_iii, dtype=bool)
-    for cols, conj, l in zip(st.cycle_cols, st.cycle_conj, st.cycle_lens):
-        sel = gvals[:, cols]
-        prod = np.where(conj[None, :], np.conj(sel), sel).prod(axis=1)
-        if l % 2 == 0:
-            target = 1.0 if (l // 2) % 2 == 0 else -1.0
-            lower &= np.abs(prod - target) <= 1e-9
-            upper[:] = False
-        else:
-            lower[:] = False
-            upper &= np.abs(prod.real) > 1e-9
-    return lower, upper
 
 
 def _group_positions(alphabet: tuple[Gain, ...]) -> np.ndarray:
@@ -258,6 +197,50 @@ def _cotree_columns(G: SimpleGraph) -> list[int]:
         else:
             parent[ru] = rv
     return cotree
+
+
+def _fundamental_cycles(G: SimpleGraph, cotree: list[int]) -> list[tuple[int, list[int]]] | None:
+    """The cycle each cotree column closes in the spanning forest, as a
+    vertex bitmask and a signed edge row like the cactus memb, or None when
+    two share a vertex. The cycles of G are pairwise vertex-disjoint exactly
+    when these are: a sum of two or more disjoint cycles is never a cycle."""
+    if 3 * len(cotree) > G.n:  # c disjoint cycles need 3c vertices
+        return None
+    tree = [(e, u, v) for e, (u, v) in enumerate(G.edges) if e not in cotree]
+    anc, up = [0] * G.n, [(0, 0)] * G.n  # root-path vertex bitmask, (parent, edge column)
+    for root in (r for r in range(G.n) if not anc[r]):
+        anc[root], stack = 1 << root, [root]
+        while stack:
+            x = stack.pop()
+            for e, u, v in tree:
+                y = v if u == x else u if v == x else x
+                if not anc[y]:
+                    anc[y], up[y] = anc[x] | 1 << y, (x, e)
+                    stack.append(y)
+    cycles: list[tuple[int, list[int]]] = []
+    for e in cotree:
+        u, v = G.edges[e]
+        mask, memb = 0, [0] * len(G.edges)
+        memb[e] = -1  # the walk runs up from u, down to v and back along e, u < v
+        for x in range(G.n):
+            if (anc[u] ^ anc[v]) >> x & 1:
+                p, col = up[x]
+                mask |= 1 << x | 1 << p
+                memb[col] = (1 if x < p else -1) * (1 if anc[u] >> x & 1 else -1)
+        if any(mask & other for other, _ in cycles):
+            return None
+        cycles.append((mask, memb))
+    return cycles
+
+
+def _cycle_flags(l: np.ndarray, s: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) conditions on a cycle of length l (0: absent, neutral)
+    with gain exp(2*pi*i*s/q), decided in integers: lower needs it even with
+    gain (-1)^(l/2), 2s = q*(l/2) (mod 2q); upper needs it odd with a
+    nonzero real part, 4s mod 4q not in {q, 3q}."""
+    has, even, s4 = l > 0, l % 2 == 0, 4 * s % (4 * q)
+    low = ~has | (even & ((2 * s - q * (l // 2)) % (2 * q) == 0))
+    return low, ~has | (~even & (s4 != q) & (s4 != 3 * q))
 
 
 def _edge_set_hash(G: SimpleGraph) -> int:
@@ -307,6 +290,135 @@ def _stage(timings: dict[str, float], name: str, t: float) -> float:
     return now
 
 
+# per chunk row: graph, exponents (q past its last edge), rank, flags; per graph: the rest
+_AlphabetRows = namedtuple("_AlphabetRows", "gid expo rank lower upper m c cond_iii")
+
+
+def _blossom_facts(G: SimpleGraph, cycles: list | None) -> tuple[int, bool]:
+    """m and condition (iii) by the blossom route; the condition reads True
+    where cycles meet, as the packed table's does."""
+    verts = tuple(tuple(v for v in range(G.n) if mask >> v & 1) for mask, _ in cycles or ())
+    return matching_number(G), cycles is None or cycle_matching_condition(G, verts)[0]
+
+
+def _flush_alphabet_chunk(
+    entries: list, alphabet: tuple[Gain, ...], pos: np.ndarray, rep: SliceReport, max_failures: int
+) -> _AlphabetRows:
+    """Certify one chunk of same-n graphs; an entry is (G, cotree columns,
+    fundamental cycles, classes solved, sampled class indices or None)."""
+    t = time.perf_counter()
+    graphs, cotrees, cycles, counts, indices = zip(*entries)
+    B, n, q = len(graphs), graphs[0].n, len(alphabet)
+    edges = [G.edges for G in graphs]
+    adjmask, ecount, codes = _pack_edges(n, edges, max(map(len, edges)))
+    E = codes.shape[1]
+    c = np.fromiter(map(len, cotrees), np.int64, B)
+    A = np.array(counts, dtype=np.int64)
+    start = np.cumsum(A + 1) - (A + 1)
+    gid = np.repeat(np.arange(B), A + 1)
+
+    # gain 1 on the forest and the class index's base-q digits on the
+    # cotree; a graph solving all q^c classes reads its index off the row
+    expo = np.full((len(gid), E), q, dtype=np.min_scalar_type(q))
+    expo[np.arange(E) < ecount[gid, None]] = 0
+    cot = np.zeros((B, int(c.max(initial=0))), dtype=np.int64)
+    cot[np.repeat(np.arange(B), c), _group_offsets(c)] = list(chain.from_iterable(cotrees))
+    digits, index_of_row = np.where([i is None for i in indices], c, 0)[gid], _group_offsets(A + 1)
+    for j in range(int(digits.max(initial=0))):
+        on = np.nonzero(digits > j)[0]
+        expo[on, cot[gid[on], j]] = index_of_row[on] // q**j % q
+    ends = np.stack([codes // n, codes % n], axis=2)
+    switched = np.zeros(B, dtype=np.int64)
+    K = max((len(cyc) for cyc in cycles if cyc), default=0)
+    cyc_mask = np.zeros((B, K), dtype=np.int64)
+    memb = np.zeros((B, K, E), dtype=np.int8)
+    for g, (G, cot_g, cyc, index) in enumerate(zip(graphs, cotrees, cycles, indices)):
+        s, a, e = int(start[g]), counts[g], len(G.edges)
+        for j, col in enumerate(cot_g if index is not None else ()):
+            expo[s : s + a, col] = index // q**j % q
+        switched[g], expo[s + a, :e] = _switched_copy(G, ends[g, :e], expo[s : s + a, :e], q)
+        if cyc:
+            cyc_mask[g, : len(cyc)], memb[g, : len(cyc), :e] = zip(*cyc)
+    if n <= _DP_N_MAX:
+        p = _batched_matching_counts(adjmask, n)
+        m = _max_index_positive(_unpack_counts(p[(1 << n) - 1], n // 2 + 1))
+        cond = _condition_iii(p, cyc_mask, n)
+    else:  # past the packed table's reach the blossom route is the only one
+        m, cond = map(np.array, zip(*map(_blossom_facts, graphs, cycles)))
+    t = _stage(rep.timings, "facts", t)
+
+    # eigvalsh reads the lower triangle alone: H[v, u] = conj(phi(u, v)) for
+    # an edge u < v, 0 past a graph's last edge; real values, real H
+    values = np.real_if_close(np.array([g.value for g in alphabet])[pos])
+    lower_values, lower_codes = np.append(values, 0).conj(), codes % n * n + codes // n
+    R = len(gid)
+    w = np.empty((R, n))
+    for lo in range(0, R, _SOLVE_ROWS):
+        rows = np.arange(lo, min(lo + _SOLVE_ROWS, R))
+        H = np.zeros((len(rows), n * n), dtype=lower_values.dtype)
+        H[(rows - lo)[:, None], lower_codes[gid[rows]]] = lower_values[expo[rows]]
+        w[rows] = np.linalg.eigvalsh(H.reshape(-1, n, n))
+    t = _stage(rep.timings, "eigensolve", t)
+
+    # every row's cycle gains, the switched copy's included, as exponent sums
+    on = np.nonzero(np.array([cyc is not None for cyc in cycles])[gid])[0]
+    g = gid[on]
+    s = (memb[g] * expo[on, None, :].astype(np.int64)).sum(axis=2)
+    low, up = _cycle_flags(np.bitwise_count(cyc_mask[g]).astype(np.int64), s, q)
+    lower, upper = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
+    lower[on], upper[on] = low.all(axis=1) & cond[g], up.all(axis=1) & cond[g]
+
+    # characteristic coefficients are real algebraic integers of Q(zeta_q),
+    # so integers when that field meets the reals in Q alone
+    exact, aw = q in (1, 2, 3, 4, 6), np.abs(w)
+    cut = [_rank_threshold(n, max(G.degrees(), default=0)) for G in graphs] if exact else None
+    rank = (aw > (np.array(cut)[gid, None] if exact else COEFF_RANK_TOL)).sum(axis=1)
+    shaky = (not exact) & ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
+    copy, src = start + A, start + switched
+    shaky[copy] = False  # switched copies are compared, not ranked
+    for i in np.nonzero(shaky)[0]:
+        G = graphs[gid[i]]
+        rank[i] = exact_rank(_build_instance(G, alphabet, pos[expo[i, : len(G.edges)]]))
+        rep.cross_checks += 1
+
+    gap = np.abs(w[copy] - w[src]).max(axis=1, initial=0.0)
+    same_flags = (lower[copy] == lower[src]) & (upper[copy] == upper[src])
+    want_lower, want_upper = rank == (2 * m - 2 * c)[gid], rank == (2 * m + c)[gid]
+    bad = (want_lower != lower) | (want_upper != upper)
+    bad[copy] = False
+    # failures graph by graph: spot check, switching check, then class rows;
+    # the blossom route re-derives m and condition (iii) on a lattice of graphs
+    events = []
+    for k in range(-rep.graphs % _SPOT_EVERY, B, _SPOT_EVERY) if n <= _DP_N_MAX else ():
+        mb, cb = _blossom_facts(graphs[k], cycles[k])
+        if mb != m[k] or cb != cond[k]:
+            message = f"blossom m {mb} vs table {m[k]}, blossom cond (iii) {cb} vs table {cond[k]}"
+            events.append((k, 0, start[k], f"spot check mismatch: {message}"))
+    events += [(k, 1, copy[k], "") for k in np.nonzero((gap > 1e-9) | ~same_flags)[0]]
+    events += [(gid[i], 2, i, "") for i in np.nonzero(bad)[0]]
+    for k, kind, i, message in sorted(events)[: max(0, max_failures - len(rep.failures))]:
+        if kind == 1:
+            message = (
+                f"switching check failed: spectra differ by {gap[k]:.3g}, "
+                f"structural flags {'agree' if same_flags[k] else 'differ'}, "
+                f"against class representative {switched[k]}"
+            )
+        elif kind == 2:
+            message = (
+                f"equivalence failed: rank={rank[i]} m={m[k]} c={c[k]} "
+                f"spectral=({want_lower[i]},{want_upper[i]}) structural=({lower[i]},{upper[i]})"
+            )
+        inst = _build_instance(graphs[k], alphabet, pos[expo[i, : len(graphs[k].edges)]])
+        rep.failures.append(Failure(message=message, graph_text=serialize_gain_graph(inst)))
+
+    rep.graphs += B
+    rep.classes += sum(counts)
+    rep.switching_checks += B
+    rep.instances += sum(a * q ** (len(G.edges) - k) for G, a, k in zip(graphs, counts, c.tolist()))
+    _stage(rep.timings, "checks", t)
+    return _AlphabetRows(gid, expo, rank, lower, upper, m, c, cond)
+
+
 def run_alphabet_slice(
     graphs: Iterable[SimpleGraph],
     alphabet: tuple[Gain, ...],
@@ -315,7 +427,7 @@ def run_alphabet_slice(
     name: str = "alphabet",
     max_failures: int = 5,
 ) -> SliceReport:
-    """Certify both equivalences on every graph, one switching class at a time.
+    """Certify both equivalences on every graph, a chunk of graphs at a time.
 
     alphabet must be the full group of q-th roots of unity, in any order. A
     class representative has gain 1 on a spanning forest and any gain on
@@ -323,100 +435,37 @@ def run_alphabet_slice(
     or they fit in cap (at most 2^20 per graph), else cap distinct ones
     drawn from seed and the edge set; each counts as its q^(E-c) labeled
     instances. One switched copy per graph must match its representative.
+    A chunk is a run of same-n graphs whose rows fit in _SOLVE_ROWS, or one
+    larger graph; failures follow the input order.
 
     report.timings splits the run into the stages enumerate (pulling the
-    next graph), facts (static facts, cotree and class rows), eigensolve
-    and checks (structural flags, switching compare, ranks, escalation and
-    failures), in seconds.
+    next graph), facts (cotree, cycles, class rows and matching DP),
+    eigensolve and checks (structural flags, ranks, escalation, switching
+    compare, spot checks and failures), in seconds.
     """
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_ALPHABET_STAGES, 0.0))
-    q = len(alphabet)
     pos = _group_positions(alphabet)
-    # characteristic coefficients are real algebraic integers of Q(zeta_q),
-    # so integers when that field meets the reals in Q alone
-    exact = q in (1, 2, 3, 4, 6)
-    roots = np.real_if_close(np.array([g.value for g in alphabet])[pos])  # real: symmetric H
-
+    chunk: list[tuple] = []
+    rows = 0
     t = time.perf_counter()
     for G in graphs:
         t = _stage(rep.timings, "enumerate", t)
-        st = _static_facts(G)
-        E = len(G.edges)
-        ends = np.array(G.edges, dtype=np.int64).reshape(E, 2)
         cot = _cotree_columns(G)
-        assert len(cot) == st.c, (len(cot), st.c)
-        total = q**st.c
+        total = len(alphabet) ** len(cot)
         A = total if cap is None else min(total, cap)
         if A > 1 << 20:
             raise SizeLimitError(f"{A} switching classes on one graph; pass a smaller cap")
-        index = _class_indices(total, A, f"{seed}/{_edge_set_hash(G)}")
-        expo = np.zeros((A + 1, E), dtype=np.min_scalar_type(q))
-        for j, e in enumerate(cot):
-            expo[:A, e] = (index // q**j) % q
-        switched, expo[A] = _switched_copy(G, ends, expo[:A], q)  # the copy is row A
+        index = None if A == total else _class_indices(total, A, f"{seed}/{_edge_set_hash(G)}")
+        cycles = _fundamental_cycles(G, cot)
         t = _stage(rep.timings, "facts", t)
-
-        w = np.empty((A + 1, G.n))
-        s_lower = np.empty(A + 1, dtype=bool)
-        s_upper = np.empty(A + 1, dtype=bool)
-        for lo in range(0, A + 1, _SOLVE_ROWS):
-            hi = min(lo + _SOLVE_ROWS, A + 1)
-            gvals = roots[expo[lo:hi]]
-            H = np.zeros((hi - lo, G.n, G.n), dtype=roots.dtype)
-            H[:, ends[:, 0], ends[:, 1]] = gvals
-            H[:, ends[:, 1], ends[:, 0]] = np.conj(H[:, ends[:, 0], ends[:, 1]])
-            w[lo:hi] = np.linalg.eigvalsh(H)
-            t = _stage(rep.timings, "eigensolve", t)
-            s_lower[lo:hi], s_upper[lo:hi] = _structural_flags(st, gvals)
-            t = _stage(rep.timings, "checks", t)
-
-        gap = float(np.abs(w[A] - w[switched]).max(initial=0.0))
-        same_flags = (s_lower[A], s_upper[A]) == (s_lower[switched], s_upper[switched])
-        if (gap > 1e-9 or not same_flags) and len(rep.failures) < max_failures:
-            rep.failures.append(
-                Failure(
-                    message=(
-                        f"switching check failed: spectra differ by {gap:.3g}, "
-                        f"structural flags {'agree' if same_flags else 'differ'}, "
-                        f"against class representative {switched}"
-                    ),
-                    graph_text=serialize_gain_graph(_build_instance(G, alphabet, pos[expo[A]])),
-                )
-            )
-
-        aw, s_lower, s_upper = np.abs(w[:A]), s_lower[:A], s_upper[:A]
-        if exact:
-            ranks = (aw > _rank_threshold(G.n, max(G.degrees(), default=0))).sum(axis=1)
-        else:
-            ranks = (aw > COEFF_RANK_TOL).sum(axis=1)
-            shaky = ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
-            for i in np.nonzero(shaky)[0]:
-                inst = _build_instance(G, alphabet, pos[expo[i]])
-                ranks[i] = exact_rank(inst)
-                rep.cross_checks += 1
-
-        want_lower = ranks == 2 * st.m - 2 * st.c
-        want_upper = ranks == 2 * st.m + st.c
-        bad = (want_lower != s_lower) | (want_upper != s_upper)
-        if bad.any():
-            for i in np.nonzero(bad)[0][: max(0, max_failures - len(rep.failures))]:
-                inst = _build_instance(G, alphabet, pos[expo[i]])
-                rep.failures.append(
-                    Failure(
-                        message=(
-                            f"equivalence failed: rank={int(ranks[i])} m={st.m} c={st.c} "
-                            f"spectral=({bool(want_lower[i])},{bool(want_upper[i])}) "
-                            f"structural=({bool(s_lower[i])},{bool(s_upper[i])})"
-                        ),
-                        graph_text=serialize_gain_graph(inst),
-                    )
-                )
-        rep.graphs += 1
-        rep.classes += A
-        rep.switching_checks += 1
-        rep.instances += A * q ** (E - st.c)
-        t = _stage(rep.timings, "checks", t)
+        if chunk and (G.n != chunk[0][0].n or rows + A + 1 > _SOLVE_ROWS):
+            _flush_alphabet_chunk(chunk, alphabet, pos, rep, max_failures)
+            chunk, rows, t = [], 0, time.perf_counter()
+        chunk.append((G, cot, cycles, A, index))
+        rows += A + 1
+    if chunk:
+        _flush_alphabet_chunk(chunk, alphabet, pos, rep, max_failures)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -478,6 +527,24 @@ def _max_index_positive(counts: np.ndarray) -> np.ndarray:
     return best
 
 
+def _condition_iii(p: np.ndarray, cyc_mask: np.ndarray, n: int) -> np.ndarray:
+    """m(G/C) == m(G - V(C)) per graph, from the packed table p and the
+    disjoint cycles' vertex bitmasks (B, K), 0 in an absent slot. m(G/C) is
+    the largest m of G - V(C) plus one kept vertex per cycle, and a packed
+    entry grows with its top nonzero level, so the largest entry carries it."""
+    B, K = cyc_mask.shape
+    rows = np.arange(B)
+    rest = ((1 << n) - 1) ^ np.bitwise_or.reduce(cyc_mask, axis=1)
+    best = p[rest, rows]
+    for kept in product(range(n), repeat=K):
+        sub = rest | sum(cyc_mask[:, k] & (1 << a) for k, a in enumerate(kept))
+        best = np.maximum(best, p[sub, rows])
+    levels = n // 2 + 1
+    return _max_index_positive(_unpack_counts(best, levels)) == _max_index_positive(
+        _unpack_counts(p[rest, rows], levels)
+    )
+
+
 def _leaf_matching(adjmask: np.ndarray) -> np.ndarray:
     """Matching number of each forest in adjmask, (B, n) neighbour bitmasks.
 
@@ -507,6 +574,23 @@ def _group_offsets(sizes: np.ndarray) -> np.ndarray:
     return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
+def _pack_edges(n: int, edge_lists: list, width: int) -> tuple[np.ndarray, ...]:
+    """Neighbour bitmasks (B, n), edge counts (B,) and edge codes u*n + v
+    (B, width) of same-n graphs; code 0, the diagonal entry no edge has,
+    past each graph's last edge."""
+    B = len(edge_lists)
+    ecount = np.fromiter(map(len, edge_lists), np.int64, B)
+    flat = chain.from_iterable(chain.from_iterable(edge_lists))
+    ends = np.fromiter(flat, np.int64, 2 * int(ecount.sum())).reshape(-1, 2)
+    erow = np.repeat(np.arange(B), ecount)
+    adjmask = np.zeros((B, n), dtype=np.int64)
+    np.add.at(adjmask, (erow, ends[:, 0]), 1 << ends[:, 1])
+    np.add.at(adjmask, (erow, ends[:, 1]), 1 << ends[:, 0])
+    codes = np.zeros((B, width), dtype=np.int64)
+    codes[erow, _group_offsets(ecount)] = ends[:, 0] * n + ends[:, 1]
+    return adjmask, ecount, codes
+
+
 @dataclass
 class _CactusChunk:
     """Same-n cactus structures packed column-wise, one row per graph."""
@@ -529,15 +613,7 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
     """Pack a chunk in one pass over flat edge and cycle-vertex arrays."""
     B = len(structs)
     rows = np.arange(B)
-    ecount = np.fromiter((len(st.edges) for st in structs), np.int64, B)
-    flat = chain.from_iterable(chain.from_iterable(st.edges for st in structs))
-    ends = np.fromiter(flat, np.int64, 2 * int(ecount.sum())).reshape(-1, 2)
-    erow = np.repeat(rows, ecount)
-    adjmask = np.zeros((B, n), dtype=np.int64)
-    np.add.at(adjmask, (erow, ends[:, 0]), 1 << ends[:, 1])
-    np.add.at(adjmask, (erow, ends[:, 1]), 1 << ends[:, 0])
-    codes = np.full((B, n + 1), -1, dtype=np.int64)  # stored edge (u, v) as u*n + v
-    codes[erow, _group_offsets(ecount)] = ends[:, 0] * n + ends[:, 1]
+    adjmask, ecount, codes = _pack_edges(n, [st.edges for st in structs], n + 1)
 
     ncyc = np.fromiter((len(st.cycles) for st in structs), np.int64, B)
     clen = np.fromiter((len(c) for st in structs for c in st.cycles), np.int64, int(ncyc.sum()))
@@ -560,22 +636,6 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
     memb = np.zeros((B, 2, n + 1), dtype=np.int8)
     memb[vrow, vslot, col] = np.where(a < b, 1, -1)
     return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, memb, ncyc)
-
-
-def _slot_flags(l: np.ndarray, re_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class (lower, upper) contribution of one cycle slot.
-
-    An absent slot (l == 0) is neutral. Present: lower demands an even
-    length with gain exactly the alternating sign, upper an odd length with
-    a nonvanishing real part. Real parts come from the exact cosine table
-    so equality compares are sound.
-    """
-    has = (l > 0)[:, None]
-    even = (l % 2 == 0)[:, None]
-    tgt = np.where((l // 2) % 2 == 0, 1.0, -1.0)[:, None]
-    low = ~has | (even & (re_k == tgt))
-    up = ~has | (~even & (re_k != 0.0))
-    return low, up
 
 
 class _ClassTable(NamedTuple):
@@ -610,27 +670,17 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
     counts_full = _unpack_counts(p[full], levels)
     m_dp = _max_index_positive(counts_full)
 
-    # condition (iii): matching number of the cycle-contracted graph against
-    # the graph with all cycle vertices deleted. m(G/C) is the largest m of
-    # G - V(C) plus one kept vertex per cycle, and a packed entry grows with
-    # its top nonzero level, so the largest entry carries it.
-    cyc0, cyc1 = chunk.cyc_mask[:, 0], chunk.cyc_mask[:, 1]
-    no_cyc_idx = full ^ (cyc0 | cyc1)
-    best = p[no_cyc_idx, rows]
-    for a1 in range(n):
-        for a2 in range(n):
-            kept = (cyc0 & (1 << a1)) | (cyc1 & (1 << a2))
-            best = np.maximum(best, p[no_cyc_idx | kept, rows])
-    m_contracted = _max_index_positive(_unpack_counts(best, levels))
+    no_cyc_idx = full ^ (chunk.cyc_mask[:, 0] | chunk.cyc_mask[:, 1])
+    cond_iii = _condition_iii(p, chunk.cyc_mask, n)
     N_both = _unpack_counts(p[no_cyc_idx, rows], levels)
-    cond_iii = m_contracted == _max_index_positive(N_both)
     N_sub = [_unpack_counts(p[full ^ chunk.cyc_mask[:, k], rows], levels) for k in range(2)]
     t = _stage(timings, "matching_dp", t)
 
     c = chunk.ncyc
     l1, l2 = chunk.cyc_len[:, 0], chunk.cyc_len[:, 1]
     K = 5 ** int(c.max(initial=0))
-    re = _COS8[np.arange(K) % 5], _COS8[np.arange(K) // 5]
+    octant = np.arange(K) % 5, np.arange(K) // 5  # one octant of each class
+    re = _COS8[octant[0]], _COS8[octant[1]]
 
     # characteristic coefficients, highest nonzero index gives the rank:
     # a_k = sum over cycle subsets T of (-2)^|T| prod(Re) (-1)^j N_j(G - V(T))
@@ -659,8 +709,8 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
         rank[hit] = k
         settled |= hit
 
-    low1, up1 = _slot_flags(l1, re[0])
-    low2, up2 = _slot_flags(l2, re[1])
+    low1, up1 = _cycle_flags(l1[:, None], octant[0], 8)
+    low2, up2 = _cycle_flags(l2[:, None], octant[1], 8)
     lower = low1 & low2 & cond_iii[:, None]
     upper = up1 & up2 & cond_iii[:, None]
     _stage(timings, "sweep", t)

@@ -197,3 +197,23 @@ def test_graph_flags_are_conjunctions_over_components(parts):
         assert rep.condition_iii == cycle_matching_condition(g)[0]
     else:
         assert rep.condition_iii is None
+
+
+@pytest.mark.parametrize("n", [12, 21])
+def test_skipped_names_the_size_limit_that_was_hit(n):
+    g = GainGraph.build(n, [(v, (v + 1) % n, 1) for v in range(n)])  # one n-cycle
+    rep = analyze(g)
+    doc = json.loads(json.dumps(report_to_dict(rep)))
+    if n > 20:
+        assert rep.refined is None and doc["refined_bounds"] is None
+        assert doc["skipped"] == {"refined_bounds": "n > TRANSVERSAL_LIMIT (20)"}
+    else:
+        assert rep.refined is not None and doc["skipped"] == {}
+    assert rep.ok
+
+
+def test_skipped_names_the_cycle_cap():
+    k6 = GainGraph.build(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
+    rep = analyze(k6, max_cycles=10)
+    assert rep.cycles is None
+    assert report_to_dict(rep)["skipped"] == {"cycles": "more than max_cycles (10) cycles"}

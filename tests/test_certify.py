@@ -17,13 +17,13 @@ from gainrank.certify import (
     _batched_matching_counts,
     _cactus_class_table,
     _cotree_columns,
+    _cycle_flags,
+    _fundamental_cycles,
     _group_positions,
     _leaf_matching,
     _max_index_positive,
     _pack_cacti,
     _rank_threshold,
-    _static_facts,
-    _structural_flags,
     _unpack_counts,
     certify_equivalences,
     run_alphabet_slice,
@@ -31,7 +31,11 @@ from gainrank.certify import (
     run_signed_slice,
     worker_count,
 )
-from gainrank.combinatorics import matching_number
+from gainrank.combinatorics import (
+    cycle_matching_condition,
+    cycles_pairwise_disjoint,
+    matching_number,
+)
 from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
@@ -283,14 +287,20 @@ def test_every_labeled_assignment_matches_its_class_representative(kind):
         _, sizes = np.unique(reps, axis=0, return_counts=True)
         assert len(sizes) == q ** (E - G.n + 1)
         assert (sizes == q ** (G.n - 1)).all()
-        st = _static_facts(G)
         labeled, gauged = values[expo], values[reps]
         assert (
             np.linalg.matrix_rank(_hermitian(G, labeled), hermitian=True)
             == np.linalg.matrix_rank(_hermitian(G, gauged), hermitian=True)
         ).all()
-        for flags, rep_flags in zip(_structural_flags(st, labeled), _structural_flags(st, gauged)):
-            assert (flags == rep_flags).all()
+        cycles = _fundamental_cycles(G, _cotree_columns(G))
+        if cycles is None:
+            continue  # cycles meet: both flags are false for every assignment
+        for mask, memb in cycles:  # each cycle's flags, from its exponent sum
+            length = np.full(len(expo), mask.bit_count())
+            labeled_flags = _cycle_flags(length, expo @ memb, q)
+            gauged_flags = _cycle_flags(length, reps @ memb, q)
+            for flags, rep_flags in zip(labeled_flags, gauged_flags):
+                assert (flags == rep_flags).all()
 
 
 def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
@@ -315,6 +325,127 @@ def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
     assert failure.message.startswith("switching check failed")
     g = parse_gain_graph(failure.graph_text)
     assert (g.n, len(g.edges)) == (3, 3)
+
+
+def _reference_flags(G, gvals):
+    """(lower, upper) per row of gain values, one graph at a time: blossom
+    condition (iii), block-decomposition cycles and float cycle products."""
+    lower = np.zeros(gvals.shape[0], dtype=bool)
+    ok, cycles = cycles_pairwise_disjoint(G)
+    if not ok:
+        return lower, lower
+    cond = cycle_matching_condition(G, cycles)[0]
+    lower, upper = np.full_like(lower, cond), np.full_like(lower, cond)
+    col_of = {e: i for i, e in enumerate(G.edges)}
+    for cyc in cycles:
+        prod = np.ones(gvals.shape[0], dtype=complex)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            g = gvals[:, col_of[(min(a, b), max(a, b))]]
+            prod *= np.conj(g) if a > b else g
+        if len(cyc) % 2 == 0:
+            lower &= np.abs(prod - (1 if len(cyc) // 2 % 2 == 0 else -1)) <= 1e-9
+            upper[:] = False
+        else:
+            lower[:] = False
+            upper &= np.abs(prod.real) > 1e-9
+    return lower, upper
+
+
+@pytest.mark.parametrize("kind,cap", [
+    ("signed", None), ("gaussian", None), ("roots:3", None), ("roots:8", 64),
+])
+def test_chunk_rows_match_a_per_graph_reference(kind, cap, monkeypatch):
+    alphabet = GainSetSpec.parse(kind).values()
+    q = len(alphabet)
+    pos = _group_positions(alphabet)
+    values = np.array([g.value for g in alphabet])[pos]
+    exact = q in (2, 3, 4)
+    chunks = []
+
+    def flush(entries, *args):
+        chunks.append(([entry[0] for entry in entries], flush_chunk(entries, *args)))
+
+    flush_chunk = certify._flush_alphabet_chunk
+    monkeypatch.setattr(certify, "_flush_alphabet_chunk", flush)
+    rep = run_alphabet_slice(enumerate_connected_graphs(5), alphabet, cap=cap)
+    assert rep.ok and rep.graphs == sum(len(graphs) for graphs, _ in chunks) == 771
+    for graphs, table in chunks:
+        n = graphs[0].n
+        for g, G in enumerate(graphs):
+            E = len(G.edges)
+            rows = (table.gid == g).nonzero()[0]
+            gvals = values[table.expo[rows, :E]]
+            cut = _rank_threshold(n, max(G.degrees())) if exact else certify.COEFF_RANK_TOL
+            ranks = (np.abs(np.linalg.eigvalsh(_hermitian(G, gvals))) > cut).sum(axis=1)
+            assert table.rank[rows[:-1]].tolist() == ranks[:-1].tolist()  # the last is the copy
+            lower, upper = _reference_flags(G, gvals)
+            assert table.lower[rows].tolist() == lower.tolist(), G
+            assert table.upper[rows].tolist() == upper.tolist(), G
+            assert (int(table.m[g]), int(table.c[g])) == (matching_number(G), E - n + 1)
+            ok, cycles = cycles_pairwise_disjoint(G)
+            if ok:
+                assert bool(table.cond_iii[g]) == cycle_matching_condition(G, cycles)[0]
+
+
+def test_fundamental_cycles_decide_disjointness_like_the_block_decomposition():
+    graphs = list(enumerate_connected_graphs(6))
+    assert len(graphs) == 27475
+    for G in graphs:
+        fundamental = _fundamental_cycles(G, _cotree_columns(G))
+        ok, cycles = cycles_pairwise_disjoint(G)
+        assert (fundamental is not None) == ok, G
+        if ok:
+            got = sorted((mask, np.abs(memb).sum()) for mask, memb in fundamental)
+            assert got == sorted((sum(1 << v for v in cyc), len(cyc)) for cyc in cycles), G
+
+
+def _report_fields(rep):
+    failures = [(f.message, f.graph_text) for f in rep.failures]
+    fields = (rep.graphs, rep.instances, rep.classes, rep.switching_checks, rep.cross_checks)
+    return fields, failures
+
+
+@pytest.mark.parametrize("kind", ["signed", "roots:5"])
+def test_tiny_chunks_keep_the_report_and_the_failure_list(kind, monkeypatch):
+    # cuts that misrank many classes, so there are failures to keep in order
+    monkeypatch.setattr(certify, "_rank_threshold", lambda n, d: 0.9)
+    monkeypatch.setattr(certify, "COEFF_RANK_TOL", 0.7)
+    monkeypatch.setattr(certify, "_ESCALATE_HI", 0.5)
+    alphabet = GainSetSpec.parse(kind).values()
+    graphs = list(enumerate_connected_graphs(5))
+
+    def run():
+        return _report_fields(run_alphabet_slice(graphs, alphabet, cap=70, max_failures=10**9))
+
+    wide = run()
+    monkeypatch.setattr(certify, "_SOLVE_ROWS", 8)
+    narrow = run()
+    assert narrow == wide
+    assert wide[1] and wide[0][2] > 8  # failures, and K5's 64 classes outgrow a chunk
+    assert kind == "signed" or wide[0][4] > 0
+
+
+def test_shuffled_mixed_n_input_gives_the_sorted_counts():
+    graphs = list(enumerate_connected_graphs(5))
+    shuffled = random.Random(3).sample(graphs, len(graphs))
+    for kind in ("signed", "roots:3"):
+        alphabet = GainSetSpec.parse(kind).values()
+        plain = run_alphabet_slice(graphs, alphabet, cap=None)
+        mixed = run_alphabet_slice(shuffled, alphabet, cap=None)
+        assert plain.ok and mixed.ok
+        assert _report_fields(mixed) == _report_fields(plain)
+
+
+def test_matching_dp_off_by_one_is_a_serialized_spot_check_failure(monkeypatch):
+    real = certify._max_index_positive
+    monkeypatch.setattr(certify, "_max_index_positive", lambda counts: real(counts) + 1)
+    graphs = list(enumerate_connected_graphs(5))
+    rep = run_alphabet_slice(graphs, GainSetSpec.parse("signed").values(), max_failures=10**9)
+    spot = [f for f in rep.failures if f.message.startswith("spot check mismatch")]
+    assert len(spot) == -(-len(graphs) // certify._SPOT_EVERY)  # every 97th graph
+    assert rep.failures[0] is spot[0]
+    g = parse_gain_graph(spot[0].graph_text)
+    assert (g.n, len(g.edges)) == (graphs[0].n, len(graphs[0].edges))
 
 
 @pytest.mark.parametrize("alphabet", [

@@ -96,6 +96,14 @@ def test_verify_runs_clean(tmp_path, capsys):
     assert not (tmp_path / "failures.txt").exists()
 
 
+def test_verify_reports_elapsed_and_throughput(capsys):
+    assert cli.main(["verify", "--count", "20", "--n", "6", "--gains", "signed", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_version"] == "1"
+    assert doc["elapsed"] > 0
+    assert doc["instances_per_s"] == pytest.approx(doc["instances"] / doc["elapsed"])
+
+
 def test_verify_uniform_gains(capsys):
     assert cli.main(["verify", "--count", "10", "--n", "6",
                      "--gains", "uniform", "--seed", "1", "--json"]) == 0
@@ -247,6 +255,10 @@ def test_enumerate_reports_elapsed_throughput_and_stage_timings(workers, monkeyp
 def test_enumerate_rejects_uniform(capsys):
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "uniform"]) == 1
     assert cli.main(["enumerate", "--n-max", "9", "--gains", "signed"]) == 1
+    capsys.readouterr()
+    # n = 8 has 251,548,592 connected labeled graphs: refused at once, not run for hours
+    assert cli.main(["enumerate", "--n-max", "8", "--gains", "signed"]) == 1
+    assert capsys.readouterr().err.startswith("error: --n-max must be between 2 and 7")
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "signed", "--cap", "0"]) == 1
 
 
