@@ -3,40 +3,41 @@
 Two engines, sized to what they must cover on a single core:
 
 * Alphabet engine: every connected labeled graph up to a small n, gains from
-  the group of q-th roots of unity. Switching by a diagonal unitary D maps
-  H to D*HD, which keeps the spectrum and every cycle gain, so the engine
+  the group of q-th roots of unity. Switching by a diagonal unitary D maps H
+  to D*HD, which keeps the spectrum and every cycle gain, so the engine
   ranks one representative per switching class: gain 1 on a spanning tree
   and a choice on each of the c cotree edges, each class standing for
-  q^(n-1) labeled assignments, all q^c classes or a sample fixed by the
-  seed and the edge set. Per chunk of same-n graphs, the cactus engine's
-  matching DP gives m and condition (iii), fundamental cycles decide
-  disjointness, cycle-gain exponent sums decide the structural flags in
-  integers, one eigensolve ranks every representative and a switched copy
-  per graph, which must agree, and the blossom route re-checks every 97th
-  graph. For q in {1, 2, 3, 4, 6} the characteristic polynomial has integer
-  coefficients, so nonzero eigenvalues are bounded away from zero by
+  q^(n-1) labeled assignments, all q^c classes or a sample fixed by the seed
+  and the edge set. Per chunk of same-n graphs, the cactus engine's matching
+  DP gives m and condition (iii), fundamental cycles decide disjointness,
+  cycle-gain exponent sums decide the structural flags in integers, one
+  eigensolve per slice of rows ranks every representative and a switched
+  copy per graph, which must agree, and the blossom route re-checks every
+  97th graph. For q in {1, 2, 3, 4, 6} the characteristic polynomial has
+  integer coefficients, so nonzero eigenvalues are bounded away from zero by
   1/deg^(n-1) and a threshold decides rank exactly. Other alphabets fall
   back to a guard band plus per-representative escalation to the exact
   modular rank.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
-  roots of unity. The spectrum of such an instance depends only on the real
-  parts of its cycle gains, and the characteristic coefficients decompose
-  as matching counts of vertex-deleted subgraphs weighted by those real
-  parts. Matching counts for all induced subgraphs at once come from a
-  subset-mask dynamic program vectorized across graphs, and coefficients
-  land on the lattice (p + q*sqrt(2))/2 whose nonzero values stay above
-  1.6e-4, so a 1e-6 threshold decides rank exactly. A real part takes one
-  of five values, so the coefficient sweep ranks at most 5^c <= 25
-  real-part classes per graph, and each sampled gain assignment reads its
-  rank and structural flags from its class. The same table gives
-  condition (iii); spot checks compare it, the matching number and the
-  rank with the blossom and oracle routes. Trees are instead certified by
-  a direct eigensolve against a greedy leaf matching, exact on forests and
-  vectorized over the packed adjacency bitmasks, and both against the
-  table's matching number: three routes, which keep the two sides of the
-  equivalence independent where the coefficient route would be circular.
+  roots of unity. Chunks are packed from the structures' edge masks. The
+  spectrum of such an instance depends only on the real parts of its cycle
+  gains, and the characteristic coefficients decompose as matching counts of
+  vertex-deleted subgraphs weighted by those real parts. Matching counts for
+  all induced subgraphs at once come from a subset-mask dynamic program
+  vectorized across graphs, and coefficients land on the lattice
+  (p + q*sqrt(2))/2 whose nonzero values stay above 1.6e-4, so a 1e-6
+  threshold decides rank exactly. A real part takes one of five values, so
+  the coefficient sweep ranks at most 5^c <= 25 real-part classes per graph,
+  and each sampled gain assignment reads its rank and structural flags from
+  its class. The same table gives condition (iii); spot checks compare it,
+  the matching number and the rank with the blossom and oracle routes. Trees
+  are instead certified by a direct eigensolve against a greedy leaf
+  matching, exact on forests and vectorized over the packed adjacency
+  bitmasks, and both against the table's matching number: three routes,
+  which keep the two sides of the equivalence independent where the
+  coefficient route would be circular.
 
 Both engines check, per instance (per class representative in the
 alphabet engine): rank == 2m-2c exactly when the lower structural
@@ -50,7 +51,8 @@ import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, combinations, groupby, islice, product
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -58,7 +60,8 @@ import numpy as np
 from .combinatorics import cycle_matching_condition, matching_number, rank_combinatorial
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
-from .generators import CactusStructure, enumerate_connected_cacti, enumerate_connected_graphs
+from .generators import GRAPH_ENUM_LIMIT, CactusStructure, enumerate_connected_cacti
+from .generators import enumerate_connected_graphs
 from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
 from .spectral import exact_rank
 
@@ -351,14 +354,33 @@ def _flush_alphabet_chunk(
     # an edge u < v, 0 past a graph's last edge; real values, real H
     values = np.real_if_close(np.array([g.value for g in alphabet])[pos])
     lower_values, lower_codes = np.append(values, 0).conj(), codes % n * n + codes // n
+    # characteristic coefficients are real algebraic integers of Q(zeta_q),
+    # so integers when that field meets the reals in Q alone
+    exact = q in (1, 2, 3, 4, 6)
+    degree = [max(G.degrees(), default=0) for G in graphs]
+    cut = np.array([_rank_threshold(n, d) if exact else COEFF_RANK_TOL for d in degree])
+    copy, src = start + A, start + switched
+    # each slice is ranked as it is solved; only the switching pairs keep their spectra
+    kept_rows, kept = np.stack([src, copy], axis=1).ravel(), np.empty((2 * B, n))
     R = len(gid)
-    w = np.empty((R, n))
+    rank = np.empty(R, dtype=np.int64)
     for lo in range(0, R, _SOLVE_ROWS):
         rows = np.arange(lo, min(lo + _SOLVE_ROWS, R))
         H = np.zeros((len(rows), n * n), dtype=lower_values.dtype)
         H[(rows - lo)[:, None], lower_codes[gid[rows]]] = lower_values[expo[rows]]
-        w[rows] = np.linalg.eigvalsh(H.reshape(-1, n, n))
-    t = _stage(rep.timings, "eigensolve", t)
+        w = np.linalg.eigvalsh(H.reshape(-1, n, n))
+        t = _stage(rep.timings, "eigensolve", t)
+        aw = np.abs(w)
+        rank[rows] = (aw > cut[gid[rows], None]).sum(axis=1)
+        shaky = (not exact) & ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
+        shaky &= rows != copy[gid[rows]]  # switched copies are compared, not ranked
+        for i in rows[shaky]:
+            G = graphs[gid[i]]
+            rank[i] = exact_rank(_build_instance(G, alphabet, pos[expo[i, : len(G.edges)]]))
+            rep.cross_checks += 1
+        k0, k1 = np.searchsorted(kept_rows, [lo, lo + len(rows)])
+        kept[k0:k1] = w[kept_rows[k0:k1] - lo]
+        t = _stage(rep.timings, "checks", t)
 
     # every row's cycle gains, the switched copy's included, as exponent sums
     on = np.nonzero(np.array([cyc is not None for cyc in cycles])[gid])[0]
@@ -368,20 +390,7 @@ def _flush_alphabet_chunk(
     lower, upper = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
     lower[on], upper[on] = low.all(axis=1) & cond[g], up.all(axis=1) & cond[g]
 
-    # characteristic coefficients are real algebraic integers of Q(zeta_q),
-    # so integers when that field meets the reals in Q alone
-    exact, aw = q in (1, 2, 3, 4, 6), np.abs(w)
-    cut = [_rank_threshold(n, max(G.degrees(), default=0)) for G in graphs] if exact else None
-    rank = (aw > (np.array(cut)[gid, None] if exact else COEFF_RANK_TOL)).sum(axis=1)
-    shaky = (not exact) & ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
-    copy, src = start + A, start + switched
-    shaky[copy] = False  # switched copies are compared, not ranked
-    for i in np.nonzero(shaky)[0]:
-        G = graphs[gid[i]]
-        rank[i] = exact_rank(_build_instance(G, alphabet, pos[expo[i, : len(G.edges)]]))
-        rep.cross_checks += 1
-
-    gap = np.abs(w[copy] - w[src]).max(axis=1, initial=0.0)
+    gap = np.abs(kept[1::2] - kept[::2]).max(axis=1, initial=0.0)
     same_flags = (lower[copy] == lower[src]) & (upper[copy] == upper[src])
     want_lower, want_upper = rank == (2 * m - 2 * c)[gid], rank == (2 * m + c)[gid]
     bad = (want_lower != lower) | (want_upper != upper)
@@ -495,18 +504,19 @@ def _batched_matching_counts(adjmask: np.ndarray, n: int) -> np.ndarray:
     vertices has matchings at least one level below the top field.
     """
     B = adjmask.shape[0]
+    adjacent = [[(adjmask[:, v] >> u & 1).astype(bool) for u in range(n)] for v in range(n)]
     p = np.zeros((1 << n, B), dtype=np.int64)
     p[0] = 1
     for mask in range(1, 1 << n):
         v = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << v)
-        acc = p[rest].copy()
+        acc = p[mask]
+        acc[:] = p[rest]
         others = rest
         while others:
             u = (others & -others).bit_length() - 1
             others ^= 1 << u
-            acc += (p[rest ^ (1 << u)] << _PACK_SHIFT) * ((adjmask[:, v] >> u) & 1)
-        p[mask] = acc
+            np.add(acc, p[rest ^ (1 << u)] << _PACK_SHIFT, out=acc, where=adjacent[v][u])
     return p
 
 
@@ -610,32 +620,48 @@ class _CactusChunk:
 
 
 def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
-    """Pack a chunk in one pass over flat edge and cycle-vertex arrays."""
+    """Pack a chunk from the structures' edge masks. Cycle rows are built
+    once per run of structures that share one cycles tuple, then gathered."""
     B = len(structs)
-    rows = np.arange(B)
-    adjmask, ecount, codes = _pack_edges(n, [st.edges for st in structs], n + 1)
+    masks = np.fromiter(map(attrgetter("mask"), structs), np.int64, B)
+    adjmask = np.zeros((B, n), dtype=np.int64)
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        bit = masks >> i & 1
+        adjmask[:, u] |= bit << v
+        adjmask[:, v] |= bit << u
 
-    ncyc = np.fromiter((len(st.cycles) for st in structs), np.int64, B)
-    clen = np.fromiter((len(c) for st in structs for c in st.cycles), np.int64, int(ncyc.sum()))
-    crow, cslot = np.repeat(rows, ncyc), _group_offsets(ncyc)
-    cyc_len = np.zeros((B, 2), dtype=np.int64)
-    cyc_len[crow, cslot] = clen
+    runs = [(cyc, len(list(same))) for cyc, same in groupby(structs, attrgetter("cycles"))]
+    U, ids = len(runs), np.repeat(np.arange(len(runs)), [size for _, size in runs])
+    ncyc = np.fromiter((len(cyc) for cyc, _ in runs), np.int64, U)
+    clen = np.fromiter((len(c) for cyc, _ in runs for c in cyc), np.int64, int(ncyc.sum()))
     # every cycle walk step a -> b, b the successor of a on its cycle
-    verts = chain.from_iterable(c for st in structs for c in st.cycles)
+    verts = chain.from_iterable(c for cyc, _ in runs for c in cyc)
     a = np.fromiter(verts, np.int64, int(clen.sum()))
     w = _group_offsets(clen)
     b = a[np.arange(a.size) - w + (w + 1) % np.repeat(clen, clen)]
-    vrow, vslot = np.repeat(crow, clen), np.repeat(cslot, clen)
-    cyc_mask = np.zeros((B, 2), dtype=np.int64)
-    np.add.at(cyc_mask, (vrow, vslot), 1 << a)
-    code = np.minimum(a, b) * n + np.maximum(a, b)
-    hit = codes[vrow] == code[:, None]
-    if not hit.any(axis=1).all():
+    vrun = np.repeat(np.repeat(np.arange(U), ncyc), clen)
+    vslot = np.repeat(_group_offsets(ncyc), clen)
+    on = np.zeros((U, 2, n), dtype=np.int64)
+    on[vrun, vslot, a] = 1
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    signed = np.zeros((U, 2, n * (n - 1) // 2), dtype=np.int8)  # +-1 at each cycle edge's mask bit
+    signed[vrun, vslot, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = np.where(a < b, 1, -1)
+
+    # each row takes its run's cycle edges; memb's edge column for mask bit
+    # i is the number of the row's edges below i
+    r, k, i = np.nonzero(signed)
+    per_run = np.bincount(r, minlength=U)
+    steps = per_run[ids]
+    row = np.repeat(np.arange(B), steps)
+    e = np.repeat((np.cumsum(per_run) - per_run)[ids], steps) + _group_offsets(steps)
+    k, i = k[e], i[e]
+    if not (masks[row] >> i & 1).all():
         raise ValueError("a cycle edge is missing from its structure's edge list")
-    col = hit.argmax(axis=1)
     memb = np.zeros((B, 2, n + 1), dtype=np.int8)
-    memb[vrow, vslot, col] = np.where(a < b, 1, -1)
-    return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, memb, ncyc)
+    memb[row, k, np.bitwise_count(masks[row] & ((1 << i) - 1))] = signed[ids[row], k, i]
+    cyc_mask, cyc_len = (on << np.arange(n)).sum(axis=2)[ids], on.sum(axis=2)[ids]
+    ecount = np.bitwise_count(masks).astype(np.int64)
+    return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, memb, ncyc[ids])
 
 
 class _ClassTable(NamedTuple):
@@ -852,6 +878,8 @@ def run_cactus_slice(
     report.timings splits the run into the stages enumerate, pack,
     matching_dp, sweep, trees and spot_checks (seconds).
     """
+    if n_max > GRAPH_ENUM_LIMIT:  # refused before any work, not after n_max - 1 is done
+        raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_CACTUS_STAGES, 0.0))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -877,6 +905,8 @@ def certify_equivalences(
     seed: int = 20260821,
 ) -> CertificationResult:
     """The full two-family certification used by the acceptance run."""
+    if cactus_n_max > GRAPH_ENUM_LIMIT:  # refused before the signed slice runs
+        raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
     signed = run_signed_slice(signed_n_max)
     cactus = run_cactus_slice(cactus_n_max, cap=cap, seed=seed)
     return CertificationResult(slices={signed.name: signed, cactus.name: cactus})

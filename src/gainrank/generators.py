@@ -10,8 +10,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, permutations, product
-from typing import Iterable, Iterator, NamedTuple
+from functools import partial
+from itertools import chain, combinations, compress, permutations, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class GainSetSpec:
 
 
 def _strip_decode(deg: list[int], seq) -> list[tuple[int, int]]:
-    """Shared leaf-stripping decode, emitting each edge as (min, max).
+    """Leaf-stripping decode of one sequence, emitting each edge as (min, max).
 
     deg holds 1 + remaining occurrences, with protected vertices set above
     any reachable value. Consumed leaves are marked 0. The pointer only
@@ -239,12 +240,11 @@ class _EdgeMasks:
         pairs = list(combinations(range(n), 2))
         self.n = n
         self.bit = {p: 1 << i for i, p in enumerate(pairs)}
+        self.pairbit = np.zeros((n, n), dtype=np.int64)  # symmetric: the bit of pair {u, v}
+        for (u, v), b in self.bit.items():
+            self.pairbit[u, v] = self.pairbit[v, u] = b
         self.half = (len(pairs) + 1) // 2
         self.low, self.high = _subsets(pairs[: self.half]), _subsets(pairs[self.half :])
-
-    def mask(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Mask of distinct (min, max) edges."""
-        return sum(map(self.bit.__getitem__, edges))
 
     def edges(self, m: int) -> tuple[tuple[int, int], ...]:
         return self.low[m & ((1 << self.half) - 1)] + self.high[m >> self.half]
@@ -294,33 +294,33 @@ class CactusStructure(NamedTuple):
     n: int
     edges: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, ...], ...]
+    mask: int  # the edge set over combinations(range(n), 2): edges == _EdgeMasks(n).edges(mask)
 
 
-def _rooted_forests(em: _EdgeMasks, roots: tuple[int, ...]) -> list[int]:
-    """Edge masks of every forest on n vertices in which each tree holds
-    exactly one root.
+def _decode_forests(n: int, roots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every forest on range(n) in which each tree holds exactly one root,
+    as (leaf, seq) arrays: row i's edge j joins leaf[i, j] to seq[i, j].
 
-    A forest's sequence has length n - len(roots): stripped-leaf neighbours
-    in smallest-leaf order, the last necessarily a root. Every sequence
-    with that shape decodes to a distinct forest, which is exactly the
-    counting identity k * n^(n-k-1).
-    """
-    n = em.n
-    base = [1] * n
-    for r in roots:
-        base[r] = n + 2  # roots are never stripped, however often they occur
-    forests = []
-    for head in product(range(n), repeat=n - len(roots) - 1):
-        deg = base.copy()
-        for a in head:
-            deg[a] += 1
-        for last in roots:
-            forests.append(em.mask(_strip_decode(deg.copy(), head + (last,))))
-    return forests
+    A sequence holds the stripped leaves' neighbours in smallest-leaf order,
+    the last a root: the head in product(range(n)) order, then the root.
+    Each decodes to a distinct forest, k * n^(n-k-1) in all. Roots (n-1,)
+    give the labeled trees in Pruefer order."""
+    L = n - len(roots)
+    head = np.arange(n ** (L - 1))[:, None] // n ** np.arange(L - 2, -1, -1) % n
+    seq = np.hstack([np.repeat(head, len(roots), axis=0), np.tile(roots, len(head))[:, None]])
+    rows = np.arange(len(seq))
+    deg = 1 + (seq[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.int8)  # 1 + occurrences left
+    deg[:, list(roots)] = n + 2  # roots are never stripped, however often they occur
+    leaf = np.empty_like(seq)
+    for j, a in enumerate(seq.T):
+        leaf[:, j] = v = (deg == 1).argmax(axis=1)
+        deg[rows, v] = 0
+        deg[rows, a] -= 1
+    return leaf, seq
 
 
 def _cycle_mask(em: _EdgeMasks, order: tuple[int, ...]) -> int:
-    return em.mask((a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1]))
+    return int(em.pairbit[order, order[1:] + order[:1]].sum())
 
 
 def _cycle_orders(K: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -331,58 +331,54 @@ def _cycle_orders(K: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (K[0],) + p
 
 
-def _unicyclic(em: _EdgeMasks) -> Iterator[CactusStructure]:
+def _attachments(n: int, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every way to join a k1-cycle, a k2-cycle and the n - k1 - k2 other
+    vertices into one tree, each cycle contracted to a node, as edge ends
+    (x, y) in local labels: the other vertices, then each cycle's.
+
+    Each contracted-tree edge at a cycle node fans out over that cycle's
+    vertices; rows follow the Pruefer sequence, then the fan-out choices
+    with the first decoded edge most significant."""
+    M = n - k1 - k2 + 2
+    size = np.array([1] * (M - 2) + [k1, k2])
+    first = np.cumsum(size) - size  # local label of each node's first vertex
+    leaf, seq = _decode_forests(M, (M - 1,))
+    a, b = np.minimum(leaf, seq), np.maximum(leaf, seq)
+    choices = size[a] * size[b]
+    count = choices.prod(axis=1)
+    t = np.repeat(np.arange(len(count)), count)
+    index = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+    later = np.cumprod(choices[:, :0:-1], axis=1)[:, ::-1]  # product of later edges' choices
+    d = index[:, None] // np.pad(later, ((0, 0), (0, 1)), constant_values=1)[t] % choices[t]
+    return first[a[t]] + d // size[b[t]], first[b[t]] + d % size[b[t]]
+
+
+def _families(em: _EdgeMasks) -> Iterator[tuple[list[int], tuple]]:
+    """The stream's edge masks, one list per cycles tuple: the trees, then
+    one cycle on each vertex set K with every forest rooted in K, then two
+    cycles joined by every attachment."""
     n = em.n
+    yield em.pairbit[_decode_forests(n, (n - 1,))].sum(axis=1).tolist(), ()
     for k in range(3, n + 1):
         for K in combinations(range(n), k):
-            forests = _rooted_forests(em, K) if k < n else [0]
+            forests = em.pairbit[_decode_forests(n, K)].sum(axis=1) if k < n else np.zeros(1, int)
             for order in _cycle_orders(K):
-                cyc, cycles = _cycle_mask(em, order), (order,)
-                for forest in forests:
-                    yield CactusStructure(n, em.edges(cyc | forest), cycles)
-
-
-def _bicyclic(em: _EdgeMasks) -> Iterator[CactusStructure]:
-    n = em.n
+                yield (_cycle_mask(em, order) | forests).tolist(), (order,)
     for k1 in range(3, n - 2):
         for k2 in range(k1, n - k1 + 1):
+            x, y = _attachments(n, k1, k2)
             for K1 in combinations(range(n), k1):
                 rest = tuple(v for v in range(n) if v not in K1)
                 for K2 in combinations(rest, k2):
                     if k1 == k2 and K2[0] < K1[0]:
                         continue
-                    yield from _bicyclic_pair(em, K1, K2)
-
-
-def _attachments(em: _EdgeMasks, K1: tuple[int, ...], K2: tuple[int, ...]) -> list[int]:
-    """Edge masks of every way to join the cycles on K1 and K2 and the
-    remaining vertices into one tree, each cycle contracted to a node.
-
-    The contracted tree's nodes are the outside vertices, then K1, then K2;
-    each of its edges at a cycle node fans out over that cycle's vertices.
-    """
-    ends = [(v,) for v in range(em.n) if v not in K1 and v not in K2] + [K1, K2]
-    M = len(ends)
-    out = []
-    for seq in product(range(M), repeat=M - 2):
-        choices = [
-            [em.bit[(x, y) if x < y else (y, x)] for x in ends[a] for y in ends[b]]
-            for a, b in _prufer_decode(M, seq)
-        ]
-        out.extend(map(sum, product(*choices)))
-    return out
-
-
-def _bicyclic_pair(
-    em: _EdgeMasks, K1: tuple[int, ...], K2: tuple[int, ...]
-) -> Iterator[CactusStructure]:
-    attachments = _attachments(em, K1, K2)
-    for order1 in _cycle_orders(K1):
-        cyc1 = _cycle_mask(em, order1)
-        for order2 in _cycle_orders(K2):
-            base, cycles = cyc1 | _cycle_mask(em, order2), (order1, order2)
-            for att in attachments:
-                yield CactusStructure(em.n, em.edges(base | att), cycles)
+                    label = np.array([v for v in rest if v not in K2] + list(K1 + K2))
+                    attachments = em.pairbit[label[x], label[y]].sum(axis=1)
+                    for order1 in _cycle_orders(K1):
+                        cyc1 = _cycle_mask(em, order1)
+                        for order2 in _cycle_orders(K2):
+                            base = cyc1 | _cycle_mask(em, order2)
+                            yield (base | attachments).tolist(), (order1, order2)
 
 
 def enumerate_connected_cacti(n: int) -> Iterator[CactusStructure]:
@@ -390,18 +386,20 @@ def enumerate_connected_cacti(n: int) -> Iterator[CactusStructure]:
     pairwise vertex-disjoint, built constructively (trees, then one cycle,
     then two cycles; three disjoint cycles need n >= 9).
 
-    Order is fixed: trees by sequence, then unicyclic, then bicyclic.
+    Order is fixed: trees by sequence, then unicyclic, then bicyclic. Each
+    family's forests or attachments are decoded in numpy at once, as edge
+    masks that the cycle masks are ORed onto.
     """
     if n > GRAPH_ENUM_LIMIT:
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
     if n < 2:
-        return
+        return iter(())
     em = _EdgeMasks(n)
-    for seq in product(range(n), repeat=n - 2):
-        yield CactusStructure(n, em.edges(em.mask(_prufer_decode(n, seq))), ())
-    yield from _unicyclic(em)
-    if n >= 6:
-        yield from _bicyclic(em)
+    new = partial(tuple.__new__, CactusStructure)  # from a 4-tuple, without a Python frame
+    return chain.from_iterable(
+        map(new, zip(repeat(n), map(em.edges, masks), repeat(cycles), masks))
+        for masks, cycles in _families(em)
+    )
 
 
 def double_square_pendant() -> SimpleGraph:

@@ -74,6 +74,35 @@ def test_packed_matching_dp_matches_bruteforce(G):
         assert counts[0, 1] == len(G.edges)
 
 
+def _matching_counts_by_multiplying(adjmask, n):
+    """The packed recurrence with a 0/1 multiply per neighbour, as first written."""
+    B = adjmask.shape[0]
+    p = np.zeros((1 << n, B), dtype=np.int64)
+    p[0] = 1
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << v)
+        acc = p[rest].copy()
+        others = rest
+        while others:
+            u = (others & -others).bit_length() - 1
+            others ^= 1 << u
+            acc += (p[rest ^ (1 << u)] << certify._PACK_SHIFT) * ((adjmask[:, v] >> u) & 1)
+        p[mask] = acc
+    return p
+
+
+def test_matching_dp_equals_the_multiplying_recurrence():
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        for density in (0.2, 0.5, 0.8, 1.0):  # 1.0 gives the complete graph
+            upper = np.triu(rng.random((40, n, n)) < density, 1)
+            adjmask = ((upper | upper.transpose(0, 2, 1)) << np.arange(n)).sum(axis=2)
+            assert np.array_equal(
+                _batched_matching_counts(adjmask, n), _matching_counts_by_multiplying(adjmask, n)
+            ), (n, density)
+
+
 def test_packed_dp_induced_subsets():
     G = SimpleGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     p = _batched_matching_counts(adjacency_masks(G), 4)
@@ -413,16 +442,21 @@ def test_tiny_chunks_keep_the_report_and_the_failure_list(kind, monkeypatch):
     monkeypatch.setattr(certify, "_ESCALATE_HI", 0.5)
     alphabet = GainSetSpec.parse(kind).values()
     graphs = list(enumerate_connected_graphs(5))
+    k5 = [G for G in graphs if len(G.edges) == 10]  # alone, its rows span nine slices of 8
 
     def run():
-        return _report_fields(run_alphabet_slice(graphs, alphabet, cap=70, max_failures=10**9))
+        return [
+            _report_fields(run_alphabet_slice(some, alphabet, cap=70, max_failures=10**9))
+            for some in (graphs, k5)
+        ]
 
     wide = run()
     monkeypatch.setattr(certify, "_SOLVE_ROWS", 8)
     narrow = run()
     assert narrow == wide
-    assert wide[1] and wide[0][2] > 8  # failures, and K5's 64 classes outgrow a chunk
-    assert kind == "signed" or wide[0][4] > 0
+    (fields, failures), (k5_fields, _) = wide
+    assert failures and k5_fields[2] > 8  # failures, and K5's 64 classes outgrow a chunk
+    assert kind == "signed" or (fields[4] > 0 and k5_fields[4] > 0)
 
 
 def test_shuffled_mixed_n_input_gives_the_sorted_counts():
@@ -519,7 +553,7 @@ def test_leaf_matching_equals_blossom_on_random_forests():
         assert _leaf_matching(adjmask).tolist() == [matching_number(G) for G in same]
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_one_pass_packer_matches_per_structure_packing(n):
     structs = list(enumerate_connected_cacti(n))
     chunk = _pack_cacti(n, structs)
@@ -570,6 +604,18 @@ def test_cactus_class_table_matches_numeric_rank_and_structure(n):
             assert int(table.rank[i, col]) == spectral_rank(g, mode="numeric"), (st, classes)
             assert bool(table.lower[i, col]) == lower_optimal_structural(g).holds, (st, classes)
             assert bool(table.upper[i, col]) == upper_optimal_structural(g).holds, (st, classes)
+
+
+def test_cactus_size_limit_is_checked_before_any_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an enumeration started")
+
+    monkeypatch.setattr(certify, "enumerate_connected_cacti", refuse)
+    monkeypatch.setattr(certify, "enumerate_connected_graphs", refuse)
+    with pytest.raises(SizeLimitError):
+        run_cactus_slice(n_max=9)
+    with pytest.raises(SizeLimitError):
+        certify_equivalences(signed_n_max=3, cactus_n_max=9)
 
 
 def test_certify_equivalences_combined():

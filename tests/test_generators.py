@@ -167,6 +167,13 @@ def test_cactus_counts_match_filter(n, expected):
         assert sorted(map(len, cycles)) == sorted(map(len, c.cycles))
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_cactus_mask_decodes_to_its_edges(n):
+    em = generators._EdgeMasks(n)
+    for st in enumerate_connected_cacti(n):
+        assert em.edges(st.mask) == st.edges
+
+
 def test_cactus_enumeration_deterministic():
     a = [c.edges for c in enumerate_connected_cacti(5)]
     b = [c.edges for c in enumerate_connected_cacti(5)]
