@@ -13,11 +13,12 @@ Two engines, sized to what they must cover on a single core:
   cycle-gain exponent sums decide the structural flags in integers, one
   eigensolve per slice of rows ranks every representative and a switched
   copy per graph, which must agree, and the blossom route re-checks every
-  97th graph. For q in {1, 2, 3, 4, 6} the characteristic polynomial has
-  integer coefficients, so nonzero eigenvalues are bounded away from zero by
-  1/deg^(n-1) and a threshold decides rank exactly. Other alphabets fall
-  back to a guard band plus per-representative escalation to the exact
-  modular rank.
+  97th graph. Rank is the count of eigenvalues above half the proven bound
+  beta(n, deg, q) on nonzero ones (spectral.nonzero_eigenvalue_bound), for
+  every q; a representative with an eigenvalue within eigvalsh's error of
+  both 0 and beta goes to the exact modular rank. Up to n = 7 that can
+  happen only for q = 11 from n = 6, q = 13 from n = 5, or q in
+  {15, 16, 20, 24} at n = 7.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
@@ -63,11 +64,10 @@ from .gains import Gain
 from .generators import GRAPH_ENUM_LIMIT, CactusStructure, enumerate_connected_cacti
 from .generators import enumerate_connected_graphs
 from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
-from .spectral import exact_rank
+from .spectral import exact_rank, nonzero_eigenvalue_bound
 
-COEFF_RANK_TOL = 1e-6
-_ESCALATE_LO = 1e-9
-_ESCALATE_HI = 1e-3
+COEFF_RANK_TOL = 1e-6  # cactus coefficient sweep: nonzero lattice values stay above 1.6e-4
+_EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR*n*eps*deg
 _SOLVE_ROWS = 1 << 14  # matrices per eigensolve call, and class rows per alphabet chunk
 _DP_N_MAX = 8  # largest n the packed matching table serves
 _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
@@ -145,17 +145,25 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _rank_threshold(n: int, max_degree: int) -> float:
-    """Safe cut between true zeros and true nonzeros, integer-coefficient case.
+def _rank_by_cut(aw: np.ndarray, deg: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of each row of eigenvalue magnitudes aw (rows, n), of graphs
+    with maximum degree deg (rows,) and q-th-root gains, and the rows the
+    cut leaves undecided.
 
-    The product of nonzero eigenvalues is a nonzero integer and every
-    |lambda| is at most the max degree, so the smallest nonzero |lambda| is
-    at least deg^-(n-1). Half of that still towers over eigensolver noise
-    (~1e-12 at these sizes).
+    A true |lambda| is 0 or at least beta = nonzero_eigenvalue_bound, and
+    eigvalsh is backward stable with ||H||_2 <= deg, so a computed one lies
+    within floor = _EIG_ERROR*n*eps*deg of it: above floor it is nonzero,
+    below beta - floor zero. The cut beta/2 therefore ranks every row
+    exactly, except a row with a value in [beta - floor, floor], a band that
+    is empty unless beta < 2*floor.
     """
-    if max_degree <= 1:
-        return 0.5
-    return 0.5 * float(max_degree) ** (-(n - 1))
+    n = aw.shape[1]
+    beta = np.array([nonzero_eigenvalue_bound(n, d, q) for d in range(n)])[deg, None]
+    floor = _EIG_ERROR * n * np.finfo(float).eps * deg[:, None]
+    rank = (aw > beta / 2).sum(axis=1)
+    if (beta - floor > floor).all():
+        return rank, np.zeros(len(aw), dtype=bool)
+    return rank, ((aw >= beta - floor) & (aw <= floor)).any(axis=1)
 
 
 def _build_instance(G: SimpleGraph, alphabet: tuple[Gain, ...], idx_row: np.ndarray) -> GainGraph:
@@ -354,11 +362,7 @@ def _flush_alphabet_chunk(
     # an edge u < v, 0 past a graph's last edge; real values, real H
     values = np.real_if_close(np.array([g.value for g in alphabet])[pos])
     lower_values, lower_codes = np.append(values, 0).conj(), codes % n * n + codes // n
-    # characteristic coefficients are real algebraic integers of Q(zeta_q),
-    # so integers when that field meets the reals in Q alone
-    exact = q in (1, 2, 3, 4, 6)
-    degree = [max(G.degrees(), default=0) for G in graphs]
-    cut = np.array([_rank_threshold(n, d) if exact else COEFF_RANK_TOL for d in degree])
+    deg = np.bitwise_count(adjmask).max(axis=1)
     copy, src = start + A, start + switched
     # each slice is ranked as it is solved; only the switching pairs keep their spectra
     kept_rows, kept = np.stack([src, copy], axis=1).ravel(), np.empty((2 * B, n))
@@ -370,9 +374,7 @@ def _flush_alphabet_chunk(
         H[(rows - lo)[:, None], lower_codes[gid[rows]]] = lower_values[expo[rows]]
         w = np.linalg.eigvalsh(H.reshape(-1, n, n))
         t = _stage(rep.timings, "eigensolve", t)
-        aw = np.abs(w)
-        rank[rows] = (aw > cut[gid[rows], None]).sum(axis=1)
-        shaky = (not exact) & ((aw > _ESCALATE_LO) & (aw < _ESCALATE_HI)).any(axis=1)
+        rank[rows], shaky = _rank_by_cut(np.abs(w), deg[gid[rows]], q)
         shaky &= rows != copy[gid[rows]]  # switched copies are compared, not ranked
         for i in rows[shaky]:
             G = graphs[gid[i]]
@@ -546,8 +548,12 @@ def _condition_iii(p: np.ndarray, cyc_mask: np.ndarray, n: int) -> np.ndarray:
     rows = np.arange(B)
     rest = ((1 << n) - 1) ^ np.bitwise_or.reduce(cyc_mask, axis=1)
     best = p[rest, rows]
-    for kept in product(range(n), repeat=K):
-        sub = rest | sum(cyc_mask[:, k] & (1 << a) for k, a in enumerate(kept))
+    # a slot keeps one vertex that some row's cycle in it holds; a slot no
+    # row uses adds nothing and is left out
+    held = [int(x) for x in np.bitwise_or.reduce(cyc_mask, axis=0)]
+    slots = [k for k in range(K) if held[k]]
+    for kept in product(*([1 << a for a in range(n) if held[k] >> a & 1] for k in slots)):
+        sub = rest | sum(cyc_mask[:, k] & bit for k, bit in zip(slots, kept))
         best = np.maximum(best, p[sub, rows])
     levels = n // 2 + 1
     return _max_index_positive(_unpack_counts(best, levels)) == _max_index_positive(
@@ -780,7 +786,8 @@ def _flush_cactus_chunk(
         adj = chunk.adjmask[tree_rows]
         Ht = ((adj[:, :, None] & (1 << np.arange(n))) != 0).astype(float)
         wt = np.linalg.eigvalsh(Ht)
-        r_eig = (np.abs(wt) > _rank_threshold(n, n - 1)).sum(axis=1)
+        # at q = 1 the band is empty through n = 11, past GRAPH_ENUM_LIMIT
+        r_eig = _rank_by_cut(np.abs(wt), np.bitwise_count(adj).max(axis=1), 1)[0]
         m_leaf = _leaf_matching(adj)
         bad = (r_eig != 2 * m_leaf) | (m_dp[tree_rows] != m_leaf)
         for j in np.nonzero(bad)[0][: max(0, max_failures - len(rep.failures))]:

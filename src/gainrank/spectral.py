@@ -78,9 +78,10 @@ def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
 
 # -- exact rank modulo primes above p = 1 (mod q) --------------------------
 
-# most primes one exact rank may use, each one sparse elimination; checked
-# before any prime is searched. rot(1/997) with rot(1/991) on a path of
-# three vertices needs 8,083 primes and raises SizeLimitError.
+# most primes one certificate may use, each one sparse elimination; past it
+# one prime is still tried, since a graph it finds full rank is settled.
+# rot(1/997) with rot(1/991) on a path of three vertices (rank 2) needs
+# 8,083 primes and raises SizeLimitError.
 EXACT_PRIME_BUDGET = 1024
 
 
@@ -93,6 +94,37 @@ def _prime_factors(q: int) -> tuple[int, ...]:
                 q //= d
         d += 1
     return tuple(out + [q] if q > 1 else out)
+
+
+def _totient(q: int, factors: tuple[int, ...]) -> int:
+    return q // math.prod(factors) * math.prod(f - 1 for f in factors)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def nonzero_eigenvalue_bound(n: int, max_degree: int, q: int) -> float:
+    """beta(n, Delta, q) <= |lambda| for every nonzero eigenvalue of a
+    Hermitian gain matrix on n vertices, maximum degree Delta, gains q-th
+    roots of unity.
+
+    At rank r, a_r = +-(product of the nonzero eigenvalues) is a nonzero
+    algebraic integer of Q(zeta_q)^+, of degree d = max(1, phi(q)/2). Its
+    Galois conjugates are the a_r of the gain graphs phi^s, each a sum of
+    C(n, r) principal minors that Hadamard bounds by Delta^(r/2), and its
+    norm is a nonzero integer (Washington, Introduction to Cyclotomic
+    Fields, GTM 83). With every |lambda| <= Delta,
+
+        |lambda| >= min over r = 1..n of (C(n, r) Delta^(r/2))^-(d-1) Delta^-(r-1),
+
+    which is Delta^-(n-1) at d = 1. Delta <= 1 leaves 2 x 2 blocks of
+    eigenvalues +-1, so beta = 1 there.
+    """
+    if max_degree <= 1:
+        return 1.0
+    d = max(1, _totient(q, _prime_factors(q)) // 2)
+    D = float(max_degree)
+    return min(
+        D ** -(r - 1) * (math.comb(n, r) * D ** (r / 2)) ** (1 - d) for r in range(1, n + 1)
+    )
 
 
 def _is_prime(n: int) -> bool:
@@ -179,11 +211,13 @@ def exact_rank(g: GainGraph) -> int:
     kills d puts p | N(d), a nonzero integer. Once the product of the primes
     squared exceeds that bound (compared in integers), some P keeps d, so
     the largest rank over those primes is the rank. The search stops early
-    at a prime whose rank equals the number of non-isolated vertices.
+    at a prime whose rank equals the number of non-isolated vertices, which
+    no larger rank can exceed.
 
-    Raises ValueError for float gains and SizeLimitError, before any prime
-    is searched, when the certificate needs more than EXACT_PRIME_BUDGET
-    primes.
+    Raises ValueError for float gains. When the certificate needs more than
+    EXACT_PRIME_BUDGET primes, one prime is still tried and SizeLimitError
+    raised unless it finds that full rank; a q too large to factor is
+    refused before any prime is searched.
     """
     q = 1  # least q with every gain a q-th root of unity
     for e in g.edges:
@@ -198,16 +232,16 @@ def exact_rank(g: GainGraph) -> int:
         return len(degrees)
     # every prime exceeds 2^61, so k primes certify once 122 k > phi(q) log2(bound)
     bits, room = math.log2(bound), 122 * EXACT_PRIME_BUDGET
+    refusal = SizeLimitError(
+        f"certifying exact rank at q={q} needs more than {EXACT_PRIME_BUDGET} primes"
+    )
     # phi(q) >= sqrt(q/2), so a large q is turned away before it is factored
-    phi = min(math.isqrt(q // 2), room)
-    if phi * bits < room:
-        factors = _prime_factors(q)
-        phi = q // math.prod(factors) * math.prod(f - 1 for f in factors)
-    if phi * bits >= room:
-        raise SizeLimitError(
-            f"certifying exact rank at q={q} needs more than {EXACT_PRIME_BUDGET} primes"
-        )
-    target = bound**phi
+    if min(math.isqrt(q // 2), room) * bits >= room:
+        raise refusal
+    factors = _prime_factors(q)
+    phi = _totient(q, factors)
+    over = phi * bits >= room
+    target = 1 if over else bound**phi  # past the budget, one prime
     best, prod, p = 0, 1, 1 << 61
     while prod * prod <= target and best < len(degrees):
         p, w = _next_modulus(q, factors, p)
@@ -217,6 +251,8 @@ def exact_rank(g: GainGraph) -> int:
             rows[u][v], rows[v][u] = pow(w, k, p), pow(w, q - k, p)
         best = max(best, _rank_mod(rows, p))
         prod *= p
+    if over and best < len(degrees):
+        raise refusal
     return best
 
 

@@ -171,8 +171,8 @@ def _component_rank(g: GainGraph) -> tuple[int, str]:
     p = 1 (mod q). It needs no tolerance: rank mod P <= rank, and p divides
     N(d) for every prime that kills a nonzero minor d, so enough primes for
     the Hadamard bound on N(d) reach the rank. Float gains, and a
-    certificate that needs more than EXACT_PRIME_BUDGET primes, get the
-    numeric eigenvalue cut. Small graphs additionally cross-check the exact
+    certificate that needs more than EXACT_PRIME_BUDGET primes where one
+    prime does not find full rank, get the numeric eigenvalue cut. Small graphs additionally cross-check the exact
     rank against the numeric value, and a disagreement is an internal bug
     worth crashing on.
     """

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -23,7 +24,6 @@ from gainrank.certify import (
     _leaf_matching,
     _max_index_positive,
     _pack_cacti,
-    _rank_threshold,
     _unpack_counts,
     certify_equivalences,
     run_alphabet_slice,
@@ -46,7 +46,7 @@ from gainrank.generators import (
     random_tree,
 )
 from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph
-from gainrank.spectral import exact_rank, rank as spectral_rank
+from gainrank.spectral import exact_rank, nonzero_eigenvalue_bound, rank as spectral_rank
 from gainrank.theorems import lower_optimal_structural, upper_optimal_structural
 
 from conftest import simple_graphs
@@ -124,12 +124,17 @@ def test_cos_table():
 
 
 def test_rank_threshold_monotone():
-    assert _rank_threshold(5, 1) == 0.5
-    assert _rank_threshold(5, 0) == 0.5
-    t = _rank_threshold(6, 3)
+    # at degree d = 1 (q in {1, 2, 3, 4, 6}) the cut beta/2 is 0.5 * deg^-(n-1)
+    for q in (1, 2, 3, 4, 6):
+        for n in range(1, 9):
+            for deg in range(n):
+                old = 0.5 if deg <= 1 else 0.5 * float(deg) ** (-(n - 1))
+                assert nonzero_eigenvalue_bound(n, deg, q) / 2 == old, (q, n, deg)
+    t = nonzero_eigenvalue_bound(6, 3, 2) / 2
     assert 0 < t < 0.5
-    assert t == pytest.approx(0.5 * 3.0 ** (-5))
-    assert _rank_threshold(8, 4) < t
+    assert nonzero_eigenvalue_bound(8, 4, 2) / 2 < t
+    # a larger field degree only lowers the bound
+    assert nonzero_eigenvalue_bound(6, 3, 7) < nonzero_eigenvalue_bound(6, 3, 5) < 2 * t
 
 
 def test_worker_count_env(monkeypatch):
@@ -216,16 +221,16 @@ def test_integer_coefficient_alphabets_take_the_proven_threshold(kind, monkeypat
     alphabet = GainSetSpec.parse(kind).values()
     q = len(alphabet)
     graphs = list(enumerate_connected_graphs(4))
-    cuts = []
+    cuts = set()
 
-    def threshold(n, max_degree):
-        cuts.append(n)
-        return _rank_threshold(n, max_degree)
+    def bound(n, max_degree, q):
+        cuts.add((n, max_degree, q))
+        return nonzero_eigenvalue_bound(n, max_degree, q)
 
-    monkeypatch.setattr(certify, "_rank_threshold", threshold)
+    monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", bound)
     rep = run_alphabet_slice(graphs, alphabet, cap=None)
-    assert rep.ok and rep.cross_checks == 0
-    assert len(cuts) == len(graphs)  # one proven cut per graph, no guard band
+    assert rep.ok and rep.cross_checks == 0  # the proven cut alone, nothing escalated
+    assert cuts == {(n, d, q) for n in range(2, 5) for d in range(n)}  # this q, every degree
     values = np.array([g.value for g in alphabet])[_group_positions(alphabet)]
     for G in graphs:
         cot = _cotree_columns(G)
@@ -234,23 +239,54 @@ def test_integer_coefficient_alphabets_take_the_proven_threshold(kind, monkeypat
         for j, e in enumerate(cot):
             expo[:, e] = (np.arange(q ** len(cot)) // q**j) % q
         w = np.linalg.eigvalsh(_hermitian(G, values[expo]))
-        ranks = (np.abs(w) > _rank_threshold(G.n, max(G.degrees()))).sum(axis=1)
+        ranks = (np.abs(w) > nonzero_eigenvalue_bound(G.n, max(G.degrees()), q) / 2).sum(axis=1)
         for row, r in zip(expo, ranks):
             edges = [(u, v, Gain.from_angle(int(k), q)) for (u, v), k in zip(G.edges, row)]
             assert exact_rank(GainGraph.build(G.n, edges)) == r
 
 
 def test_guard_band_escalates_to_the_exact_rank(monkeypatch):
-    # a guard band wider than every eigenvalue sends each roots:5
-    # representative to exact_rank; the float-tolerance oracle is never used
+    # an error floor above every eigenvalue puts each roots:5 representative
+    # in the band, so each goes to exact_rank; the float-tolerance oracle is
+    # never used
     def no_oracle(g):
         raise AssertionError("rank_combinatorial called")
 
-    monkeypatch.setattr(certify, "_ESCALATE_HI", 1e9)
+    monkeypatch.setattr(certify, "_EIG_ERROR", 1e30)
     monkeypatch.setattr(certify, "rank_combinatorial", no_oracle)
     rep = run_alphabet_slice(enumerate_connected_graphs(4), GainSetSpec.parse("roots:5").values())
     assert rep.ok
     assert rep.cross_checks == rep.classes > 0
+
+
+@pytest.mark.parametrize("q,n_max", [(5, 5), (7, 4), (8, 4), (12, 4)])
+def test_nonzero_eigenvalues_clear_the_galois_bound(q, n_max):
+    # on every switching-class representative each |lambda| is a float zero
+    # or at least beta(n, deg, q)
+    values = np.exp(2j * np.pi * np.arange(q) / q)
+    for G in enumerate_connected_graphs(n_max):
+        cot = _cotree_columns(G)
+        expo = np.zeros((q ** len(cot), len(G.edges)), dtype=np.int64)
+        for j, e in enumerate(cot):
+            expo[:, e] = np.arange(q ** len(cot)) // q**j % q
+        aw = np.abs(np.linalg.eigvalsh(_hermitian(G, values[expo])))
+        beta = nonzero_eigenvalue_bound(G.n, max(G.degrees()), q)
+        assert ((aw < 1e-9) | (aw >= beta)).all(), G
+
+
+def test_a_cut_above_the_smallest_nonzero_eigenvalue_is_a_serialized_failure(monkeypatch):
+    # the smallest nonzero |lambda| of roots:5 at n <= 5 is about 2 beta, so
+    # ten times the bound puts the cut at 5 beta, above it
+    def too_high(n, max_degree, q):
+        return 10 * nonzero_eigenvalue_bound(n, max_degree, q)
+
+    monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", too_high)
+    graphs = enumerate_connected_graphs(5)
+    rep = run_alphabet_slice(graphs, GainSetSpec.parse("roots:5").values(), max_failures=10**9)
+    assert rep.failures and rep.cross_checks == 0
+    for f in rep.failures[:: max(1, len(rep.failures) // 50)]:
+        reported = int(re.match(r"equivalence failed: rank=(\d+)", f.message).group(1))
+        assert exact_rank(parse_gain_graph(f.graph_text)) > reported, f
 
 
 GROUPS = ("signed", "gaussian", "roots:3")
@@ -388,7 +424,6 @@ def test_chunk_rows_match_a_per_graph_reference(kind, cap, monkeypatch):
     q = len(alphabet)
     pos = _group_positions(alphabet)
     values = np.array([g.value for g in alphabet])[pos]
-    exact = q in (2, 3, 4)
     chunks = []
 
     def flush(entries, *args):
@@ -398,13 +433,14 @@ def test_chunk_rows_match_a_per_graph_reference(kind, cap, monkeypatch):
     monkeypatch.setattr(certify, "_flush_alphabet_chunk", flush)
     rep = run_alphabet_slice(enumerate_connected_graphs(5), alphabet, cap=cap)
     assert rep.ok and rep.graphs == sum(len(graphs) for graphs, _ in chunks) == 771
+    assert rep.cross_checks == 0  # the band is empty for these q at n <= 5
     for graphs, table in chunks:
         n = graphs[0].n
         for g, G in enumerate(graphs):
             E = len(G.edges)
             rows = (table.gid == g).nonzero()[0]
             gvals = values[table.expo[rows, :E]]
-            cut = _rank_threshold(n, max(G.degrees())) if exact else certify.COEFF_RANK_TOL
+            cut = nonzero_eigenvalue_bound(n, max(G.degrees()), q) / 2
             ranks = (np.abs(np.linalg.eigvalsh(_hermitian(G, gvals))) > cut).sum(axis=1)
             assert table.rank[rows[:-1]].tolist() == ranks[:-1].tolist()  # the last is the copy
             lower, upper = _reference_flags(G, gvals)
@@ -428,6 +464,40 @@ def test_fundamental_cycles_decide_disjointness_like_the_block_decomposition():
             assert got == sorted((sum(1 << v for v in cyc), len(cyc)) for cyc in cycles), G
 
 
+def _condition_iii_full_product(p, cyc_mask, n):
+    """_condition_iii as first written: a gather for every kept-vertex tuple."""
+    B, K = cyc_mask.shape
+    rows = np.arange(B)
+    rest = ((1 << n) - 1) ^ np.bitwise_or.reduce(cyc_mask, axis=1)
+    best = p[rest, rows]
+    for kept in product(range(n), repeat=K):
+        sub = rest | sum(cyc_mask[:, k] & (1 << a) for k, a in enumerate(kept))
+        best = np.maximum(best, p[sub, rows])
+    levels = n // 2 + 1
+    return _max_index_positive(_unpack_counts(best, levels)) == _max_index_positive(
+        _unpack_counts(p[rest, rows], levels)
+    )
+
+
+def test_condition_iii_equals_the_full_product_on_every_chunk(monkeypatch):
+    seen = []
+    real = certify._condition_iii
+
+    def checked(p, cyc_mask, n):
+        got = real(p, cyc_mask, n)
+        assert np.array_equal(got, _condition_iii_full_product(p, cyc_mask, n)), n
+        seen.append(n)
+        return got
+
+    monkeypatch.setattr(certify, "_condition_iii", checked)
+    assert run_cactus_slice(n_max=7, cap=1).ok
+    cactus_chunks = len(seen)
+    trivial = GainSetSpec.parse("trivial").values()
+    assert run_alphabet_slice(enumerate_connected_graphs(6), trivial).ok
+    assert set(seen[:cactus_chunks]) == set(range(2, 8))
+    assert set(seen[cactus_chunks:]) == set(range(2, 7))
+
+
 def _report_fields(rep):
     failures = [(f.message, f.graph_text) for f in rep.failures]
     fields = (rep.graphs, rep.instances, rep.classes, rep.switching_checks, rep.cross_checks)
@@ -436,10 +506,11 @@ def _report_fields(rep):
 
 @pytest.mark.parametrize("kind", ["signed", "roots:5"])
 def test_tiny_chunks_keep_the_report_and_the_failure_list(kind, monkeypatch):
-    # cuts that misrank many classes, so there are failures to keep in order
-    monkeypatch.setattr(certify, "_rank_threshold", lambda n, d: 0.9)
-    monkeypatch.setattr(certify, "COEFF_RANK_TOL", 0.7)
-    monkeypatch.setattr(certify, "_ESCALATE_HI", 0.5)
+    # a cut of 0.9 misranks many classes, so there are failures to keep in
+    # order, and an error floor of 0.05*n*deg opens the band [0.8, 1.0] on
+    # K5, so roots:5 escalates some of its rows
+    monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", lambda n, d, q: 1.8)
+    monkeypatch.setattr(certify, "_EIG_ERROR", 0.05 / np.finfo(float).eps)
     alphabet = GainSetSpec.parse(kind).values()
     graphs = list(enumerate_connected_graphs(5))
     k5 = [G for G in graphs if len(G.edges) == 10]  # alone, its rows span nine slices of 8

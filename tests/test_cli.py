@@ -137,7 +137,7 @@ def test_enumerate_reports_exact_escalations(monkeypatch, capsys):
     from gainrank import certify
 
     monkeypatch.setenv("GAINRANK_WORKERS", "1")
-    monkeypatch.setattr(certify, "_ESCALATE_HI", 1e9)
+    monkeypatch.setattr(certify, "_EIG_ERROR", 1e30)  # every representative in the band
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "roots:5", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact_escalations"] == doc["oracle_escalations"] == doc["classes"] > 0

@@ -119,7 +119,8 @@ def test_exact_rank_past_order_twelve_is_prompt():
 
 def test_exact_rank_order_limit_is_prompt():
     # q = 997 * 991: the certificate needs ceil(phi(q) / 122) = 8,083 primes
-    # on this path, which is refused before any prime is searched
+    # on this path; past the budget one prime is tried, and it cannot reach
+    # full rank on a path of rank 2
     g = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)")])
     t0 = time.perf_counter()
     with pytest.raises(SizeLimitError):

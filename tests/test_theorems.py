@@ -205,10 +205,14 @@ def test_auto_mode_ranks_root_of_unity_gains_exactly():
 
 
 def test_auto_mode_goes_numeric_past_the_order_limit():
-    g = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)"), (0, 2, "1")])
+    # past the prime budget one prime still settles the full-rank triangle
+    triangle = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)"), (0, 2, "1")])
+    assert graph_rank(triangle) == (3, "exact")
+    # the path has rank 2 against 3 non-isolated vertices: no prime settles it
+    path = GainGraph.build(3, [(0, 1, "rot(1/997)"), (1, 2, "rot(1/991)")])
     with pytest.raises(SizeLimitError):
-        spectral_rank(g, mode="exact")
-    assert graph_rank(g) == (spectral_rank(g, mode="numeric"), "numeric")
+        spectral_rank(path, mode="exact")
+    assert graph_rank(path) == (spectral_rank(path, mode="numeric"), "numeric") == (2, "numeric")
 
 
 def test_pendant_reduction(double_squares, square):
