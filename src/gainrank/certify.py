@@ -71,6 +71,8 @@ _EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR
 _SOLVE_ROWS = 1 << 14  # matrices per eigensolve call, and class rows per alphabet chunk
 _DP_N_MAX = 8  # largest n the packed matching table serves
 _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
+_CACTUS_CHUNK = 20000  # cactus structures packed and certified at once
+_CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a cactus chunk
 
 # real parts of the eighth roots of unity, indexed by octant
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
@@ -772,7 +774,6 @@ def _flush_cactus_chunk(
     rng: np.random.Generator,
     rep: SliceReport,
     max_failures: int,
-    check_every: int,
 ) -> None:
     B, n = len(chunk.structs), chunk.n
     c = chunk.ncyc
@@ -839,7 +840,7 @@ def _flush_cactus_chunk(
 
     # spot checks tie the vectorized tables back to the scalar engines on a
     # deterministic lattice of cyclic instances
-    for i in range(0, B, check_every):
+    for i in range(0, B, _CACTUS_SPOT_EVERY):
         if c[i] == 0:
             continue
         st = chunk.structs[i]
@@ -875,10 +876,8 @@ def run_cactus_slice(
     n_max: int = 8,
     cap: int = 50,
     seed: int = 20260821,
-    chunk: int = 20000,
     name: str = "cactus-roots8",
     max_failures: int = 5,
-    check_every: int = 997,
 ) -> SliceReport:
     """All disjoint-cycle connected graphs to n_max, eighth-root gains.
 
@@ -894,13 +893,13 @@ def run_cactus_slice(
         structs = enumerate_connected_cacti(n)
         while True:
             t = time.perf_counter()
-            batch = list(islice(structs, chunk))
+            batch = list(islice(structs, _CACTUS_CHUNK))
             t = _stage(rep.timings, "enumerate", t)
             if not batch:
                 break
             packed = _pack_cacti(n, batch)
             _stage(rep.timings, "pack", t)
-            _flush_cactus_chunk(packed, cap, rng, rep, max_failures, check_every)
+            _flush_cactus_chunk(packed, cap, rng, rep, max_failures)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

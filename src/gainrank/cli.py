@@ -12,6 +12,7 @@ failed on a concrete instance, which means a bug here, not new mathematics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -304,6 +305,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gainrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

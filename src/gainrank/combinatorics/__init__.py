@@ -13,9 +13,9 @@ from .elementary import (
     COEFF_TOL,
     ElementarySubgraph,
     char_coeff_combinatorial,
+    char_coeffs_combinatorial,
     elementary_spanning_subgraphs,
     rank_combinatorial,
-    subgraph_determinant,
 )
 from .matching import (
     is_matching,
@@ -39,6 +39,7 @@ __all__ = [
     "block_decomposition",
     "canonical_cycle",
     "char_coeff_combinatorial",
+    "char_coeffs_combinatorial",
     "contract_cycles",
     "cycle_matching_condition",
     "cycle_record",
@@ -57,5 +58,4 @@ __all__ = [
     "maximum_matching",
     "odd_cycle_transversal",
     "rank_combinatorial",
-    "subgraph_determinant",
 ]

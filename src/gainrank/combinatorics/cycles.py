@@ -18,7 +18,6 @@ CYCLE_LIMIT = 100_000
 
 def canonical_cycle(vertices: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate and orient a cycle's vertex sequence into canonical form."""
-    k = len(vertices)
     i = vertices.index(min(vertices))
     rot = vertices[i:] + vertices[:i]
     if rot[1] > rot[-1]:

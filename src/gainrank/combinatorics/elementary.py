@@ -1,21 +1,24 @@
-"""Determinant and characteristic coefficients from elementary subgraphs.
+"""Characteristic coefficients and rank from elementary subgraphs.
 
 An elementary subgraph of a vertex set S covers every vertex of S exactly
-once by disjoint single edges and cycles. Summing the signed, cycle-weighted
-contributions over all of them gives det of the Hermitian adjacency on S,
-and from there the characteristic coefficients and a rank value that never
-touches floating point spectra. Deliberately combinatorial: this is the
-cross-check for the numeric path, so it shares no code with it.
+once by disjoint single edges and cycles. By Sachs' theorem a_k, the
+coefficient of x^(n-k) in det(xI - H), sums (-1)^p * 2^c * prod Re phi(C)
+over the elementary subgraphs on k vertices with p components, c of them
+cycles, and the rank is the largest k with a_k != 0. One recurrence over
+vertex masks gives every a_k in one pass; `elementary_spanning_subgraphs`
+lists the covers of one vertex set explicitly and is its twin. Deliberately
+combinatorial: this is the cross-check for the numeric path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache, partial, reduce
+from operator import or_
 from typing import Iterable
 
 from ..errors import SizeLimitError
 from ..graphs import GainGraph
-from .cycles import CycleRecord, cycle_record
+from .cycles import CycleRecord, cycle_record, enumerate_cycles
 
 SPAN_LIMIT = 14
 COEFF_LIMIT = 12
@@ -48,118 +51,112 @@ class ElementarySubgraph:
         return w
 
 
-def elementary_spanning_subgraphs(
-    g: GainGraph, subset: Iterable[int], limit: int = SPAN_LIMIT
-) -> list[ElementarySubgraph]:
-    """All covers of `subset` by vertex-disjoint edges and cycles of g."""
+def elementary_spanning_subgraphs(g: GainGraph, subset: Iterable[int]) -> list[ElementarySubgraph]:
+    """All covers of `subset` by vertex-disjoint edges and cycles of g.
+
+    The lowest uncovered vertex takes each edge to a larger neighbour, then
+    each cycle of G[subset] whose least vertex it is.
+    """
     S = sorted(set(subset))
     if any(v < 0 or v >= g.n for v in S):
         raise ValueError("subset contains vertices outside the graph")
-    if len(S) > limit:
-        raise SizeLimitError(f"elementary cover search limited to {limit} vertices, got {len(S)}")
-    k = len(S)
-    pos = {v: i for i, v in enumerate(S)}
-    in_s = set(S)
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for e in g.edges:
-        if e.u in in_s and e.v in in_s:
-            adj[pos[e.u]].append(pos[e.v])
-            adj[pos[e.v]].append(pos[e.u])
-    for ws in adj:
-        ws.sort()
-
-    full = (1 << k) - 1
+    if len(S) > SPAN_LIMIT:
+        raise SizeLimitError(f"elementary cover search limited to {SPAN_LIMIT} vertices, got {len(S)}")
+    sub, _ = g.delete_vertices(set(range(g.n)).difference(S))
+    comps: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in S]  # by least position
+    for u, v, _ in sub.edges:  # sorted by (u, v)
+        comps[u].append((1 << u | 1 << v, (S[u], S[v])))
+    for cyc in enumerate_cycles(sub):
+        comps[cyc[0]].append((sum(1 << p for p in cyc), tuple(S[p] for p in cyc)))
+    record = cache(partial(cycle_record, g))  # one gain walk per cycle that joins a cover
+    full = (1 << len(S)) - 1
     out: list[ElementarySubgraph] = []
-    k2s: list[tuple[int, int]] = []
-    cycs: list[tuple[int, ...]] = []
-
-    def cycles_through(i: int, mask: int):
-        """Simple cycles through position i avoiding covered positions."""
-        found: list[tuple[int, ...]] = []
-        path = [i]
-        on = 1 << i
-
-        def walk(v: int):
-            nonlocal on
-            for w in adj[v]:
-                if w == i:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        found.append(tuple(path))
-                elif not (mask >> w) & 1 and not (on >> w) & 1:
-                    path.append(w)
-                    on |= 1 << w
-                    walk(w)
-                    path.pop()
-                    on &= ~(1 << w)
-
-        walk(i)
-        return found
+    parts: list[tuple[int, ...]] = []
 
     def rec(mask: int):
         if mask == full:
-            out.append(
-                ElementarySubgraph(
-                    edge_components=tuple(sorted(k2s)),
-                    cycle_components=tuple(cycle_record(g, tuple(S[p] for p in c)) for c in cycs),
-                )
-            )
+            cycles = tuple(record(p) for p in parts if len(p) > 2)
+            out.append(ElementarySubgraph(tuple(sorted(p for p in parts if len(p) == 2)), cycles))
             return
-        i = ((~mask) & full)
-        i = (i & -i).bit_length() - 1
-        for j in adj[i]:
-            if not (mask >> j) & 1 and j != i:
-                k2s.append((S[i], S[j]))
-                rec(mask | (1 << i) | (1 << j))
-                k2s.pop()
-        for cyc in cycles_through(i, mask):
-            bits = 0
-            for p in cyc:
-                bits |= 1 << p
-            cycs.append(cyc)
-            rec(mask | bits)
-            cycs.pop()
+        free = ~mask & full
+        for bits, part in comps[(free & -free).bit_length() - 1]:
+            if not bits & mask:
+                parts.append(part)
+                rec(mask | bits)
+                parts.pop()
 
     rec(0)
     return out
 
 
-def subgraph_determinant(g: GainGraph, subset: Iterable[int], limit: int = SPAN_LIMIT) -> float:
-    """det of the Hermitian adjacency restricted to `subset`, combinatorially.
+def _component_weights(g: GainGraph) -> list[dict[int, float]]:
+    """Per vertex s, {T - s: w[T]} for the vertex sets T with least vertex s:
+    w = 1 for an edge, the sum of 2 Re phi(C) over the cycles C on T else.
 
-    Each elementary cover U contributes (-1)^(|S| - p) * 2^c * prod of cycle
-    real parts, with p components of which c are cycles.
+    Held-Karp over path gains from s through larger vertices: each cycle
+    closes once per direction, and the two directions are conjugate.
     """
-    S = sorted(set(subset))
-    total = 0.0
-    for u in elementary_spanning_subgraphs(g, S, limit=limit):
-        total += (-1.0) ** (len(S) - u.component_count) * u.weight()
-    return total
+    arcs: list[list[tuple[int, complex]]] = [[] for _ in range(g.n)]
+    for u, v, gain in g.edges:
+        arcs[u].append((v, gain.value))
+        arcs[v].append((u, gain.value.conjugate()))
+    weights = []
+    for s in range(g.n):
+        low = 1 << s
+        paths = {low | 1 << w: {w: z} for w, z in arcs[s] if w > s}  # mask -> {end: gain}
+        comp: dict[int, float] = {}
+        for mask in range(3 * low, 1 << g.n, 2 * low):  # least vertex s, two or more vertices
+            closing = 0j
+            for w, val in paths.pop(mask, {}).items():
+                for x, z in arcs[w]:
+                    if x == s:
+                        closing += val * z
+                    elif x > s and not (mask >> x) & 1:
+                        ends = paths.setdefault(mask | 1 << x, {})
+                        ends[x] = ends.get(x, 0j) + val * z
+            t = mask ^ low
+            if closing.real:
+                comp[t] = closing.real if t & (t - 1) else 1.0
+        weights.append(comp)
+    return weights
 
 
-def char_coeff_combinatorial(g: GainGraph, k: int, limit: int = COEFF_LIMIT) -> float:
-    """Coefficient of x^(n-k) in the characteristic polynomial, by covers.
+def char_coeffs_combinatorial(g: GainGraph) -> list[float]:
+    """All coefficients a_0..a_n of det(xI - H), a_k at x^(n-k), in one pass.
 
-    Equal to the sum of (-1)^p * 2^c * prod of cycle real parts over all
-    elementary subgraphs spanning exactly k vertices anywhere in g.
+    E[S], the signed weight of the covers of S, splits on the component
+    through the lowest vertex v of S: E[S] = -sum_T w[T] * E[S - T] over
+    the vertex sets T with v = min T. Then a_k sums E[S] over the k-sets S.
     """
-    if g.n > limit:
-        raise SizeLimitError(f"combinatorial coefficients limited to n <= {limit}, got n={g.n}")
+    if g.n > COEFF_LIMIT:
+        raise SizeLimitError(f"combinatorial coefficients limited to n <= {COEFF_LIMIT}, got n={g.n}")
+    weights = _component_weights(g)
+    reach = [reduce(or_, comp, 0) for comp in weights]  # vertices the components at v can use
+    E = [1.0] + [0.0] * ((1 << g.n) - 1)
+    coeffs = [1.0] + [0.0] * g.n
+    for S in range(1, 1 << g.n):
+        v = (S & -S).bit_length() - 1
+        rest, comp = S & (S - 1), weights[v]  # S without v
+        room = rest & reach[v]
+        t, total = room, 0.0
+        while t:
+            if t in comp:
+                total += comp[t] * E[rest ^ t]
+            t = (t - 1) & room
+        E[S] = -total
+        coeffs[S.bit_count()] -= total
+    return coeffs
+
+
+def char_coeff_combinatorial(g: GainGraph, k: int) -> float:
+    """Coefficient of x^(n-k) in the characteristic polynomial, by covers."""
+    coeffs = char_coeffs_combinatorial(g)
     if not 0 <= k <= g.n:
         raise ValueError(f"coefficient index {k} out of range for n={g.n}")
-    if k == 0:
-        return 1.0
-    total = 0.0
-    for S in combinations(range(g.n), k):
-        for u in elementary_spanning_subgraphs(g, S):
-            total += (-1.0) ** u.component_count * u.weight()
-    return total
+    return coeffs[k]
 
 
-def rank_combinatorial(g: GainGraph, limit: int = COEFF_LIMIT, tol: float = COEFF_TOL) -> int:
+def rank_combinatorial(g: GainGraph) -> int:
     """Largest k with a nonzero k-th coefficient; zero when all vanish."""
-    if g.n > limit:
-        raise SizeLimitError(f"combinatorial rank limited to n <= {limit}, got n={g.n}")
-    for k in range(g.n, 0, -1):
-        if abs(char_coeff_combinatorial(g, k, limit=limit)) > tol:
-            return k
-    return 0
+    coeffs = char_coeffs_combinatorial(g)
+    return max((k for k, a in enumerate(coeffs) if k and abs(a) > COEFF_TOL), default=0)

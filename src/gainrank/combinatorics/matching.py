@@ -99,10 +99,10 @@ def matching_number(G: SimpleGraph) -> int:
     return len(maximum_matching(G))
 
 
-def matching_number_bruteforce(G: SimpleGraph, limit: int = BRUTEFORCE_LIMIT) -> int:
+def matching_number_bruteforce(G: SimpleGraph) -> int:
     """Exhaustive search over independent edge sets; independent of blossom."""
-    if G.n > limit:
-        raise SizeLimitError(f"brute-force matching limited to n <= {limit}, got n={G.n}")
+    if G.n > BRUTEFORCE_LIMIT:
+        raise SizeLimitError(f"brute-force matching limited to n <= {BRUTEFORCE_LIMIT}, got n={G.n}")
     adjmask = [0] * G.n
     for u, v in G.edges:
         adjmask[u] |= 1 << v

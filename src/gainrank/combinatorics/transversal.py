@@ -77,9 +77,7 @@ def find_cycle(G: SimpleGraph | GainGraph) -> list[int] | None:
     return None
 
 
-def odd_cycle_transversal(
-    G: SimpleGraph | GainGraph, limit: int = TRANSVERSAL_LIMIT
-) -> tuple[int, frozenset[int]]:
+def odd_cycle_transversal(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[int]]:
     """Minimum vertex set meeting every odd cycle, with one witness.
 
     Only vertices lying on cycles can be part of a minimum transversal, so
@@ -87,8 +85,8 @@ def odd_cycle_transversal(
     first minimum set.
     """
     G = _as_simple(G)
-    if G.n > limit:
-        raise SizeLimitError(f"transversal search limited to n <= {limit}, got n={G.n}")
+    if G.n > TRANSVERSAL_LIMIT:
+        raise SizeLimitError(f"transversal search limited to n <= {TRANSVERSAL_LIMIT}, got n={G.n}")
     if is_bipartite(G):
         return 0, frozenset()
     candidates = sorted(cycle_vertex_set(G))
@@ -100,9 +98,7 @@ def odd_cycle_transversal(
     raise AssertionError("unreachable: deleting all cycle vertices leaves a forest")
 
 
-def max_acyclic_deletion_matching(
-    G: SimpleGraph | GainGraph, limit: int = TRANSVERSAL_LIMIT
-) -> tuple[int, frozenset[int]]:
+def max_acyclic_deletion_matching(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[int]]:
     """Largest matching number among forests G - V0, with a witness V0.
 
     V0 ranges over vertex sets whose removal leaves a forest (the empty set
@@ -111,8 +107,8 @@ def max_acyclic_deletion_matching(
     lexicographically smallest witness.
     """
     G = _as_simple(G)
-    if G.n > limit:
-        raise SizeLimitError(f"acyclic deletion search limited to n <= {limit}, got n={G.n}")
+    if G.n > TRANSVERSAL_LIMIT:
+        raise SizeLimitError(f"acyclic deletion search limited to n <= {TRANSVERSAL_LIMIT}, got n={G.n}")
     best: tuple[int, tuple[int, ...]] | None = None
     seen: set[frozenset[int]] = set()
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, combinations, compress, permutations, repeat
 from typing import Iterator, NamedTuple
 
@@ -67,8 +66,12 @@ class GainSetSpec:
             return tuple(Gain.from_angle(j, self.q) for j in range(self.q))
         return None
 
+    @cached_property
+    def _alphabet(self) -> tuple[Gain, ...] | None:
+        return self.values()
+
     def sample(self, rng: random.Random) -> Gain:
-        vals = self.values()
+        vals = self._alphabet
         if vals is not None:
             return vals[rng.randrange(len(vals))]
         # uniform floats; stay clear of the purely-imaginary axis so cycle

@@ -56,6 +56,9 @@ def auto_tolerance(w: np.ndarray) -> float:
 
 
 def inertia(h: np.ndarray, tol: float | None = None) -> InertiaResult:
+    """Eigenvalue signs, cut at tol (a finite value >= 0) or the auto tolerance."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     w = eigenvalues(h)
     if tol is None:
         tol = auto_tolerance(w)

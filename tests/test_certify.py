@@ -573,8 +573,9 @@ def test_alphabet_positions_follow_angles_not_order():
     assert rep.ok and (rep.instances, rep.classes) == (plain.instances, plain.classes)
 
 
-def test_cactus_slice_tiny():
-    rep = run_cactus_slice(n_max=5, cap=10, seed=1, check_every=7)
+def test_cactus_slice_tiny(monkeypatch):
+    monkeypatch.setattr(certify, "_CACTUS_SPOT_EVERY", 7)
+    rep = run_cactus_slice(n_max=5, cap=10, seed=1)
     assert rep.ok
     assert rep.graphs == 383
     assert rep.cross_checks > 0

@@ -44,6 +44,24 @@ def test_analyze_modes(triangle_file):
     assert cli.main(["analyze", triangle_file, "--tol", "1e-9"]) == 0
 
 
+@pytest.mark.parametrize("tol", ["-0.5", "nan"])
+def test_analyze_rejects_a_negative_or_nan_tolerance(tmp_path, capsys, tol):
+    # on the path P3 a negative cut once reported nullity -1 and exited 2
+    p = tmp_path / "p3.txt"
+    p.write_text("n 3\ne 0 1 1\ne 1 2 1\n")
+    assert cli.main(["analyze", str(p), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance" in captured.err
+
+
+def test_analyze_accepts_a_zero_tolerance(triangle_file, capsys):
+    assert cli.main(["analyze", triangle_file, "--tol", "0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank"] == 3
+    assert doc["inertia"] == {"p_plus": 1, "n_zero": 0, "n_minus": 2}
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == 1
     assert "error" in capsys.readouterr().err

@@ -163,3 +163,14 @@ def test_char_poly_matches_eigenvalues(double_squares):
 def test_inertia_rejects_non_square():
     with pytest.raises(ValueError):
         inertia(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("tol", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_inertia_rejects_negative_or_non_finite_tolerance(tol):
+    with pytest.raises(ValueError):
+        inertia(np.array([[0.0, 1.0], [1.0, 0.0]]), tol)
+
+
+def test_inertia_accepts_zero_tolerance():
+    res = inertia(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
+    assert (res.p_plus, res.n_zero, res.n_minus, res.tol_used) == (1, 0, 1, 0.0)
