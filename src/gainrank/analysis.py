@@ -77,7 +77,9 @@ def analyze(
     mode None lets the rank backend pick itself (exact where possible);
     an explicit mode forces that backend. With mode="numeric" the reported
     rank is taken from the same eigenvalue cut as the inertia, so the
-    rank = p+ + n- identity is consistent by construction at any tol.
+    rank = p+ + n- identity is consistent by construction at any tol. Any
+    other backend is checked against the inertia only at a tol no smaller
+    than auto_tolerance; below it the check lands in `skipped`.
     """
     violations: list[str] = []
     skipped: dict[str, str] = {}
@@ -94,7 +96,13 @@ def analyze(
     else:
         r, backend = spectral_rank(g, mode=mode), mode
 
-    if r != ine.p_plus + ine.n_minus:
+    if mode != "numeric" and ine.tol_used < ine.auto_tol:
+        # eigenvalues within the solver's error of zero may take either sign
+        skipped["rank_inertia_identity"] = (
+            f"tol {ine.tol_used:.3g} below auto_tolerance {ine.auto_tol:.3g}: "
+            "rank = p+ + n- is inconclusive"
+        )
+    elif r != ine.p_plus + ine.n_minus:
         violations.append(
             f"rank {r} ({backend}) disagrees with inertia sum "
             f"{ine.p_plus}+{ine.n_minus} at tol {ine.tol_used:.3g}"
@@ -262,6 +270,8 @@ def render_text(rep: AnalysisReport) -> str:
         f"basic bounds  {rep.basic.lower_basic} <= {rep.rank} <= {rep.basic.upper_basic}"
         f"  [{'ok' if rep.basic.holds_basic else 'VIOLATED'}]",
     ]
+    if "rank_inertia_identity" in rep.skipped:
+        lines.insert(3, f"  not checked: {rep.skipped['rank_inertia_identity']}")
     if rep.refined is not None:
         lines.append(
             f"refined bounds  {rep.refined.lower_refined} <= {rep.rank} <= "

@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .analysis import SCHEMA_VERSION, analyze, render_text, report_to_dict
 from .certify import SliceReport, run_alphabet_slice, worker_count
 from .combinatorics import cycle_records, enumerate_cycles
+from .combinatorics.transversal import TRANSVERSAL_LIMIT
 from .errors import ParseError, SizeLimitError
 from .generators import (
     GainSetSpec,
@@ -43,8 +44,6 @@ from .theorems import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
-
-VERIFY_REFINED_LIMIT = 12  # transversal and acyclic-deletion search cutoff
 
 
 def _read_graph(path: str) -> GainGraph:
@@ -141,7 +140,7 @@ def _verify_shard(params: tuple) -> dict:
 
         facts = component_facts(g)
         note("basic_bounds", check_rank_bounds(facts).holds_basic, i, g)
-        if n <= VERIFY_REFINED_LIMIT:
+        if n <= TRANSVERSAL_LIMIT:
             note("refined_bounds", bool(check_refined_bounds(facts).holds_refined), i, g)
         note("equivalence", verify_equivalence(facts).consistent, i, g)
         pend = pendant_reduction_check(facts)

@@ -64,38 +64,81 @@ def cycle_records(G: GainGraph, cycles) -> list[CycleRecord]:
 def enumerate_cycles(G: SimpleGraph | GainGraph, limit: int = CYCLE_LIMIT) -> list[tuple[int, ...]]:
     """All simple cycles, each exactly once, in canonical form.
 
-    Rooted search: a cycle is reported at its least vertex, walking only
-    through larger vertices, with the direction fixed by path[1] < path[-1].
     Raises SizeLimitError when more than `limit` cycles exist.
     """
+    return mask_cycles(neighbour_masks(G), limit)
+
+
+def neighbour_masks(G: SimpleGraph | GainGraph) -> list[int]:
+    """One bitmask of neighbours per vertex."""
     if isinstance(G, GainGraph):
         G = underlying(G)
-    n = G.n
-    adj = [sorted(ws) for ws in G.neighbors()]
+    adj = [0] * G.n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def vertices(mask: int):
+    """The vertices of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def two_core(adj: list[int], alive: int) -> int:
+    """Vertices of `alive` left after peeling, again and again, every vertex
+    with at most one neighbour left: exactly those on a cycle or on a path
+    between two cycles of the subgraph induced on `alive`."""
+    deg = [0] * len(adj)
+    leaves = []
+    for v in vertices(alive):
+        deg[v] = (adj[v] & alive).bit_count()
+        if deg[v] < 2:
+            leaves.append(v)
+    core = alive
+    while leaves:
+        v = leaves.pop()
+        core ^= 1 << v
+        for w in vertices(adj[v] & core):
+            deg[w] -= 1
+            if deg[w] == 1:
+                leaves.append(w)
+    return core
+
+
+def mask_cycles(adj: list[int], limit: int = CYCLE_LIMIT) -> list[tuple[int, ...]]:
+    """All simple cycles of the graph with neighbour masks `adj`, canonical.
+
+    Rooted search in the 2-core: a cycle is reported at its least vertex,
+    walking only through larger vertices in ascending order, with the
+    direction fixed by path[1] < path[-1]. Raises SizeLimitError past
+    `limit` cycles.
+    """
+    core = two_core(adj, (1 << len(adj)) - 1)
     out: list[tuple[int, ...]] = []
-    in_path = [False] * n
-    for root in range(n):
-        stack = [iter(adj[root])]
-        path = [root]
-        in_path[root] = True
-        while stack:
-            it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == root:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        out.append(tuple(path))
-                        if len(out) > limit:
-                            raise SizeLimitError(
-                                f"more than {limit} cycles; raise the limit to keep going"
-                            )
-                elif w > root and not in_path[w]:
-                    path.append(w)
-                    in_path[w] = True
-                    stack.append(iter(adj[w]))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                in_path[path.pop()] = False
+    for root in vertices(core):
+        above = core & (-2 << root)  # core vertices larger than root
+        if (adj[root] & above).bit_count() < 2:
+            continue  # a cycle leaves its least vertex by two larger neighbours
+        path, on = [root], 1 << root
+        todo = [adj[root] & above]  # per path vertex, the larger neighbours left to try
+        while todo:
+            ahead = todo[-1] & ~on
+            if not ahead:
+                todo.pop()
+                on ^= 1 << path.pop()
+                continue
+            low = ahead & -ahead
+            todo[-1] = ahead ^ low
+            w = low.bit_length() - 1
+            path.append(w)
+            on |= low
+            if adj[w] >> root & 1 and len(path) >= 3 and path[1] < w:
+                out.append(tuple(path))
+                if len(out) > limit:
+                    raise SizeLimitError(f"more than {limit} cycles; raise the limit to keep going")
+            todo.append(adj[w] & above)
     return out

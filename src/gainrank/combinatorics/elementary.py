@@ -12,13 +12,13 @@ combinatorial: this is the cross-check for the numeric path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterable
 
 from ..errors import SizeLimitError
 from ..graphs import GainGraph
-from .cycles import CycleRecord, cycle_record, enumerate_cycles
+from .cycles import CycleRecord, cycle_record, mask_cycles, vertices
 
 SPAN_LIMIT = 14
 COEFF_LIMIT = 12
@@ -62,13 +62,25 @@ def elementary_spanning_subgraphs(g: GainGraph, subset: Iterable[int]) -> list[E
         raise ValueError("subset contains vertices outside the graph")
     if len(S) > SPAN_LIMIT:
         raise SizeLimitError(f"elementary cover search limited to {SPAN_LIMIT} vertices, got {len(S)}")
-    sub, _ = g.delete_vertices(set(range(g.n)).difference(S))
+    pos = {v: p for p, v in enumerate(S)}
+    adj = [0] * len(S)  # neighbour masks of G[S], by position
+    for u, v, _ in g.edges:
+        if u in pos and v in pos:
+            adj[pos[u]] |= 1 << pos[v]
+            adj[pos[v]] |= 1 << pos[u]
     comps: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in S]  # by least position
-    for u, v, _ in sub.edges:  # sorted by (u, v)
-        comps[u].append((1 << u | 1 << v, (S[u], S[v])))
-    for cyc in enumerate_cycles(sub):
+    for u, ws in enumerate(adj):
+        for v in vertices(ws & (-2 << u)):  # larger neighbours, ascending
+            comps[u].append((1 << u | 1 << v, (S[u], S[v])))
+    for cyc in mask_cycles(adj):
         comps[cyc[0]].append((sum(1 << p for p in cyc), tuple(S[p] for p in cyc)))
-    record = cache(partial(cycle_record, g))  # one gain walk per cycle that joins a cover
+    records: dict[tuple[int, ...], CycleRecord] = {}  # one gain walk per cycle that joins a cover
+
+    def record(cyc: tuple[int, ...]) -> CycleRecord:
+        if cyc not in records:
+            records[cyc] = cycle_record(g, cyc)
+        return records[cyc]
+
     full = (1 << len(S)) - 1
     out: list[ElementarySubgraph] = []
     parts: list[tuple[int, ...]] = []

@@ -1,80 +1,126 @@
 """Vertex deletion searches: odd cycle transversal, acyclic deletion.
 
-Both are exact searches over small graphs. The transversal walks subset
-sizes upward, so the first hit is a minimum; the acyclic-deletion search
-branches on cycles, which reaches every minimal feedback set, and removing
-fewer vertices never shrinks a matching, so minimal sets carry the maximum.
+Both are exact searches over small graphs, on vertex bitmasks. The
+transversal walks subset sizes upward, so the first hit is a minimum.
+
+The acyclic-deletion search partitions the feedback vertex sets by
+branching on one cycle C = (c_1, ..., c_k) of what remains: branch i
+deletes c_i and keeps c_1..c_(i-1) for good (Schwikowski & Speckenmeyer,
+Discrete Appl. Math. 117, 2002). Every set whose removal leaves a forest
+lies in exactly one branch, so no leaf is reached twice and every minimal
+feedback set is a leaf. Removing fewer vertices never shrinks a matching,
+so the minimal sets carry the maximum; the witness is the lexicographically
+smallest minimal set that reaches it, whatever order the search runs in.
+A node with fewer than 2 * best vertices left is cut, as no forest below
+it can tie.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 from ..errors import SizeLimitError
-from ..graphs import GainGraph, SimpleGraph, underlying
+from ..graphs import GainGraph, SimpleGraph
 from .blocks import cycle_vertex_set
-from .matching import matching_number
+from .cycles import neighbour_masks, two_core, vertices
 
 TRANSVERSAL_LIMIT = 20
 
 
-def _as_simple(G: SimpleGraph | GainGraph) -> SimpleGraph:
-    return underlying(G) if isinstance(G, GainGraph) else G
-
-
-def is_bipartite(G: SimpleGraph | GainGraph) -> bool:
-    G = _as_simple(G)
-    adj = G.neighbors()
-    color = [-1] * G.n
-    for root in range(G.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
+def _bipartite(adj: list[int], alive: int) -> bool:
+    """Whether the subgraph induced on `alive` has no odd cycle."""
+    side = [0, 0]  # vertices coloured 0 and 1 so far
+    unseen = alive
+    while unseen:
+        frontier = unseen & -unseen
+        colour = 0
+        while frontier:
+            side[colour] |= frontier
+            unseen &= ~frontier
+            reach = 0
+            for v in vertices(frontier):
+                reach |= adj[v]
+            if reach & side[colour]:
+                return False
+            colour ^= 1
+            frontier = reach & unseen
     return True
 
 
-def find_cycle(G: SimpleGraph | GainGraph) -> list[int] | None:
-    """Vertices of some cycle, or None in a forest."""
-    G = _as_simple(G)
-    adj = G.neighbors()
-    parent = [-1] * G.n
-    state = [0] * G.n  # 0 new, 1 on stack, 2 done
-    for root in range(G.n):
-        if state[root]:
+def _core_cycle(adj: list[int], core: int) -> list[int]:
+    """A cycle of a nonempty 2-core: walk without stepping back until a
+    vertex repeats. Every core vertex has two core neighbours, so the walk
+    never stalls."""
+    v = (core & -core).bit_length() - 1
+    back = 0
+    at: dict[int, int] = {}
+    walk: list[int] = []
+    while v not in at:
+        at[v] = len(walk)
+        walk.append(v)
+        ahead = adj[v] & core & ~back
+        back = 1 << v
+        v = (ahead & -ahead).bit_length() - 1
+    return walk[at[v]:]
+
+
+def _forest_matching(adj: list[int], alive: int) -> int:
+    """Matching number of the forest induced on `alive`: match each leaf to
+    its neighbour, which is optimal on forests."""
+    deg = [0] * len(adj)
+    leaves = []
+    for v in vertices(alive):
+        deg[v] = (adj[v] & alive).bit_count()
+        if deg[v] == 1:
+            leaves.append(v)
+    matched = 0
+    while leaves:
+        v = leaves.pop()
+        ahead = adj[v] & alive
+        if not alive >> v & 1 or not ahead:
             continue
-        state[root] = 1
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent[v]:
-                    continue
-                if state[w] == 1:
-                    cyc = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cyc.append(x)
-                    return cyc
-                if state[w] == 0:
-                    parent[w] = v
-                    state[w] = 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return None
+        u = ahead.bit_length() - 1
+        alive ^= 1 << v | 1 << u
+        matched += 1
+        for w in vertices(adj[u] & alive):
+            deg[w] -= 1
+            if deg[w] == 1:
+                leaves.append(w)
+    return matched
+
+
+def _trees(adj: list[int], alive: int) -> list[int]:
+    """Vertex masks of the connected components induced on `alive`."""
+    out = []
+    while alive:
+        tree = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            for v in vertices(frontier):
+                reach |= adj[v]
+            frontier = reach & alive & ~tree
+            tree |= frontier
+        out.append(tree)
+        alive &= ~tree
+    return out
+
+
+def _minimal(adj: list[int], alive: int, removed: int) -> bool:
+    """Whether putting back any removed vertex closes a cycle in the forest
+    on `alive`, i.e. each has two neighbours in one of its trees."""
+    trees = _trees(adj, alive)
+    return all(any((adj[v] & t).bit_count() > 1 for t in trees) for v in vertices(removed))
+
+
+def is_bipartite(G: SimpleGraph | GainGraph) -> bool:
+    adj = neighbour_masks(G)
+    return _bipartite(adj, (1 << len(adj)) - 1)
+
+
+def find_cycle(G: SimpleGraph | GainGraph) -> list[int] | None:
+    """Vertices of some cycle, in cycle order, or None in a forest."""
+    adj = neighbour_masks(G)
+    core = two_core(adj, (1 << len(adj)) - 1)
+    return _core_cycle(adj, core) if core else None
 
 
 def odd_cycle_transversal(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[int]]:
@@ -84,16 +130,17 @@ def odd_cycle_transversal(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[in
     the subset search runs over those. Witness is the lexicographically
     first minimum set.
     """
-    G = _as_simple(G)
-    if G.n > TRANSVERSAL_LIMIT:
-        raise SizeLimitError(f"transversal search limited to n <= {TRANSVERSAL_LIMIT}, got n={G.n}")
-    if is_bipartite(G):
+    adj = neighbour_masks(G)
+    n = len(adj)
+    if n > TRANSVERSAL_LIMIT:
+        raise SizeLimitError(f"transversal search limited to n <= {TRANSVERSAL_LIMIT}, got n={n}")
+    full = (1 << n) - 1
+    if _bipartite(adj, full):
         return 0, frozenset()
     candidates = sorted(cycle_vertex_set(G))
     for s in range(1, len(candidates) + 1):
         for sub in combinations(candidates, s):
-            H, _ = G.delete_vertices(sub)
-            if is_bipartite(H):
+            if _bipartite(adj, full & ~sum(1 << v for v in sub)):
                 return s, frozenset(sub)
     raise AssertionError("unreachable: deleting all cycle vertices leaves a forest")
 
@@ -102,34 +149,37 @@ def max_acyclic_deletion_matching(G: SimpleGraph | GainGraph) -> tuple[int, froz
     """Largest matching number among forests G - V0, with a witness V0.
 
     V0 ranges over vertex sets whose removal leaves a forest (the empty set
-    included when G already is one). Branching on a remaining cycle visits
-    every minimal such set, and supersets never do better. Ties prefer the
-    lexicographically smallest witness.
+    included when G already is one). The search is a stack of (removed,
+    kept for good) pairs: a node whose 2-core is empty is a leaf, scored by
+    leaf matching on its forest; otherwise it branches on a cycle of the
+    core, branch i deleting the i-th free cycle vertex and keeping the free
+    ones before it. The witness is the lexicographically smallest minimal
+    feedback vertex set whose forest reaches the maximum; a leaf is minimal
+    when each deleted vertex has two neighbours in one tree of its forest.
     """
-    G = _as_simple(G)
-    if G.n > TRANSVERSAL_LIMIT:
-        raise SizeLimitError(f"acyclic deletion search limited to n <= {TRANSVERSAL_LIMIT}, got n={G.n}")
+    adj = neighbour_masks(G)
+    n = len(adj)
+    if n > TRANSVERSAL_LIMIT:
+        raise SizeLimitError(f"acyclic deletion search limited to n <= {TRANSVERSAL_LIMIT}, got n={n}")
+    full = (1 << n) - 1
     best: tuple[int, tuple[int, ...]] | None = None
-    seen: set[frozenset[int]] = set()
-
-    def consider(removed: frozenset[int], forest: SimpleGraph) -> None:
-        nonlocal best
-        key = (matching_number(forest), tuple(sorted(removed)))
-        if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
-            best = key
-
-    def rec(removed: frozenset[int]) -> None:
-        if removed in seen:
-            return
-        seen.add(removed)
-        H, kept = G.delete_vertices(removed)
-        cyc = find_cycle(H)
-        if cyc is None:
-            consider(removed, H)
-            return
-        for p in cyc:
-            rec(removed | {kept[p]})
-
-    rec(frozenset())
+    stack = [(0, 0)]
+    while stack:
+        removed, kept = stack.pop()
+        alive = full & ~removed
+        if best is not None and alive.bit_count() // 2 < best[0]:
+            continue  # no forest on these vertices can tie the best matching
+        core = two_core(adj, alive)
+        if not core:
+            value = _forest_matching(adj, alive)
+            if best is None or value >= best[0]:
+                witness = tuple(vertices(removed))
+                if (best is None or value > best[0] or witness < best[1]) and _minimal(adj, alive, removed):
+                    best = (value, witness)
+            continue
+        for v in _core_cycle(adj, core):
+            if not kept >> v & 1:
+                stack.append((removed | 1 << v, kept))
+                kept |= 1 << v
     assert best is not None
     return best[0], frozenset(best[1])

@@ -44,6 +44,7 @@ class InertiaResult:
     n_minus: int
     rank: int
     tol_used: float
+    auto_tol: float  # the cut the solver's error calls for, whatever tol_used is
 
     def __post_init__(self):
         assert self.rank == self.p_plus + self.n_minus
@@ -60,12 +61,13 @@ def inertia(h: np.ndarray, tol: float | None = None) -> InertiaResult:
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     w = eigenvalues(h)
+    auto = auto_tolerance(w)
     if tol is None:
-        tol = auto_tolerance(w)
+        tol = auto
     p = int(np.sum(w > tol))
     m = int(np.sum(w < -tol))
     z = len(w) - p - m
-    return InertiaResult(p, z, m, p + m, tol)
+    return InertiaResult(p, z, m, p + m, tol, auto)
 
 
 def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:

@@ -62,6 +62,23 @@ def test_analyze_accepts_a_zero_tolerance(triangle_file, capsys):
     assert doc["inertia"] == {"p_plus": 1, "n_zero": 0, "n_minus": 2}
 
 
+def test_analyze_tolerance_below_solver_error_skips_the_inertia_identity(tmp_path, capsys):
+    # the zero eigenvalue of P3 comes out of the solver as +-1e-16, so at
+    # tol 0 the inertia counts it on either side
+    p = tmp_path / "p3.txt"
+    p.write_text("n 3\ne 0 1 1\ne 1 2 1\n")
+    assert cli.main(["analyze", str(p), "--tol", "0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["violations"] == []
+    assert doc["rank"] == 2
+    reason = doc["skipped"]["rank_inertia_identity"]
+    assert "auto_tolerance 1e-10" in reason and "inconclusive" in reason
+    assert cli.main(["analyze", str(p), "--tol", "1e-9", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == {}
+    assert cli.main(["analyze", str(p), "--tol", "0", "--mode", "numeric", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == {}
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.txt")]) == 1
     assert "error" in capsys.readouterr().err
@@ -112,6 +129,13 @@ def test_verify_runs_clean(tmp_path, capsys):
     assert checks["basic_bounds"]["passed"] == 25
     assert checks["equivalence"]["passed"] == checks["equivalence"]["run"]
     assert not (tmp_path / "failures.txt").exists()
+
+
+def test_verify_runs_refined_bounds_up_to_the_transversal_limit(monkeypatch, capsys):
+    monkeypatch.setenv("GAINRANK_WORKERS", "1")
+    assert cli.main(["verify", "--count", "5", "--n", "16", "--gains", "signed", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["refined_bounds"] == {"passed": 5, "run": 5}
 
 
 def test_verify_reports_elapsed_and_throughput(capsys):

@@ -1,10 +1,11 @@
 """Odd cycle transversals and forest-leaving deletions."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from gainrank.combinatorics.matching import matching_number
+from gainrank.combinatorics.matching import matching_number, matching_number_bruteforce
 from gainrank.combinatorics.transversal import (
     find_cycle,
     is_bipartite,
@@ -12,6 +13,7 @@ from gainrank.combinatorics.transversal import (
     odd_cycle_transversal,
 )
 from gainrank.errors import SizeLimitError
+from gainrank.generators import enumerate_connected_graphs, random_connected_graph
 from gainrank.graphs import SimpleGraph, underlying
 
 
@@ -88,3 +90,102 @@ def test_size_limits():
         odd_cycle_transversal(big)
     with pytest.raises(SizeLimitError):
         max_acyclic_deletion_matching(big)
+
+
+# -- a second route: every vertex subset, no branching, no masks ----------
+
+
+def _is_forest(H):
+    return len(H.edges) == H.n - len(H.component_vertex_sets())
+
+
+def _is_bipartite_by_parity(H):
+    """Two-colouring by the parity of BFS depth, one component at a time."""
+    adj = H.neighbors()
+    for comp in H.component_vertex_sets():
+        depth = {comp[0]: 0}
+        layer = [comp[0]]
+        while layer:
+            nxt = []
+            for v in layer:
+                for w in adj[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        nxt.append(w)
+            layer = nxt
+        if any(depth[u] % 2 == depth[v] % 2 for u, v in H.edges if u in depth):
+            return False
+    return True
+
+
+def _subsets(n):
+    """All vertex subsets, by size, then lexicographically."""
+    for s in range(n + 1):
+        yield from combinations(range(n), s)
+
+
+def _brute_force(G):
+    """(transversal, acyclic deletion) with the canonical witnesses."""
+    oct_ = next(
+        (len(sub), frozenset(sub))
+        for sub in _subsets(G.n)
+        if _is_bipartite_by_parity(G.delete_vertices(sub)[0])
+    )
+    best = None
+    for sub in sorted(_subsets(G.n)):  # lexicographic, as tuples
+        H, _ = G.delete_vertices(sub)
+        if not _is_forest(H):
+            continue
+        if any(_is_forest(G.delete_vertices(set(sub) - {v})[0]) for v in sub):
+            continue  # not minimal
+        value = matching_number_bruteforce(H)
+        if best is None or value > best[0]:
+            best = (value, sub)
+    return oct_, (best[0], frozenset(best[1]))
+
+
+def _seeded_graphs(count, n_max, extra_max, seed0):
+    for i in range(count):
+        rng = random.Random(seed0 + i)
+        n = rng.randint(2, n_max)
+        slack = n * (n - 1) // 2 - (n - 1)
+        yield random_connected_graph(n, rng.randint(0, min(extra_max, slack)), seed=seed0 + i)
+
+
+def test_searches_match_brute_force_on_every_connected_graph_up_to_five():
+    for G in enumerate_connected_graphs(5):
+        oct_, acyclic = _brute_force(G)
+        assert odd_cycle_transversal(G) == oct_, G
+        assert max_acyclic_deletion_matching(G) == acyclic, G
+
+
+def test_searches_match_brute_force_on_seeded_graphs_up_to_nine():
+    for G in _seeded_graphs(200, 9, 12, seed0=7_000):
+        oct_, acyclic = _brute_force(G)
+        assert odd_cycle_transversal(G) == oct_, G
+        assert max_acyclic_deletion_matching(G) == acyclic, G
+
+
+def test_acyclic_deletion_witness_properties_up_to_twenty():
+    for G in _seeded_graphs(100, 20, 30, seed0=9_000):
+        value, witness = max_acyclic_deletion_matching(G)
+        H, _ = G.delete_vertices(witness)
+        assert _is_forest(H)
+        for v in witness:
+            assert not _is_forest(G.delete_vertices(witness - {v})[0])
+        assert value == matching_number(H)
+        b, cover = odd_cycle_transversal(G)
+        assert b == len(cover) and is_bipartite(G.delete_vertices(cover)[0])
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_dense_graphs_stay_within_the_limit(n):
+    kn = SimpleGraph.build(n, list(combinations(range(n), 2)))
+    assert max_acyclic_deletion_matching(kn) == (1, frozenset(range(n - 2)))
+    if n <= 16:  # the transversal tries every smaller subset of K_n first
+        assert odd_cycle_transversal(kn) == (n - 2, frozenset(range(n - 2)))
+    G = random_connected_graph(20, 30, seed=n)
+    value, witness = max_acyclic_deletion_matching(G)
+    assert value == matching_number(G.delete_vertices(witness)[0])
+    b, cover = odd_cycle_transversal(G)
+    assert is_bipartite(G.delete_vertices(cover)[0])
