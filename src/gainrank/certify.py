@@ -22,7 +22,8 @@ Two engines, sized to what they must cover on a single core:
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
-  roots of unity. Chunks are packed from the structures' edge masks. The
+  roots of unity. Chunks are packed from the structures' edge masks into
+  neighbour bitmasks, edge counts and cycle vertex masks. The
   spectrum of such an instance depends only on the real parts of its cycle
   gains, and the characteristic coefficients decompose as matching counts of
   vertex-deleted subgraphs weighted by those real parts. Matching counts for
@@ -30,10 +31,16 @@ Two engines, sized to what they must cover on a single core:
   vectorized across graphs, and coefficients land on the lattice
   (p + q*sqrt(2))/2 whose nonzero values stay above 1.6e-4, so a 1e-6
   threshold decides rank exactly. A real part takes one of five values, so
-  the coefficient sweep ranks at most 5^c <= 25 real-part classes per graph,
-  and each sampled gain assignment reads its rank and structural flags from
-  its class. The same table gives condition (iii); spot checks compare it,
-  the matching number and the rank with the blossom and oracle routes. Trees
+  the coefficient sweep ranks at most 5^c <= 25 real-part classes per graph.
+  A sampled gain assignment is drawn as its c cycle octant sums: edge
+  octants map onto them by a surjective homomorphism onto (Z/8)^c, so
+  uniform edge octants give uniform independent sums, and the sample reads
+  its rank and structural flags from its class. A failure is serialized as
+  its class's representative: the class octant on the first edge of each
+  cycle, gain 1 elsewhere. The same table gives condition (iii); spot
+  checks draw an octant on every edge, find the class by walking the
+  cycles, and compare the matching number, condition (iii) and the rank
+  with the blossom and oracle routes. Trees
   are instead certified by a direct eigensolve against a greedy leaf
   matching, exact on forests and vectorized over the packed adjacency
   bitmasks, and both against the table's matching number: three routes,
@@ -58,7 +65,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .combinatorics import cycle_matching_condition, matching_number, rank_combinatorial
+from .combinatorics import (
+    cycle_matching_condition,
+    cycle_record,
+    matching_number,
+    rank_combinatorial,
+)
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
 from .generators import GRAPH_ENUM_LIMIT, CactusStructure, enumerate_connected_cacti
@@ -214,8 +226,9 @@ def _cotree_columns(G: SimpleGraph) -> list[int]:
 
 def _fundamental_cycles(G: SimpleGraph, cotree: list[int]) -> list[tuple[int, list[int]]] | None:
     """The cycle each cotree column closes in the spanning forest, as a
-    vertex bitmask and a signed edge row like the cactus memb, or None when
-    two share a vertex. The cycles of G are pairwise vertex-disjoint exactly
+    vertex bitmask and a signed edge row (+1/-1 as the cycle walk agrees
+    with the stored low-to-high edge direction), or None when two share a
+    vertex. The cycles of G are pairwise vertex-disjoint exactly
     when these are: a sum of two or more disjoint cycles is never a cycle."""
     if 3 * len(cotree) > G.n:  # c disjoint cycles need 3c vertices
         return None
@@ -617,19 +630,15 @@ class _CactusChunk:
     structs: list[CactusStructure]
     adjmask: np.ndarray  # (B, n) neighbour bitmasks
     ecount: np.ndarray  # (B,) edge count
-    cyc_mask: np.ndarray  # (B, 2) cycle vertex bitmasks
+    cyc_mask: np.ndarray  # (B, 2) cycle vertex bitmasks, 0 for an absent cycle slot
     cyc_len: np.ndarray  # (B, 2), 0 for an absent cycle slot
-    # (B, 2, n+1) int8: +1/-1 when the edge column sits on cycle k, signed by
-    # whether the cycle walk agrees with the stored low-to-high edge
-    # direction; a backward edge contributes its conjugate, so its octant
-    # enters the cycle sum negated
-    memb: np.ndarray
     ncyc: np.ndarray  # (B,) number of cycles
 
 
 def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
-    """Pack a chunk from the structures' edge masks. Cycle rows are built
-    once per run of structures that share one cycles tuple, then gathered."""
+    """Pack a chunk from the structures' edge masks. Cycle vertex masks are
+    built once per run of structures that share one cycles tuple, then
+    gathered; cycle lengths and counts are their popcounts."""
     B = len(structs)
     masks = np.fromiter(map(attrgetter("mask"), structs), np.int64, B)
     adjmask = np.zeros((B, n), dtype=np.int64)
@@ -639,37 +648,13 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
         adjmask[:, v] |= bit << u
 
     runs = [(cyc, len(list(same))) for cyc, same in groupby(structs, attrgetter("cycles"))]
-    U, ids = len(runs), np.repeat(np.arange(len(runs)), [size for _, size in runs])
-    ncyc = np.fromiter((len(cyc) for cyc, _ in runs), np.int64, U)
-    clen = np.fromiter((len(c) for cyc, _ in runs for c in cyc), np.int64, int(ncyc.sum()))
-    # every cycle walk step a -> b, b the successor of a on its cycle
-    verts = chain.from_iterable(c for cyc, _ in runs for c in cyc)
-    a = np.fromiter(verts, np.int64, int(clen.sum()))
-    w = _group_offsets(clen)
-    b = a[np.arange(a.size) - w + (w + 1) % np.repeat(clen, clen)]
-    vrun = np.repeat(np.repeat(np.arange(U), ncyc), clen)
-    vslot = np.repeat(_group_offsets(ncyc), clen)
-    on = np.zeros((U, 2, n), dtype=np.int64)
-    on[vrun, vslot, a] = 1
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    signed = np.zeros((U, 2, n * (n - 1) // 2), dtype=np.int8)  # +-1 at each cycle edge's mask bit
-    signed[vrun, vslot, lo * (2 * n - lo - 1) // 2 + hi - lo - 1] = np.where(a < b, 1, -1)
-
-    # each row takes its run's cycle edges; memb's edge column for mask bit
-    # i is the number of the row's edges below i
-    r, k, i = np.nonzero(signed)
-    per_run = np.bincount(r, minlength=U)
-    steps = per_run[ids]
-    row = np.repeat(np.arange(B), steps)
-    e = np.repeat((np.cumsum(per_run) - per_run)[ids], steps) + _group_offsets(steps)
-    k, i = k[e], i[e]
-    if not (masks[row] >> i & 1).all():
-        raise ValueError("a cycle edge is missing from its structure's edge list")
-    memb = np.zeros((B, 2, n + 1), dtype=np.int8)
-    memb[row, k, np.bitwise_count(masks[row] & ((1 << i) - 1))] = signed[ids[row], k, i]
-    cyc_mask, cyc_len = (on << np.arange(n)).sum(axis=2)[ids], on.sum(axis=2)[ids]
+    run_masks = np.zeros((len(runs), 2), dtype=np.int64)
+    for r, (cyc, _) in enumerate(runs):
+        run_masks[r, : len(cyc)] = [sum(1 << a for a in c) for c in cyc]
+    cyc_mask = np.repeat(run_masks, [size for _, size in runs], axis=0)
+    cyc_len = np.bitwise_count(cyc_mask).astype(np.int64)
     ecount = np.bitwise_count(masks).astype(np.int64)
-    return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, memb, ncyc[ids])
+    return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, (cyc_len > 0).sum(axis=1))
 
 
 class _ClassTable(NamedTuple):
@@ -751,21 +736,14 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
     return _ClassTable(m_dp, cond_iii, rank, lower, upper)
 
 
-def _instance_classes(chunk: _CactusChunk, octs: np.ndarray) -> np.ndarray:
-    """(B, cap) class column of each sampled octant assignment.
-
-    Cycle octant sums accumulate per edge column in int8: a wrap mod 256 is
-    harmless mod 8.
-    """
-    cls = np.zeros(octs.shape[:2], dtype=np.int8)
-    for k in range(2):
-        s = np.zeros(octs.shape[:2], dtype=np.int8)
-        for e in range(octs.shape[2]):
-            sign = chunk.memb[:, k, e]
-            if sign.any():
-                s += octs[:, :, e] * sign[:, None]
-        cls += _COS_CLASS[s & 7] * np.int8(5**k)
-    return cls
+def _class_instance(st: CactusStructure, col: int) -> GainGraph:
+    """The deterministic representative of class column col: its octant r_k
+    on the first edge of cycle k, gain 1 elsewhere. Re phi(C_k) is then
+    _COS8[r_k] whichever way that edge is stored."""
+    octant = {tuple(sorted(cyc[:2])): col // 5**k % 5 for k, cyc in enumerate(st.cycles)}
+    return GainGraph.build(
+        st.n, [(u, v, Gain.from_angle(octant.get((u, v), 0), 8)) for u, v in st.edges]
+    )
 
 
 def _flush_cactus_chunk(
@@ -799,9 +777,7 @@ def _flush_cactus_chunk(
                         f"tree certification failed: eig rank {int(r_eig[j])}, "
                         f"leaf matching m {int(m_leaf[j])}, table m {int(m_dp[i])}"
                     ),
-                    graph_text=serialize_gain_graph(
-                        GainGraph.build(n, [(u, v, Gain.one()) for u, v in chunk.structs[i].edges])
-                    ),
+                    graph_text=serialize_gain_graph(_class_instance(chunk.structs[i], 0)),
                 )
             )
         rank[tree_rows] = r_eig[:, None]
@@ -811,21 +787,21 @@ def _flush_cactus_chunk(
     want_upper = rank == (2 * m_dp + c)[:, None]
     bad_class = (want_lower != table.lower) | (want_upper != table.upper)
 
-    # deterministic subsample of octant assignments; tiny assignment spaces
-    # only repeat instances, which verifies the same thing twice
-    octs = rng.integers(0, 8, size=(B, cap, n + 1), dtype=np.int8)
+    # a deterministic sample of octant assignments, drawn as their cycle
+    # octant sums: uniform edge octants map onto (Z/8)^c by a surjective
+    # homomorphism, so the sums are uniform and independent. Tiny assignment
+    # spaces only repeat instances, which verifies the same thing twice
+    sums = rng.integers(0, 8, size=(2, B, cap), dtype=np.int8)
+    sums[0, c < 1] = 0  # an absent cycle reads class 0
+    sums[1, c < 2] = 0
+    cls = _COS_CLASS[sums[0]] + 5 * _COS_CLASS[sums[1]]
     space = np.minimum(8.0 ** chunk.ecount, float(cap)).astype(np.int64)
-    cls = _instance_classes(chunk, octs)
     bad = np.take_along_axis(bad_class, cls, axis=1)
-    for i, a in zip(*np.nonzero(bad)):
-        if len(rep.failures) >= max_failures:
-            break
-        st = chunk.structs[i]
-        r = cls[i, a]
-        inst = GainGraph.build(
-            st.n,
-            [(u, v, Gain.from_angle(int(octs[i, a, e]), 8)) for e, (u, v) in enumerate(st.edges)],
-        )
+    # one failure per failing (graph, class), serialized as its representative;
+    # bincount rather than np.unique, which imports numpy.ma on first use
+    failing = np.flatnonzero(np.bincount(np.nonzero(bad)[0] * 25 + cls[bad]))
+    for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
+        i, r = divmod(key, 25)
         rep.failures.append(
             Failure(
                 message=(
@@ -833,33 +809,38 @@ def _flush_cactus_chunk(
                     f"m={int(m_dp[i])} c={int(c[i])} "
                     f"structural=({bool(table.lower[i, r])},{bool(table.upper[i, r])})"
                 ),
-                graph_text=serialize_gain_graph(inst),
+                graph_text=serialize_gain_graph(_class_instance(chunk.structs[i], r)),
             )
         )
     t = _stage(rep.timings, "sweep", t)
 
     # spot checks tie the vectorized tables back to the scalar engines on a
-    # deterministic lattice of cyclic instances
+    # deterministic lattice of cyclic instances: a random octant on every
+    # edge, classified by walking its cycles
     for i in range(0, B, _CACTUS_SPOT_EVERY):
         if c[i] == 0:
             continue
         st = chunk.structs[i]
         G = SimpleGraph.build(st.n, st.edges)
         mb = matching_number(G)
+        octs = rng.integers(0, 8, len(st.edges))
         inst = GainGraph.build(
-            st.n,
-            [(u, v, Gain.from_angle(int(octs[i, 0, e]), 8)) for e, (u, v) in enumerate(st.edges)],
+            st.n, [(u, v, Gain.from_angle(int(o), 8)) for (u, v), o in zip(st.edges, octs)]
+        )
+        col = sum(
+            int(_COS_CLASS[int(cycle_record(inst, cyc).gain.angle * 8)]) * 5**k
+            for k, cyc in enumerate(st.cycles)
         )
         ro = rank_combinatorial(inst)
         cond = cycle_matching_condition(G, st.cycles)[0]
-        r0 = int(rank[i, cls[i, 0]])
+        r0 = int(rank[i, col])
         mismatch = mb != int(m_dp[i]) or ro != r0 or cond != bool(cond_iii[i])
         if mismatch and len(rep.failures) < max_failures:
             rep.failures.append(
                 Failure(
                     message=(
                         f"spot check mismatch: blossom m {mb} vs table {int(m_dp[i])}, "
-                        f"oracle rank {ro} vs table {r0}, "
+                        f"oracle rank {ro} vs table {r0} (class {col}), "
                         f"blossom cond (iii) {cond} vs table {bool(cond_iii[i])}"
                     ),
                     graph_text=serialize_gain_graph(inst),

@@ -23,7 +23,7 @@ from .analysis import SCHEMA_VERSION, analyze, render_text, report_to_dict
 from .certify import SliceReport, run_alphabet_slice, worker_count
 from .combinatorics import cycle_records, enumerate_cycles
 from .combinatorics.transversal import TRANSVERSAL_LIMIT
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError, SizeLimitError, TheoremViolation
 from .generators import (
     GainSetSpec,
     assign_gains,
@@ -66,6 +66,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, ParseError, ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except TheoremViolation as exc:
+        print(f"violation: {exc}\n{exc.instance}", file=sys.stderr)
+        return EXIT_VIOLATION
     doc = {"command": "analyze", **report_to_dict(rep)}
     _emit(doc, args.json, render_text(rep))
     return EXIT_OK if rep.ok else EXIT_VIOLATION
@@ -105,6 +108,14 @@ def cmd_cycles(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_shards(run, shards: list) -> list:
+    """run on each shard, in order: inline for one, one process each otherwise."""
+    if len(shards) == 1:
+        return [run(shards[0])]
+    with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+        return list(pool.map(run, shards))
+
+
 # ---------------------------------------------------------------------------
 # verify: random instances against the bound theorems and reduction lemmas
 
@@ -138,15 +149,18 @@ def _verify_shard(params: tuple) -> dict:
         G = random_connected_graph(n, extra, seed=s + 1)
         g = assign_gains(G, GainSetSpec(spec.kind, q=spec.q, seed=s + 2))
 
-        facts = component_facts(g)
-        note("basic_bounds", check_rank_bounds(facts).holds_basic, i, g)
-        if n <= TRANSVERSAL_LIMIT:
-            note("refined_bounds", bool(check_refined_bounds(facts).holds_refined), i, g)
-        note("equivalence", verify_equivalence(facts).consistent, i, g)
-        pend = pendant_reduction_check(facts)
-        if pend is not None:
-            note("pendant_reduction", pend, i, g)
-        note("deletion_bounds", deletion_bounds_check(facts, rng.randrange(n)), i, g)
+        try:
+            facts = component_facts(g)
+            note("basic_bounds", check_rank_bounds(facts).holds_basic, i, g)
+            if n <= TRANSVERSAL_LIMIT:
+                note("refined_bounds", bool(check_refined_bounds(facts).holds_refined), i, g)
+            note("equivalence", verify_equivalence(facts).consistent, i, g)
+            pend = pendant_reduction_check(facts)
+            if pend is not None:
+                note("pendant_reduction", pend, i, g)
+            note("deletion_bounds", deletion_bounds_check(facts, rng.randrange(n)), i, g)
+        except TheoremViolation:  # an internal check failed; the instance replays it
+            failures.append((i, "theorem_violation", serialize_gain_graph(g)))
     return {"counts": counts, "failures": failures}
 
 
@@ -164,11 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         (args.count, args.n, args.extra_edges, args.gains, args.seed, k, workers)
         for k in range(min(workers, args.count))
     ]
-    if len(shards) == 1:
-        results = [_verify_shard(shards[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(_verify_shard, shards))
+    results = _run_shards(_verify_shard, shards)
 
     counts = {k: [0, 0] for k in results[0]["counts"]}
     failures: list[tuple[int, str, str]] = []
@@ -241,11 +251,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     shards = [(args.n_max, args.gains, args.cap, args.seed, k, workers) for k in range(workers)]
-    if workers == 1:
-        reports = [_enumerate_shard(shards[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_enumerate_shard, shards))
+    reports = _run_shards(_enumerate_shard, shards)
     elapsed = time.perf_counter() - t0
 
     graphs = sum(r.graphs for r in reports)

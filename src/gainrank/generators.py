@@ -83,13 +83,17 @@ class GainSetSpec:
                 return Gain.from_complex(z)
 
 
-def _strip_decode(deg: list[int], seq) -> list[tuple[int, int]]:
-    """Leaf-stripping decode of one sequence, emitting each edge as (min, max).
+def _prufer_decode(n: int, seq) -> list[tuple[int, int]]:
+    """Edges of the labeled tree with the given length n-2 sequence, each
+    as (min, max), in decode order.
 
-    deg holds 1 + remaining occurrences, with protected vertices set above
-    any reachable value. Consumed leaves are marked 0. The pointer only
-    moves forward: a vertex can drop to degree one below it only through
-    the current decrement, and that case is caught immediately."""
+    Leaf stripping: deg holds 1 + remaining occurrences, and consumed leaves
+    are marked 0. The pointer only moves forward: a vertex can drop to
+    degree one below it only through the current decrement, and that case
+    is caught immediately."""
+    deg = [1] * n
+    for a in seq:
+        deg[a] += 1
     ptr = 0
     leaf = -1
     edges = []
@@ -102,16 +106,6 @@ def _strip_decode(deg: list[int], seq) -> list[tuple[int, int]]:
         deg[leaf] = 0
         deg[a] -= 1
         leaf = a if deg[a] == 1 and a < ptr else -1
-    return edges
-
-
-def _prufer_decode(n: int, seq) -> list[tuple[int, int]]:
-    """Edges of the labeled tree with the given length n-2 sequence, each
-    as (min, max), in decode order."""
-    deg = [1] * n
-    for a in seq:
-        deg[a] += 1
-    edges = _strip_decode(deg, seq)
     edges.append((deg.index(1), n - 1))  # the largest vertex is never the smallest leaf
     return edges
 

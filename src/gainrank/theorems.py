@@ -172,9 +172,10 @@ def _component_rank(g: GainGraph) -> tuple[int, str]:
     N(d) for every prime that kills a nonzero minor d, so enough primes for
     the Hadamard bound on N(d) reach the rank. Float gains, and a
     certificate that needs more than EXACT_PRIME_BUDGET primes where one
-    prime does not find full rank, get the numeric eigenvalue cut. Small graphs additionally cross-check the exact
-    rank against the numeric value, and a disagreement is an internal bug
-    worth crashing on.
+    prime does not find full rank, get the numeric eigenvalue cut. Small
+    graphs additionally cross-check the exact rank against the numeric
+    value; a disagreement is an internal bug, raised as a TheoremViolation
+    that carries the component.
     """
     try:
         r, backend = spectral_rank(g, mode="exact"), "exact"
@@ -183,8 +184,9 @@ def _component_rank(g: GainGraph) -> tuple[int, str]:
     if backend != "numeric" and g.n <= CROSS_CHECK_LIMIT:
         rn = spectral_rank(g, mode="numeric")
         if rn != r:
-            raise RuntimeError(
-                f"rank backends disagree on n={g.n}: {backend}={r}, numeric={rn}"
+            raise TheoremViolation(
+                f"rank backends disagree on n={g.n}: {backend}={r}, numeric={rn}",
+                instance=serialize_gain_graph(g),
             )
     return r, backend
 

@@ -17,6 +17,7 @@ from gainrank.certify import (
     _CACTUS_STAGES,
     _batched_matching_counts,
     _cactus_class_table,
+    _class_instance,
     _cotree_columns,
     _cycle_flags,
     _fundamental_cycles,
@@ -33,7 +34,9 @@ from gainrank.certify import (
 )
 from gainrank.combinatorics import (
     cycle_matching_condition,
+    cycle_record,
     cycles_pairwise_disjoint,
+    enumerate_cycles,
     matching_number,
 )
 from gainrank.combinatorics.matching import matching_number_bruteforce
@@ -45,9 +48,14 @@ from gainrank.generators import (
     enumerate_connected_graphs,
     random_tree,
 )
-from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph
+from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph, serialize_gain_graph
 from gainrank.spectral import exact_rank, nonzero_eigenvalue_bound, rank as spectral_rank
-from gainrank.theorems import lower_optimal_structural, upper_optimal_structural
+from gainrank.theorems import (
+    CycleType,
+    classify_cycle,
+    lower_optimal_structural,
+    upper_optimal_structural,
+)
 
 from conftest import simple_graphs
 
@@ -634,29 +642,23 @@ def test_one_pass_packer_matches_per_structure_packing(n):
     ecount = np.zeros(B, dtype=np.int64)
     cyc_mask = np.zeros((B, 2), dtype=np.int64)
     cyc_len = np.zeros((B, 2), dtype=np.int64)
-    memb = np.zeros((B, 2, n + 1), dtype=np.int8)
     ncyc = np.zeros(B, dtype=np.int64)
     for i, st in enumerate(structs):
         for u, v in st.edges:
             adjmask[i, u] |= 1 << v
             adjmask[i, v] |= 1 << u
         ecount[i] = len(st.edges)
-        col_of = {e: k for k, e in enumerate(st.edges)}
         for k, cyc in enumerate(st.cycles):
             cyc_mask[i, k] = sum(1 << a for a in cyc)
             cyc_len[i, k] = len(cyc)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                memb[i, k, col_of[(min(a, b), max(a, b))]] = 1 if a < b else -1
         ncyc[i] = len(st.cycles)
     assert chunk.structs == structs
     for name, want in [
         ("adjmask", adjmask), ("ecount", ecount), ("cyc_mask", cyc_mask),
-        ("cyc_len", cyc_len), ("memb", memb), ("ncyc", ncyc),
+        ("cyc_len", cyc_len), ("ncyc", ncyc),
     ]:
         got = getattr(chunk, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    if n >= 3:
-        assert (memb == -1).any()  # backward cycle edges are covered
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -676,6 +678,137 @@ def test_cactus_class_table_matches_numeric_rank_and_structure(n):
             assert int(table.rank[i, col]) == spectral_rank(g, mode="numeric"), (st, classes)
             assert bool(table.lower[i, col]) == lower_optimal_structural(g).holds, (st, classes)
             assert bool(table.upper[i, col]) == upper_optimal_structural(g).holds, (st, classes)
+
+
+def _octant_class(g, cycles):
+    """Class column of g's cycles, each classified by walking it."""
+    return sum(
+        int(_COS_CLASS[int(cycle_record(g, cyc).gain.angle * 8)]) * 5**k
+        for k, cyc in enumerate(cycles)
+    )
+
+
+def test_class_table_equals_brute_force_over_every_octant_assignment():
+    # every 8^E eighth-root assignment of every cactus with n <= 4: 70,344
+    # instances, ranked by one batched eigensolve (zero padding to 4 x 4
+    # adds only zero eigenvalues) and classified cycle by cycle
+    roots = np.exp(2j * np.pi * np.arange(8) / 8)
+    gains = [Gain.from_angle(o, 8) for o in range(8)]
+    walked = {}  # (cycle, octants on its edges) -> (class digit, cycle type)
+
+    def walk(cyc, octant_on):
+        ring = [tuple(sorted(e)) for e in zip(cyc, cyc[1:] + cyc[:1])]
+        key = (cyc, tuple(octant_on[e] for e in ring))
+        if key not in walked:
+            g = GainGraph.build(max(cyc) + 1, [(a, b, gains[octant_on[a, b]]) for a, b in ring])
+            rec = cycle_record(g, cyc)
+            walked[key] = int(_COS_CLASS[int(rec.gain.angle * 8)]), classify_cycle(g, rec)
+        return walked[key]
+
+    H, table_says, walk_says = [], [], []
+    for n in range(2, 5):
+        structs = list(enumerate_connected_cacti(n))
+        table = _cactus_class_table(_pack_cacti(n, structs), {})
+        for i, st in enumerate(structs):
+            cond = cycle_matching_condition(SimpleGraph.build(n, st.edges), st.cycles)[0]
+            octs = np.array(list(product(range(8), repeat=len(st.edges))))
+            u, v = np.array(st.edges).T
+            h = np.zeros((len(octs), 4, 4), dtype=complex)
+            h[:, u, v], h[:, v, u] = roots[octs], roots[octs].conj()
+            H.append(h)
+            for row in octs.tolist():
+                walks = [walk(cyc, dict(zip(st.edges, row))) for cyc in st.cycles]
+                col = sum(d * 5**k for k, (d, _) in enumerate(walks))
+                types = [t for _, t in walks]
+                table_says.append((table.lower[i, col], table.upper[i, col], table.rank[i, col]))
+                walk_says.append((
+                    cond and all(t is CycleType.EVEN_SINGULAR for t in types),
+                    cond and all(t in (CycleType.ODD_POSITIVE, CycleType.ODD_NEGATIVE)
+                                 for t in types),
+                ))
+    ranks = (np.abs(np.linalg.eigvalsh(np.concatenate(H))) > 1e-6).sum(axis=1)
+    assert len(ranks) == 70_344
+    for told, walk_flags, rank in zip(table_says, walk_says, ranks.tolist()):
+        assert told == (*walk_flags, rank)
+
+
+def test_class_representative_walks_to_its_class():
+    two_triangles = [st for st in enumerate_connected_cacti(6) if len(st.cycles) == 2]
+    for st, col in product(two_triangles, range(25)):
+        g = parse_gain_graph(serialize_gain_graph(_class_instance(st, col)))
+        assert _octant_class(g, st.cycles) == col
+        reals = [cycle_record(g, cyc).real_part for cyc in st.cycles]
+        assert reals == pytest.approx(_COS8[[col % 5, col // 5]], abs=1e-12)
+
+
+def _patch_class_rank(monkeypatch, cols, new_rank):
+    """Replace the class table's rank in the given columns by
+    new_rank(rank columns, table, chunk)."""
+    real = certify._cactus_class_table
+
+    def patched(chunk, timings):
+        table = real(chunk, timings)
+        rank = table.rank.copy()
+        here = [col for col in cols if col < rank.shape[1]]
+        rank[:, here] = new_rank(rank[:, here], table, chunk)
+        return table._replace(rank=rank)
+
+    monkeypatch.setattr(certify, "_cactus_class_table", patched)
+
+
+def _raise_class_columns(monkeypatch, cols):
+    _patch_class_rank(monkeypatch, cols, lambda rank, table, chunk: rank + 1)
+
+
+# below n = 8 only one-cycle classes reach an extremal rank, so only their
+# columns can turn a raised rank into an equivalence failure
+@pytest.mark.parametrize("col", [1, 3])
+def test_raised_class_column_fails_on_its_class_representative(monkeypatch, col):
+    _raise_class_columns(monkeypatch, [col])
+    rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
+    failed = [f for f in rep.failures if f.message.startswith("cactus equivalence failed")]
+    spot = [f for f in rep.failures if f.message.startswith("spot check mismatch")]
+    assert failed and len(failed) + len(spot) == len(rep.failures)
+    assert len({f.graph_text for f in failed}) == len(failed)  # one per (graph, class)
+    # every failing instance, serialized or spot-checked, lies in the raised class
+    for f in failed + spot:
+        g = parse_gain_graph(f.graph_text)
+        cycles = enumerate_cycles(g)
+        reals = [cycle_record(g, cyc).real_part for cyc in cycles] + [1.0] * (2 - len(cycles))
+        assert sorted(reals) == pytest.approx(sorted(_COS8[[col, 0]]), abs=1e-12), f.graph_text
+        assert _octant_class(g, cycles) in (col, 5 * col)
+
+
+def test_two_cycle_column_claiming_the_upper_bound_fails_on_its_representative(monkeypatch):
+    # Re phi = 0 and -sqrt(1/2): the first triangle is imaginary, so no graph
+    # of this class is upper-extremal. Only the drawn second cycle sums reach
+    # the column, and one-cycle graphs never do
+    col = 2 + 5 * 3
+
+    def upper_bound(rank, table, chunk):
+        return (2 * table.m + chunk.ncyc)[:, None]
+
+    _patch_class_rank(monkeypatch, [col], upper_bound)
+    rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
+    assert rep.failures
+    assert all(f.message.startswith("cactus equivalence failed") for f in rep.failures)
+    for f in rep.failures:
+        g = parse_gain_graph(f.graph_text)
+        cycles = enumerate_cycles(g)
+        reals = sorted(cycle_record(g, cyc).real_part for cyc in cycles)
+        assert reals == pytest.approx(sorted(_COS8[[2, 3]]), abs=1e-12), f.graph_text
+        assert _octant_class(g, cycles) in (col, 3 + 5 * 2)
+
+
+def test_every_spot_check_reads_the_class_it_walked(monkeypatch):
+    _raise_class_columns(monkeypatch, range(25))
+    monkeypatch.setattr(certify, "_CACTUS_SPOT_EVERY", 7)
+    rep = run_cactus_slice(n_max=6, cap=5, seed=0, max_failures=10**6)
+    spot = [f for f in rep.failures if f.message.startswith("spot check mismatch")]
+    assert rep.cross_checks > 0 and len(spot) == rep.cross_checks
+    for f in spot:
+        oracle, table = map(int, re.search(r"oracle rank (\d+) vs table (\d+)", f.message).groups())
+        assert table == oracle + 1
 
 
 def test_cactus_size_limit_is_checked_before_any_enumeration(monkeypatch):

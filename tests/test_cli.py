@@ -311,3 +311,52 @@ def test_analyze_size_limit_is_an_input_error(tmp_path, capsys):
     assert cli.main(["analyze", str(p), "--mode", "oracle"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n <= 12" in err
+
+
+@pytest.fixture
+def numeric_rank_off_by_one(monkeypatch):
+    """The numeric rank backend reports one more than the rank."""
+    from gainrank import theorems
+
+    real = theorems.spectral_rank
+    monkeypatch.setattr(
+        theorems, "spectral_rank", lambda g, mode=None: real(g, mode=mode) + (mode == "numeric")
+    )
+
+
+def test_analyze_rank_backend_disagreement_exits_two(
+    triangle_file, numeric_rank_off_by_one, capsys
+):
+    assert cli.main(["analyze", triangle_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rank backends disagree on n=3" in captured.err
+    assert "n 3" in captured.err  # the instance, serialized for replay
+
+
+def test_verify_writes_rank_backend_disagreements_and_continues(
+    tmp_path, monkeypatch, numeric_rank_off_by_one, capsys
+):
+    monkeypatch.setenv("GAINRANK_WORKERS", "1")
+    out = tmp_path / "bad.txt"
+    args = ["verify", "--count", "3", "--gains", "signed", "--out", str(out), "--json"]
+    assert cli.main(args) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] >= 1 and doc["failure_file"] == str(out)
+    body = out.read_text()
+    assert body.count("failed theorem_violation") == doc["failures"]
+    # instances past the cross-check size run every check to the end
+    assert doc["checks"]["basic_bounds"]["run"] == 3 - doc["failures"]
+
+
+def test_verify_writes_a_refined_interval_violation(tmp_path, monkeypatch, capsys):
+    from gainrank import theorems
+
+    # a transversal larger than c puts the refined interval outside the basic one
+    monkeypatch.setattr(theorems, "odd_cycle_transversal", lambda G: (G.n + 1, ()))
+    monkeypatch.setenv("GAINRANK_WORKERS", "1")
+    out = tmp_path / "bad.txt"
+    args = ["verify", "--count", "2", "--n", "6", "--gains", "signed", "--out", str(out), "--json"]
+    assert cli.main(args) == 2
+    assert json.loads(capsys.readouterr().out)["failures"] == 2
+    assert out.read_text().count("failed theorem_violation") == 2
