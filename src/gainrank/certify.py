@@ -196,9 +196,9 @@ def _group_positions(alphabet: tuple[Gain, ...]) -> np.ndarray:
     q = len(alphabet)
     pos = np.full(q, -1, dtype=np.int64)
     for i, g in enumerate(alphabet):
-        if g.angle is None or (g.angle * q).denominator != 1:
+        if g.q is None or q % g.q:
             raise ValueError(f"gain {g!r} is not a {q}-th root of unity")
-        pos[int(g.angle * q)] = i
+        pos[g.k * (q // g.q)] = i
     if q == 0 or (pos < 0).any():
         raise ValueError(f"alphabet of {q} gains is not the group of {q}-th roots of unity")
     return pos
@@ -827,10 +827,8 @@ def _flush_cactus_chunk(
         inst = GainGraph.build(
             st.n, [(u, v, Gain.from_angle(int(o), 8)) for (u, v), o in zip(st.edges, octs)]
         )
-        col = sum(
-            int(_COS_CLASS[int(cycle_record(inst, cyc).gain.angle * 8)]) * 5**k
-            for k, cyc in enumerate(st.cycles)
-        )
+        walks = (cycle_record(inst, cyc).gain for cyc in st.cycles)
+        col = sum(int(_COS_CLASS[g.k * (8 // g.q)]) * 5**k for k, g in enumerate(walks))
         ro = rank_combinatorial(inst)
         cond = cycle_matching_condition(G, st.cycles)[0]
         r0 = int(rank[i, col])

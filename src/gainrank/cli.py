@@ -17,7 +17,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import SCHEMA_VERSION, analyze, render_text, report_to_dict
 from .certify import SliceReport, run_alphabet_slice, worker_count
@@ -112,6 +111,7 @@ def _run_shards(run, shards: list) -> list:
     """run on each shard, in order: inline for one, one process each otherwise."""
     if len(shards) == 1:
         return [run(shards[0])]
+    from concurrent.futures import ProcessPoolExecutor  # only a sharded run loads multiprocessing
     with ProcessPoolExecutor(max_workers=len(shards)) as pool:
         return list(pool.map(run, shards))
 
@@ -238,7 +238,7 @@ def _enumerate_shard(params: tuple) -> SliceReport:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         spec = GainSetSpec.parse(args.gains)
-        if spec.values() is None:
+        if spec.order is None:
             raise ValueError("enumerate needs a finite gain set (not uniform)")
         if not 2 <= args.n_max <= 7:  # n = 8 alone has 251,548,592 connected graphs
             raise ValueError("--n-max must be between 2 and 7")

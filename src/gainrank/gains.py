@@ -1,10 +1,10 @@
 """Unit-modulus edge gains.
 
-A gain is a complex number on the unit circle. Whenever the angle is a known
-rational multiple of a full turn we carry it exactly (as a Fraction in [0, 1)),
-so products around cycles of root-of-unity gains stay exact and classification
-never has to lean on float tolerances. Arbitrary unit complex values are still
-supported through the float path.
+A gain is a complex number on the unit circle. Whenever it is a root of unity
+exp(2*pi*i*k/q) we carry the reduced integer exponent (k, q), 0 <= k < q and
+gcd(k, q) = 1, so products around cycles of root-of-unity gains are integer
+additions mod q and classification never has to lean on float tolerances.
+Arbitrary unit complex values are still supported through the float path.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import ParseError
@@ -25,62 +26,65 @@ UNIT_TOL = 1e-6
 # one of 1, -1, i, -i are snapped to the exact axis angle
 SNAP_TOL = 1e-12
 
-# the four axis angles with exact value and token; the package's one copy
+# the four axis exponents (k, q) with exact value and token; the package's one copy
 AXIS_ANGLES = {
-    Fraction(0): (1 + 0j, "1"),
-    Fraction(1, 2): (-1 + 0j, "-1"),
-    Fraction(1, 4): (1j, "i"),
-    Fraction(3, 4): (-1j, "-i"),
+    (0, 1): (1 + 0j, "1"),
+    (1, 2): (-1 + 0j, "-1"),
+    (1, 4): (1j, "i"),
+    (3, 4): (-1j, "-i"),
 }
-_TOKEN_ANGLES = {tok: ang for ang, (_, tok) in AXIS_ANGLES.items()}
+_TOKEN_ANGLES = {tok: kq for kq, (_, tok) in AXIS_ANGLES.items()}
 _ROT_RE = re.compile(r"rot\((-?\d+)/(\d+)\)\Z")
 _CPLX_RE = re.compile(r"c\(([^,()]+),([^,()]+)\)\Z")
 
 
-def _angle_value(angle: Fraction) -> complex:
-    # exact values on the axes, cmath elsewhere
-    if angle in AXIS_ANGLES:
-        return AXIS_ANGLES[angle][0]
-    return cmath.exp(2j * math.pi * float(angle))
+@lru_cache(maxsize=1 << 16)
+def _root(k: int, q: int) -> "Gain":
+    """The shared gain exp(2*pi*i*k/q), k/q reduced: exact on the axes, cmath elsewhere."""
+    axis = AXIS_ANGLES.get((k, q))
+    return Gain(axis[0] if axis else cmath.exp(2j * math.pi * (k / q)), k, q)
 
 
 @dataclass(frozen=True)
 class Gain:
-    """A unit complex number, with its angle kept exact when known.
+    """A unit complex number, with its exponent kept exact when known.
 
-    ``angle`` is the fraction of a full turn, reduced into [0, 1), or None
-    for gains known only as floats.
+    The gain is exp(2*pi*i*k/q) with 0 <= k < q and gcd(k, q) = 1, or k and
+    q are both None for gains known only as floats.
     """
 
     value: complex
-    angle: Optional[Fraction] = None
+    k: Optional[int] = None
+    q: Optional[int] = None
 
     def __post_init__(self):
-        if abs(abs(self.value) - 1.0) > 1e-9:
+        if not abs(abs(self.value) - 1.0) <= 1e-9:
             raise ValueError(f"gain modulus {abs(self.value)!r} is not 1")
-        if self.angle is not None and not 0 <= self.angle < 1:
-            raise ValueError(f"gain angle {self.angle} not reduced into [0, 1)")
+        if self.q is not None and not (0 <= self.k < self.q and math.gcd(self.k, self.q) == 1):
+            raise ValueError(f"gain exponent {self.k}/{self.q} not reduced into [0, 1)")
 
     @classmethod
     def from_angle(cls, p: int | Fraction, q: int = 1) -> "Gain":
-        angle = (Fraction(p, q) if q != 1 or not isinstance(p, Fraction) else p) % 1
-        return cls(_angle_value(angle), angle)
+        """exp(2*pi*i*p/q) for an int or Fraction p and q >= 1, the angle taken mod 1."""
+        k, q = p.numerator, p.denominator * q
+        d = math.gcd(k, q)
+        return _root(k // d % (q // d), q // d)
 
     @classmethod
     def from_complex(cls, z: complex) -> "Gain":
         """Normalize a float gain; reject moduli further than UNIT_TOL from 1."""
         mod = abs(z)
-        if abs(mod - 1.0) > UNIT_TOL:
+        if not abs(mod - 1.0) <= UNIT_TOL:
             raise ValueError(f"gain {z!r} has modulus {mod:.8g}, not 1")
         z = z / mod
-        for angle, (value, _) in AXIS_ANGLES.items():
+        for kq, (value, _) in AXIS_ANGLES.items():
             if abs(z - value) <= SNAP_TOL:
-                return cls(value, angle)
-        return cls(z, None)
+                return _root(*kq)
+        return cls(z)
 
     @classmethod
     def one(cls) -> "Gain":
-        return cls.from_angle(0)
+        return _root(0, 1)
 
     @classmethod
     def coerce(cls, g: "Gain | complex | int | float | str") -> "Gain":
@@ -90,13 +94,18 @@ class Gain:
             return cls.parse_token(g)
         return cls.from_complex(complex(g))
 
+    @property
+    def angle(self) -> Optional[Fraction]:
+        """The exponent as a fraction of a full turn in [0, 1), or None."""
+        return None if self.q is None else Fraction(self.k, self.q)
+
     def conjugate(self) -> "Gain":
-        angle = None if self.angle is None else (-self.angle) % 1
-        return Gain(self.value.conjugate(), angle)
+        k = None if self.q is None else -self.k % self.q
+        return Gain(self.value.conjugate(), k, self.q)
 
     def __mul__(self, other: "Gain") -> "Gain":
-        if self.angle is not None and other.angle is not None:
-            return Gain.from_angle(self.angle + other.angle)
+        if self.q is not None and other.q is not None:
+            return Gain.from_angle(self.k * other.q + other.k * self.q, self.q * other.q)
         return Gain.from_complex(self.value * other.value)
 
     @property
@@ -112,7 +121,7 @@ class Gain:
     def parse_token(cls, token: str) -> "Gain":
         token = token.strip()
         if token in _TOKEN_ANGLES:
-            return cls.from_angle(_TOKEN_ANGLES[token])
+            return _root(*_TOKEN_ANGLES[token])
         m = _ROT_RE.match(token)
         if m:
             p, q = int(m.group(1)), int(m.group(2))
@@ -132,10 +141,9 @@ class Gain:
         raise ParseError(f"unrecognized gain token {token!r}")
 
     def token(self) -> str:
-        if self.angle is not None:
-            if self.angle in AXIS_ANGLES:
-                return AXIS_ANGLES[self.angle][1]
-            return f"rot({self.angle.numerator}/{self.angle.denominator})"
+        if self.q is not None:
+            axis = AXIS_ANGLES.get((self.k, self.q))
+            return axis[1] if axis else f"rot({self.k}/{self.q})"
         return f"c({self.value.real:.17g},{self.value.imag:.17g})"
 
     def __repr__(self):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, combinations, compress, permutations, repeat
 from typing import Iterator, NamedTuple
 
@@ -24,6 +24,7 @@ GRAPH_ENUM_LIMIT = 8
 EXTREMAL_RETRIES = 20
 _UNIFORM_REAL_BAND = 1e-6
 _MASK_BLOCK = 1 << 20  # edge masks tested for connectivity at once
+_ORDERS = {"trivial": 1, "signed": 2, "gaussian": 4}
 
 
 @dataclass(frozen=True)
@@ -54,26 +55,20 @@ class GainSetSpec:
             return cls("roots", q=int(text.split(":", 1)[1]), seed=seed)
         return cls(text, seed=seed)
 
+    @property
+    def order(self) -> int | None:
+        """q for the group of q-th roots of unity drawn from, None for uniform."""
+        return self.q if self.kind == "roots" else _ORDERS.get(self.kind)
+
     def values(self) -> tuple[Gain, ...] | None:
         """The finite alphabet, or None for uniform."""
-        if self.kind == "trivial":
-            return (Gain.one(),)
-        if self.kind == "signed":
-            return (Gain.from_angle(0), Gain.from_angle(1, 2))
-        if self.kind == "gaussian":
-            return tuple(Gain.from_angle(j, 4) for j in range(4))
-        if self.kind == "roots":
-            return tuple(Gain.from_angle(j, self.q) for j in range(self.q))
-        return None
-
-    @cached_property
-    def _alphabet(self) -> tuple[Gain, ...] | None:
-        return self.values()
+        q = self.order
+        return None if q is None else tuple(Gain.from_angle(j, q) for j in range(q))
 
     def sample(self, rng: random.Random) -> Gain:
-        vals = self._alphabet
-        if vals is not None:
-            return vals[rng.randrange(len(vals))]
+        q = self.order
+        if q is not None:
+            return Gain.from_angle(rng.randrange(q), q)
         # uniform floats; stay clear of the purely-imaginary axis so cycle
         # classification never sits on the Type-E boundary by accident
         while True:

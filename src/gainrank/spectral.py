@@ -226,11 +226,11 @@ def exact_rank(g: GainGraph) -> int:
     """
     q = 1  # least q with every gain a q-th root of unity
     for e in g.edges:
-        if e.gain.angle is None:
+        if e.gain.q is None:
             raise ValueError(
                 f"exact rank needs rational-angle gains; edge ({e.u}, {e.v}) has {e.gain.token()}"
             )
-        q = math.lcm(q, e.gain.angle.denominator)
+        q = math.lcm(q, e.gain.q)
     degrees = [d for d in g.degrees() if d]
     bound = math.prod(degrees)
     if bound == 1:  # a perfect matching: a direct sum of invertible 2 x 2 blocks
@@ -252,7 +252,7 @@ def exact_rank(g: GainGraph) -> int:
         p, w = _next_modulus(q, factors, p)
         rows: list[dict[int, int]] = [{} for _ in range(g.n)]
         for u, v, gain in g.edges:
-            k = gain.angle.numerator * (q // gain.angle.denominator)
+            k = gain.k * (q // gain.q)
             rows[u][v], rows[v][u] = pow(w, k, p), pow(w, q - k, p)
         best = max(best, _rank_mod(rows, p))
         prod *= p

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .combinatorics import (
     block_decomposition,
@@ -22,6 +21,7 @@ from .combinatorics import (
 )
 from .combinatorics.cycles import CycleRecord
 from .errors import SizeLimitError, TheoremViolation
+from .gains import Gain
 from .graphs import GainGraph, pendant_vertices, serialize_gain_graph, underlying
 from .spectral import rank as spectral_rank
 
@@ -54,12 +54,11 @@ def classify_cycle(g: GainGraph, cycle: "CycleRecord | tuple[int, ...]") -> Cycl
     rec = cycle if isinstance(cycle, CycleRecord) else cycle_record(g, tuple(cycle))
     l = rec.length
     if l % 2 == 0:
-        target_angle = Fraction(0) if (l // 2) % 2 == 0 else Fraction(1, 2)
-        if rec.gain.angle is not None:
-            singular = rec.gain.angle == target_angle
+        target, gain = Gain.from_angle(l // 2, 2), rec.gain
+        if gain.q is not None:
+            singular = (gain.k, gain.q) == (target.k, target.q)
         else:
-            target = 1.0 if target_angle == 0 else -1.0
-            singular = abs(rec.gain.value - target) <= TYPE_TOL
+            singular = abs(gain.value - target.value) <= TYPE_TOL
         return CycleType.EVEN_SINGULAR if singular else CycleType.EVEN_REGULAR
     re = rec.real_part
     if abs(re) <= TYPE_TOL:

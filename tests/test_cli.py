@@ -99,6 +99,16 @@ def test_cycles_output(triangle_file, capsys):
     assert row["type"] == "ODD_NEGATIVE"
 
 
+@pytest.mark.parametrize("token", ["c(nan,0)", "c(1,nan)", "c(nan,nan)"])
+def test_cycles_rejects_a_non_finite_gain(tmp_path, capsys, token):
+    p = tmp_path / "nan.txt"
+    p.write_text(f"n 3\ne 0 1 {token}\ne 1 2 1\ne 0 2 1\n")
+    assert cli.main(["cycles", str(p), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modulus nan" in captured.err
+
+
 def test_cycles_cap(squares_file, capsys):
     assert cli.main(["cycles", squares_file, "--max-cycles", "1"]) == 1
     assert "--max-cycles" in capsys.readouterr().err
@@ -164,6 +174,15 @@ def test_verify_worker_invariance(monkeypatch, capsys):
     monkeypatch.setenv("GAINRANK_WORKERS", "3")
     multi = run()
     assert solo == multi
+
+
+def test_verify_draws_from_a_huge_root_group_without_building_it(tmp_path, capsys):
+    # each gain is drawn as one exponent; the 10^9-element alphabet is never listed
+    out = str(tmp_path / "failures.txt")
+    argv = ["verify", "--count", "2", "--n", "5", "--gains", "roots:1000000007", "--out", out, "--json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["elapsed"] < 10
 
 
 def test_verify_bad_gains(capsys):

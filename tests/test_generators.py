@@ -23,7 +23,7 @@ from gainrank.generators import (
     random_connected_graph,
     random_tree,
 )
-from gainrank.graphs import SimpleGraph, underlying
+from gainrank.graphs import SimpleGraph, serialize_gain_graph, underlying
 from gainrank.theorems import verify_equivalence
 
 
@@ -33,6 +33,25 @@ def test_gain_set_values():
     assert len(GainSetSpec("gaussian").values()) == 4
     assert len(GainSetSpec("roots", q=8).values()) == 8
     assert GainSetSpec("uniform").values() is None
+
+
+def test_gain_set_order_names_the_root_group():
+    orders = [GainSetSpec.parse(k).order for k in ("trivial", "signed", "gaussian", "roots:7")]
+    assert orders == [1, 2, 4, 7]
+    assert GainSetSpec("uniform").order is None
+    assert [(g.k, g.q) for g in GainSetSpec("gaussian").values()] == [(0, 1), (1, 4), (1, 2), (3, 4)]
+
+
+def test_gain_draws_are_pinned():
+    # serialized instances as first drawn from an alphabet tuple, for every kind
+    texts = (
+        serialize_gain_graph(
+            assign_gains(random_connected_graph(4 + seed % 7, 3, seed), GainSetSpec.parse(kind, seed))
+        )
+        for kind in ("trivial", "signed", "gaussian", "roots:12", "uniform")
+        for seed in range(20)
+    )
+    assert _digest(texts) == "81933064cc6149a2d74630d641ccc3ae35ecd4e260a7748004ebf98de8f92ad6"
 
 
 def test_gain_set_parse():
