@@ -31,7 +31,8 @@ Two engines, sized to what they must cover on a single core:
   vectorized across graphs, and coefficients land on the lattice
   (p + q*sqrt(2))/2 whose nonzero values stay above 1.6e-4, so a 1e-6
   threshold decides rank exactly. A real part takes one of five values, so
-  the coefficient sweep ranks at most 5^c <= 25 real-part classes per graph.
+  the coefficient sweep, one term per subset of the c cycle slots, ranks
+  5^c real-part classes per graph.
   A sampled gain assignment is drawn as its c cycle octant sums: edge
   octants map onto them by a surjective homomorphism onto (Z/8)^c, so
   uniform edge octants give uniform independent sums, and the sample reads
@@ -630,15 +631,17 @@ class _CactusChunk:
     structs: list[CactusStructure]
     adjmask: np.ndarray  # (B, n) neighbour bitmasks
     ecount: np.ndarray  # (B,) edge count
-    cyc_mask: np.ndarray  # (B, 2) cycle vertex bitmasks, 0 for an absent cycle slot
-    cyc_len: np.ndarray  # (B, 2), 0 for an absent cycle slot
+    cyc_mask: np.ndarray  # (B, slots) cycle vertex bitmasks, 0 for an absent cycle slot
+    cyc_len: np.ndarray  # (B, slots), 0 for an absent cycle slot
     ncyc: np.ndarray  # (B,) number of cycles
 
 
 def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
     """Pack a chunk from the structures' edge masks. Cycle vertex masks are
     built once per run of structures that share one cycles tuple, then
-    gathered; cycle lengths and counts are their popcounts."""
+    gathered; cycle lengths and counts are their popcounts. There is one
+    cycle slot per three vertices the enumeration reaches: c disjoint cycles
+    need n >= 3c."""
     B = len(structs)
     masks = np.fromiter(map(attrgetter("mask"), structs), np.int64, B)
     adjmask = np.zeros((B, n), dtype=np.int64)
@@ -648,7 +651,7 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
         adjmask[:, v] |= bit << u
 
     runs = [(cyc, len(list(same))) for cyc, same in groupby(structs, attrgetter("cycles"))]
-    run_masks = np.zeros((len(runs), 2), dtype=np.int64)
+    run_masks = np.zeros((len(runs), GRAPH_ENUM_LIMIT // 3), dtype=np.int64)
     for r, (cyc, _) in enumerate(runs):
         run_masks[r, : len(cyc)] = [sum(1 << a for a in c) for c in cyc]
     cyc_mask = np.repeat(run_masks, [size for _, size in runs], axis=0)
@@ -660,9 +663,9 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
 class _ClassTable(NamedTuple):
     """Per-graph facts and per-class results of one packed chunk.
 
-    Column r0 + 5*r1 is the class with Re phi(C_k) = _COS8[r_k]; an absent
-    cycle reads class 0. A chunk whose graphs have at most c cycles has 5^c
-    columns.
+    Column sum_k r_k * 5^k is the class with Re phi(C_k) = _COS8[r_k] in cycle
+    slot k; an absent cycle reads class 0. A chunk whose graphs have at most
+    c cycles has 5^c columns.
     """
 
     m: np.ndarray  # (B,) matching number
@@ -675,31 +678,34 @@ class _ClassTable(NamedTuple):
 def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _ClassTable:
     """Matching DP, condition (iii) and the rank of every real-part class.
 
-    The spectrum depends on the gains only through Re phi(C_1) and
-    Re phi(C_2), each one of the five eighth-root real parts, so the
-    coefficient sweep runs over at most 25 classes per graph.
+    The spectrum depends on the gains only through Re phi(C_k) of the c
+    occupied cycle slots, each one of the five eighth-root real parts, so
+    the coefficient sweep runs over 5^c classes per graph.
     """
     t = time.perf_counter()
     B, n = len(chunk.structs), chunk.n
     full = (1 << n) - 1
     levels = n // 2 + 1
     rows = np.arange(B)
+    C = int(chunk.ncyc.max(initial=0))
+    K = 5**C
 
     p = _batched_matching_counts(chunk.adjmask, n)
-    counts_full = _unpack_counts(p[full], levels)
-    m_dp = _max_index_positive(counts_full)
-
-    no_cyc_idx = full ^ (chunk.cyc_mask[:, 0] | chunk.cyc_mask[:, 1])
     cond_iii = _condition_iii(p, chunk.cyc_mask, n)
-    N_both = _unpack_counts(p[no_cyc_idx, rows], levels)
-    N_sub = [_unpack_counts(p[full ^ chunk.cyc_mask[:, k], rows], levels) for k in range(2)]
+    # per cycle subset T, in the order {}, {0}, {1}, {0, 1}, ...: the matching
+    # counts of G - V(T), the total length of T, and whether every slot of T
+    # holds a cycle
+    subsets = [[k for k in range(C) if T >> k & 1] for T in range(1 << C)]
+    N = [
+        _unpack_counts(p[full ^ np.bitwise_or.reduce(chunk.cyc_mask[:, T], axis=1), rows], levels)
+        for T in subsets
+    ]
+    length = [chunk.cyc_len[:, T].sum(axis=1) for T in subsets]
+    present = [(chunk.cyc_len[:, T] > 0).all(axis=1) for T in subsets]
     t = _stage(timings, "matching_dp", t)
 
-    c = chunk.ncyc
-    l1, l2 = chunk.cyc_len[:, 0], chunk.cyc_len[:, 1]
-    K = 5 ** int(c.max(initial=0))
-    octant = np.arange(K) % 5, np.arange(K) // 5  # one octant of each class
-    re = _COS8[octant[0]], _COS8[octant[1]]
+    digit = np.arange(K) // 5 ** np.arange(C)[:, None] % 5  # (C, K) slot classes, read as octants
+    weight = [(-2.0 * _COS8[digit[T]]).prod(axis=0) for T in subsets]  # (-2)^|T| prod(Re)
 
     # characteristic coefficients, highest nonzero index gives the rank:
     # a_k = sum over cycle subsets T of (-2)^|T| prod(Re) (-1)^j N_j(G - V(T))
@@ -708,32 +714,22 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
     settled = np.zeros((B, K), dtype=bool)
     for k in range(n, 0, -1):
         ak = np.zeros((B, K))
-        if k % 2 == 0:
-            j0 = k // 2
-            sgn = 1.0 if j0 % 2 == 0 else -1.0
-            ak += (sgn * counts_full[:, j0])[:, None]
-        for s in range(2):
-            lt = chunk.cyc_len[:, s]
-            jj = k - lt
-            valid = (lt > 0) & (jj >= 0) & (jj % 2 == 0)
+        for N_T, l_T, on_T, w_T in zip(N, length, present, weight):
+            jj = k - l_T
+            valid = on_T & (jj >= 0) & (jj % 2 == 0)
             j = np.clip(jj // 2, 0, levels - 1)
-            coef = -2.0 * np.where(j % 2 == 0, 1.0, -1.0) * N_sub[s][rows, j]
-            ak += np.where(valid, coef, 0.0)[:, None] * re[s]
-        jj = k - l1 - l2
-        valid = (c == 2) & (jj >= 0) & (jj % 2 == 0)
-        j = np.clip(jj // 2, 0, levels - 1)
-        coef = 4.0 * np.where(j % 2 == 0, 1.0, -1.0) * N_both[rows, j]
-        ak += np.where(valid, coef, 0.0)[:, None] * (re[0] * re[1])
+            coef = np.where(j % 2 == 0, 1.0, -1.0) * N_T[rows, j]
+            ak += np.where(valid, coef, 0.0)[:, None] * w_T
         hit = ~settled & (np.abs(ak) > COEFF_RANK_TOL)
         rank[hit] = k
         settled |= hit
 
-    low1, up1 = _cycle_flags(l1[:, None], octant[0], 8)
-    low2, up2 = _cycle_flags(l2[:, None], octant[1], 8)
-    lower = low1 & low2 & cond_iii[:, None]
-    upper = up1 & up2 & cond_iii[:, None]
+    lower = upper = cond_iii[:, None]
+    for l_k, digit_k in zip(chunk.cyc_len.T, digit):
+        low, up = _cycle_flags(l_k[:, None], digit_k, 8)
+        lower, upper = lower & low, upper & up
     _stage(timings, "sweep", t)
-    return _ClassTable(m_dp, cond_iii, rank, lower, upper)
+    return _ClassTable(_max_index_positive(N[0]), cond_iii, rank, lower, upper)
 
 
 def _class_instance(st: CactusStructure, col: int) -> GainGraph:
@@ -791,17 +787,19 @@ def _flush_cactus_chunk(
     # octant sums: uniform edge octants map onto (Z/8)^c by a surjective
     # homomorphism, so the sums are uniform and independent. Tiny assignment
     # spaces only repeat instances, which verifies the same thing twice
-    sums = rng.integers(0, 8, size=(2, B, cap), dtype=np.int8)
-    sums[0, c < 1] = 0  # an absent cycle reads class 0
-    sums[1, c < 2] = 0
-    cls = _COS_CLASS[sums[0]] + 5 * _COS_CLASS[sums[1]]
+    sums = rng.integers(0, 8, size=(chunk.cyc_mask.shape[1], B, cap), dtype=np.int8)
+    cls = np.zeros((B, cap), dtype=_COS_CLASS.dtype)
+    for k, sums_k in enumerate(sums):
+        sums_k[c <= k] = 0  # an absent cycle reads class 0
+        cls += 5**k * _COS_CLASS[sums_k]
     space = np.minimum(8.0 ** chunk.ecount, float(cap)).astype(np.int64)
     bad = np.take_along_axis(bad_class, cls, axis=1)
     # one failure per failing (graph, class), serialized as its representative;
     # bincount rather than np.unique, which imports numpy.ma on first use
-    failing = np.flatnonzero(np.bincount(np.nonzero(bad)[0] * 25 + cls[bad]))
+    K = rank.shape[1]
+    failing = np.flatnonzero(np.bincount(np.nonzero(bad)[0] * K + cls[bad]))
     for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
-        i, r = divmod(key, 25)
+        i, r = divmod(key, K)
         rep.failures.append(
             Failure(
                 message=(

@@ -20,7 +20,7 @@ import time
 
 from .analysis import SCHEMA_VERSION, analyze, render_text, report_to_dict
 from .certify import SliceReport, run_alphabet_slice, worker_count
-from .combinatorics import cycle_records, enumerate_cycles
+from .combinatorics import CYCLE_LIMIT, cycle_records, enumerate_cycles
 from .combinatorics.transversal import TRANSVERSAL_LIMIT
 from .errors import ParseError, SizeLimitError, TheoremViolation
 from .generators import (
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("cycles", help="list simple cycles with gains and types")
     pc.add_argument("path")
-    pc.add_argument("--max-cycles", type=int, default=100_000)
+    pc.add_argument("--max-cycles", type=int, default=CYCLE_LIMIT)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_cycles)
 

@@ -1,9 +1,10 @@
 """The batch certification engines and their low-level kernels."""
 
+import hashlib
 import math
 import random
 import re
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from gainrank.certify import (
     _COS8,
     _COS_CLASS,
     _ALPHABET_STAGES,
+    _CACTUS_CHUNK,
     _CACTUS_STAGES,
+    _CactusChunk,
     _batched_matching_counts,
     _cactus_class_table,
     _class_instance,
@@ -43,6 +46,7 @@ from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
 from gainrank.generators import (
+    CactusStructure,
     GainSetSpec,
     enumerate_connected_cacti,
     enumerate_connected_graphs,
@@ -678,6 +682,57 @@ def test_cactus_class_table_matches_numeric_rank_and_structure(n):
             assert int(table.rank[i, col]) == spectral_rank(g, mode="numeric"), (st, classes)
             assert bool(table.lower[i, col]) == lower_optimal_structural(g).holds, (st, classes)
             assert bool(table.upper[i, col]) == upper_optimal_structural(g).holds, (st, classes)
+
+
+# at n = 9 the packed matching counts still fit: a graph on 9 vertices has at
+# most 1,260 j-matchings (K_9 at j = 3), below 2^12, and 5 levels fill 60 bits
+def test_three_cycle_class_table_matches_numeric_rank_and_structure():
+    n, cycles = 9, ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    triangles = [e for cyc in cycles for e in combinations(cyc, 2)]
+    pairs = list(combinations(range(n), 2))
+    structs = []
+    for bridges in [((2, 3), (5, 6)), ((0, 3), (0, 6)), ((1, 3), (4, 6))]:
+        edges = tuple(sorted(triangles + list(bridges)))
+        structs.append(CactusStructure(n, edges, cycles, sum(1 << pairs.index(e) for e in edges)))
+    graphs = [SimpleGraph.build(n, st.edges) for st in structs]
+    B = len(structs)
+    chunk = _CactusChunk(
+        n,
+        structs,
+        adjmask=np.vstack([adjacency_masks(G) for G in graphs]),
+        ecount=np.full(B, 11),
+        cyc_mask=np.tile([sum(1 << a for a in cyc) for cyc in cycles], (B, 1)),
+        cyc_len=np.full((B, 3), 3),
+        ncyc=np.full(B, 3),
+    )
+    table = _cactus_class_table(chunk, {})
+    assert table.rank.shape == (B, 125)
+    assert table.m.tolist() == [matching_number(G) for G in graphs]
+    # m(G/C) = 1 > 0 = m(G - V(C)): condition (iii) fails, so no class is extremal
+    assert not table.cond_iii.any()
+    for (i, st), col in product(enumerate(structs), range(125)):
+        g = _class_instance(st, col)
+        assert int(table.rank[i, col]) == spectral_rank(g, mode="numeric"), (st, col)
+        flags = bool(table.lower[i, col]), bool(table.upper[i, col])
+        structural = lower_optimal_structural(g).holds, upper_optimal_structural(g).holds
+        assert flags == structural == (False, False), (st, col)
+
+
+# sha256 over the shape and bytes of every class table field, chunk by chunk,
+# for n <= 7: the tables as the two-cycle sweep first produced them
+CLASS_TABLES_SHA256 = "a975c865836c7da6def7beb27e53bd2d095280b3fccca0a3b64f58f9ac28b1e9"
+
+
+def test_class_tables_keep_their_digest():
+    h = hashlib.sha256()
+    for n in range(2, 8):
+        structs = enumerate_connected_cacti(n)
+        while chunk := list(islice(structs, _CACTUS_CHUNK)):
+            table = _cactus_class_table(_pack_cacti(n, chunk), {})
+            for a in (table.m, table.cond_iii, table.rank, table.lower, table.upper):
+                h.update(str(a.shape).encode())
+                h.update(a.tobytes())
+    assert h.hexdigest() == CLASS_TABLES_SHA256
 
 
 def _octant_class(g, cycles):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gainrank import cli
+from gainrank.combinatorics import CYCLE_LIMIT
 from gainrank.graphs import serialize_gain_graph
 
 
@@ -112,6 +113,10 @@ def test_cycles_rejects_a_non_finite_gain(tmp_path, capsys, token):
 def test_cycles_cap(squares_file, capsys):
     assert cli.main(["cycles", squares_file, "--max-cycles", "1"]) == 1
     assert "--max-cycles" in capsys.readouterr().err
+
+
+def test_cycles_cap_defaults_to_the_enumeration_limit(squares_file):
+    assert cli.build_parser().parse_args(["cycles", squares_file]).max_cycles == CYCLE_LIMIT
 
 
 def test_bad_arguments_exit_one(capsys):
