@@ -33,11 +33,30 @@ DEFAULT_CYCLE_CAP = 1000
 
 @dataclass(frozen=True)
 class CycleSummary:
+    """One cycle as `analyze` and `cycles` report it."""
+
     vertices: tuple[int, ...]
     length: int
     gain: str  # token form of the canonical-orientation product
     real_part: float
     kind: str  # CycleType name
+
+    @classmethod
+    def of(cls, g: GainGraph, rec: CycleRecord) -> "CycleSummary":
+        return cls(rec.vertices, rec.length, rec.gain.token(), rec.real_part, classify_cycle(g, rec).name)
+
+    def row(self) -> dict:
+        return {
+            "vertices": list(self.vertices),
+            "length": self.length,
+            "gain": self.gain,
+            "real_part": self.real_part,
+            "type": self.kind,
+        }
+
+    def line(self) -> str:
+        verts = "-".join(map(str, self.vertices))
+        return f"  [{verts}]  length {self.length}  gain {self.gain}  re {self.real_part:+.6f}  {self.kind}"
 
 
 @dataclass(frozen=True)
@@ -140,16 +159,7 @@ def analyze(
         records = [
             CycleRecord(c, walked[c]) if c in walked else cycle_record(g, c) for c in found
         ]
-        cycles = tuple(
-            CycleSummary(
-                vertices=rec.vertices,
-                length=rec.length,
-                gain=rec.gain.token(),
-                real_part=rec.real_part,
-                kind=classify_cycle(g, rec).name,
-            )
-            for rec in records
-        )
+        cycles = tuple(CycleSummary.of(g, rec) for rec in records)
     except SizeLimitError:
         cycles = None
         skipped["cycles"] = f"more than max_cycles ({max_cycles}) cycles"
@@ -240,18 +250,7 @@ def report_to_dict(rep: AnalysisReport) -> dict:
         "inertia": {"p_plus": rep.p_plus, "n_zero": rep.n_zero, "n_minus": rep.n_minus},
         "basic_bounds": _bound_dict(rep.basic),
         "refined_bounds": _bound_dict(rep.refined) if rep.refined else None,
-        "cycles": None
-        if rep.cycles is None
-        else [
-            {
-                "vertices": list(cs.vertices),
-                "length": cs.length,
-                "gain": cs.gain,
-                "real_part": cs.real_part,
-                "type": cs.kind,
-            }
-            for cs in rep.cycles
-        ],
+        "cycles": None if rep.cycles is None else [cs.row() for cs in rep.cycles],
         "disjoint_cycles": rep.disjoint_cycles,
         "condition_iii": rep.condition_iii,
         "verdict": _verdict_dict(rep.verdict),
@@ -289,12 +288,7 @@ def render_text(rep: AnalysisReport) -> str:
             f"(pairwise disjoint: {'yes' if rep.disjoint_cycles else 'no'}; "
             f"contraction matching condition: {cond})"
         )
-        for cs in rep.cycles:
-            verts = "-".join(map(str, cs.vertices))
-            lines.append(
-                f"  [{verts}]  length {cs.length}  gain {cs.gain}  "
-                f"re {cs.real_part:+.6f}  {cs.kind}"
-            )
+        lines.extend(cs.line() for cs in rep.cycles)
     v = rep.verdict
     lines.append(
         f"lower-optimal  spectral {'yes' if v.spectral_lower else 'no'} / "

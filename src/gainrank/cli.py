@@ -18,7 +18,7 @@ import random
 import sys
 import time
 
-from .analysis import SCHEMA_VERSION, analyze, render_text, report_to_dict
+from .analysis import SCHEMA_VERSION, CycleSummary, analyze, render_text, report_to_dict
 from .certify import SliceReport, run_alphabet_slice, worker_count
 from .combinatorics import CYCLE_LIMIT, cycle_records, enumerate_cycles
 from .combinatorics.transversal import TRANSVERSAL_LIMIT
@@ -33,7 +33,6 @@ from .graphs import GainGraph, parse_gain_graph, serialize_gain_graph, underlyin
 from .theorems import (
     check_rank_bounds,
     check_refined_bounds,
-    classify_cycle,
     component_facts,
     deletion_bounds_check,
     pendant_reduction_check,
@@ -84,25 +83,10 @@ def cmd_cycles(args: argparse.Namespace) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}; raise --max-cycles", file=sys.stderr)
         return EXIT_INPUT
-    records = cycle_records(g, found)
-    rows = [
-        {
-            "vertices": list(rec.vertices),
-            "length": rec.length,
-            "gain": rec.gain.token(),
-            "real_part": rec.real_part,
-            "type": classify_cycle(g, rec).name,
-        }
-        for rec in records
-    ]
-    doc = {"command": "cycles", "schema_version": SCHEMA_VERSION, "count": len(rows), "cycles": rows}
-    lines = [f"{len(rows)} cycle(s)"]
-    for row in rows:
-        verts = "-".join(map(str, row["vertices"]))
-        lines.append(
-            f"  [{verts}]  length {row['length']}  gain {row['gain']}  "
-            f"re {row['real_part']:+.6f}  {row['type']}"
-        )
+    summaries = [CycleSummary.of(g, rec) for rec in cycle_records(g, found)]
+    doc = {"command": "cycles", "schema_version": SCHEMA_VERSION, "count": len(summaries)}
+    doc["cycles"] = [cs.row() for cs in summaries]
+    lines = [f"{len(summaries)} cycle(s)", *(cs.line() for cs in summaries)]
     _emit(doc, args.json, "\n".join(lines))
     return EXIT_OK
 

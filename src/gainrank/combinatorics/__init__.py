@@ -1,10 +1,9 @@
 """Combinatorial structure: matchings, blocks, cycles, covers, deletions."""
 from .blocks import (
-    BlockDecomposition,
     block_decomposition,
     contract_cycles,
     cycle_matching_condition,
-    cycle_vertex_set,
+    cycle_structure,
     cycles_pairwise_disjoint,
     cyclomatic_number,
 )
@@ -31,7 +30,6 @@ from .transversal import (
 )
 
 __all__ = [
-    "BlockDecomposition",
     "CYCLE_LIMIT",
     "COEFF_TOL",
     "CycleRecord",
@@ -44,7 +42,7 @@ __all__ = [
     "cycle_matching_condition",
     "cycle_record",
     "cycle_records",
-    "cycle_vertex_set",
+    "cycle_structure",
     "cycles_pairwise_disjoint",
     "cyclomatic_number",
     "elementary_spanning_subgraphs",

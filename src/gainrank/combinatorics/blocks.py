@@ -1,93 +1,21 @@
-"""Block (biconnected component) structure of an undirected graph.
+"""Block (biconnected component) structure, and the cycle facts read off it.
 
 Blocks partition the edge set. A block is either a bridge (single edge) or a
-2-connected piece; in the graphs this package targets most non-bridge blocks
-are single cycles, and several downstream checks hinge on exactly that.
+2-connected piece. The cycles of a graph are pairwise vertex-disjoint exactly
+when every non-bridge block is a single cycle and no two of those blocks
+share a cut vertex; `cycle_structure` decides that in one walk over the
+blocks and returns either the cycles or a witness of their overlap.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..graphs import GainGraph, SimpleGraph, underlying
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    n: int
-    block_edges: tuple[tuple[Edge, ...], ...]
-
-    @property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """Vertex set of each block, in discovery order."""
-        return tuple(frozenset(v for e in blk for v in e) for blk in self.block_edges)
-
-    @property
-    def bridges(self) -> frozenset[Edge]:
-        return frozenset(blk[0] for blk in self.block_edges if len(blk) == 1)
-
-    def cycle_block_indices(self) -> tuple[int, ...]:
-        out = []
-        for i, blk in enumerate(self.block_edges):
-            verts = set(v for e in blk for v in e)
-            if len(blk) >= 3 and len(blk) == len(verts):
-                out.append(i)
-        return tuple(out)
-
-    @property
-    def cycle_blocks(self) -> tuple[tuple[Edge, ...], ...]:
-        return tuple(self.block_edges[i] for i in self.cycle_block_indices())
-
-    def disjoint_cycles(self) -> tuple[tuple[int, ...], ...] | None:
-        """The cycles when no two share a vertex, else None.
-
-        Requires every non-bridge block to be a single cycle, and on top of
-        that the cycle blocks must not meet even in a cut vertex (two cycles
-        through one shared vertex live in distinct blocks, so the block test
-        alone is not enough). Each cycle is in canonical vertex order, and
-        they are sorted by least vertex.
-        """
-        cyc_idx = set(self.cycle_block_indices())
-        cycles = []
-        for i, blk in enumerate(self.block_edges):
-            if len(blk) == 1:
-                continue
-            if i not in cyc_idx:
-                return None
-            cycles.append(_block_as_cycle(blk))
-        seen: set[int] = set()
-        for cyc in cycles:
-            if seen.intersection(cyc):
-                return None
-            seen.update(cyc)
-        cycles.sort(key=lambda c: c[0])
-        return tuple(cycles)
-
-    def overlap_witness(self) -> tuple[int, ...]:
-        """Vertices showing that cycles are not pairwise disjoint: a block
-        that is not a single cycle, or two cycle blocks meeting in a vertex."""
-        cyc_idx = set(self.cycle_block_indices())
-        for i, blk in enumerate(self.block_edges):
-            if len(blk) > 1 and i not in cyc_idx:
-                return tuple(sorted({v for e in blk for v in e}))
-        # all non-bridge blocks are cycles, so two of them meet in a cut vertex
-        owner: dict[int, int] = {}
-        vsets = self.blocks
-        for i in cyc_idx:
-            for v in vsets[i]:
-                if v in owner:
-                    return tuple(sorted(vsets[owner[v]] | vsets[i]))
-                owner[v] = i
-        raise ValueError("cycles are pairwise disjoint; there is no overlap")
-
-    def is_cactus(self) -> bool:
-        """Every block is a bridge or a single cycle."""
-        cyc = set(self.cycle_block_indices())
-        return all(len(blk) == 1 or i in cyc for i, blk in enumerate(self.block_edges))
-
-
-def block_decomposition(G: SimpleGraph) -> BlockDecomposition:
+def block_decomposition(G: SimpleGraph) -> tuple[tuple[Edge, ...], ...]:
+    """Edges of each block, sorted within a block, blocks in the order
+    Tarjan's search closes them (Hopcroft & Tarjan, CACM 16, 1973)."""
     n = G.n
     # adjacency with edge indices so parallel traversal can skip the tree edge
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -137,25 +65,13 @@ def block_decomposition(G: SimpleGraph) -> BlockDecomposition:
                     blocks.append(tuple(sorted(G.edges[ei] for ei in estack[cut:])))
                     del estack[cut:]
     assert not estack
-    return BlockDecomposition(n=n, block_edges=tuple(blocks))
+    return tuple(blocks)
 
 
 def cyclomatic_number(G: SimpleGraph | GainGraph) -> int:
     if isinstance(G, GainGraph):
         G = underlying(G)
     return len(G.edges) - G.n + len(G.component_vertex_sets())
-
-
-def cycle_vertex_set(G: SimpleGraph | GainGraph) -> frozenset[int]:
-    """Vertices lying on at least one cycle: union of non-bridge blocks."""
-    if isinstance(G, GainGraph):
-        G = underlying(G)
-    dec = block_decomposition(G)
-    out: set[int] = set()
-    for blk in dec.block_edges:
-        if len(blk) > 1:
-            out.update(v for e in blk for v in e)
-    return frozenset(out)
 
 
 def _block_as_cycle(block: tuple[Edge, ...]) -> tuple[int, ...]:
@@ -180,16 +96,46 @@ def _block_as_cycle(block: tuple[Edge, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def cycles_pairwise_disjoint(
+def cycle_structure(
     G: SimpleGraph | GainGraph,
-) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """Whether no two cycles share a vertex; if so, also the cycles themselves
-    (see BlockDecomposition.disjoint_cycles). Returns (True, cycles) or
-    (False, None).
+) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, ...] | None]:
+    """(cycles, None) when no two cycles share a vertex, else (None, witness).
+
+    The cycles are in canonical vertex order, sorted by least vertex. The
+    witness is the sorted vertex set of the first block, in Tarjan's order,
+    that is neither a bridge nor a single cycle. When every such block is a
+    cycle, it is the first cycle block that meets an earlier cycle block in
+    a cut vertex, joined with the earliest cycle block it meets.
     """
     if isinstance(G, GainGraph):
         G = underlying(G)
-    cycles = block_decomposition(G).disjoint_cycles()
+    cycles: list[tuple[int, ...]] = []
+    owner: dict[int, int] = {}  # vertex -> index of the first cycle through it
+    overlap = None
+    for blk in block_decomposition(G):
+        if len(blk) == 1:
+            continue
+        verts = {v for e in blk for v in e}
+        if len(verts) != len(blk):
+            return None, tuple(sorted(verts))
+        met = [owner[v] for v in verts if v in owner]
+        if met and overlap is None:
+            overlap = tuple(sorted(verts.union(cycles[min(met)])))
+        for v in verts:
+            owner.setdefault(v, len(cycles))
+        cycles.append(_block_as_cycle(blk))
+    if overlap is not None:
+        return None, overlap
+    cycles.sort(key=lambda c: c[0])
+    return tuple(cycles), None
+
+
+def cycles_pairwise_disjoint(
+    G: SimpleGraph | GainGraph,
+) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """(True, cycles) when no two cycles share a vertex, else (False, None);
+    the cycles as in `cycle_structure`."""
+    cycles, _ = cycle_structure(G)
     return cycles is not None, cycles
 
 

@@ -1,7 +1,8 @@
 """Vertex deletion searches: odd cycle transversal, acyclic deletion.
 
 Both are exact searches over small graphs, on vertex bitmasks. The
-transversal walks subset sizes upward, so the first hit is a minimum.
+transversal walks subsets of the 2-core by size upward, so the first hit is
+a minimum.
 
 The acyclic-deletion search partitions the feedback vertex sets by
 branching on one cycle C = (c_1, ..., c_k) of what remains: branch i
@@ -20,7 +21,6 @@ from itertools import combinations
 
 from ..errors import SizeLimitError
 from ..graphs import GainGraph, SimpleGraph
-from .blocks import cycle_vertex_set
 from .cycles import neighbour_masks, two_core, vertices
 
 TRANSVERSAL_LIMIT = 20
@@ -126,9 +126,9 @@ def find_cycle(G: SimpleGraph | GainGraph) -> list[int] | None:
 def odd_cycle_transversal(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[int]]:
     """Minimum vertex set meeting every odd cycle, with one witness.
 
-    Only vertices lying on cycles can be part of a minimum transversal, so
-    the subset search runs over those. Witness is the lexicographically
-    first minimum set.
+    A vertex on no cycle is never part of a minimum transversal, and every
+    vertex on a cycle lies in the 2-core, so the subset search runs over
+    the 2-core. Witness is the lexicographically first minimum set.
     """
     adj = neighbour_masks(G)
     n = len(adj)
@@ -137,12 +137,12 @@ def odd_cycle_transversal(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[in
     full = (1 << n) - 1
     if _bipartite(adj, full):
         return 0, frozenset()
-    candidates = sorted(cycle_vertex_set(G))
+    candidates = list(vertices(two_core(adj, full)))
     for s in range(1, len(candidates) + 1):
         for sub in combinations(candidates, s):
             if _bipartite(adj, full & ~sum(1 << v for v in sub)):
                 return s, frozenset(sub)
-    raise AssertionError("unreachable: deleting all cycle vertices leaves a forest")
+    raise AssertionError("unreachable: deleting the 2-core leaves a forest")
 
 
 def max_acyclic_deletion_matching(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[int]]:

@@ -21,7 +21,6 @@ from .graphs import GainGraph, SimpleGraph
 from .theorems import verify_equivalence
 
 GRAPH_ENUM_LIMIT = 8
-EXTREMAL_RETRIES = 20
 _UNIFORM_REAL_BAND = 1e-6
 _MASK_BLOCK = 1 << 20  # edge masks tested for connectivity at once
 _ORDERS = {"trivial": 1, "signed": 2, "gaussian": 4}
@@ -185,10 +184,13 @@ def make_extremal(
 ) -> GainGraph:
     """Graph that provably attains the lower (2m-2c) or upper (2m+c) rank bound.
 
-    Builds disjoint cycles of the requested lengths with appropriate gains,
-    glues them through fresh vertices, then actually verifies the structural
-    predicate and the spectral equality, retrying the glue a bounded number
-    of times. A single cycle is returned bare.
+    Builds disjoint cycles of the requested lengths with appropriate gains
+    and glues them through fresh vertices. The gains on the first cycle
+    edges fix the cycle types, and condition (iii) holds by construction:
+    G - V(C) is the midpoints with their tips, and every edge of G/C uses a
+    midpoint, so both matching numbers equal the number of cycles.
+    `verify_equivalence` checks the structural predicate and the spectral
+    equality, and a failure raises. A single cycle is returned bare.
     """
     if kind not in ("lower", "upper"):
         raise ValueError(f"kind must be lower or upper, got {kind!r}")
@@ -203,22 +205,13 @@ def make_extremal(
             raise ValueError(f"lower kind needs even lengths, got {l}")
         if kind == "upper" and l % 2 == 0:
             raise ValueError(f"upper kind needs odd lengths, got {l}")
-    rng = random.Random(tree_glue_seed)
-    last = None
-    for _ in range(EXTREMAL_RETRIES):
-        g = _extremal_candidate(kind, list(cycle_lengths), rng)
-        verdict = verify_equivalence(g)
-        spectral = verdict.spectral_lower if kind == "lower" else verdict.spectral_upper
-        structural = (
-            verdict.structural_lower if kind == "lower" else verdict.structural_upper
-        )
-        if spectral and structural.holds and verdict.consistent:
-            return g
-        last = g
-    raise RuntimeError(
-        f"extremal construction failed after {EXTREMAL_RETRIES} attempts; "
-        f"last candidate had {last.n} vertices: {last.edges!r}"
-    )
+    g = _extremal_candidate(kind, list(cycle_lengths), random.Random(tree_glue_seed))
+    verdict = verify_equivalence(g)
+    spectral = verdict.spectral_lower if kind == "lower" else verdict.spectral_upper
+    structural = verdict.structural_lower if kind == "lower" else verdict.structural_upper
+    if not (spectral and structural.holds and verdict.consistent):
+        raise RuntimeError(f"extremal construction failed on {g.n} vertices: {g.edges!r}")
+    return g
 
 
 class _EdgeMasks:

@@ -261,7 +261,7 @@ def exact_rank(g: GainGraph) -> int:
     return best
 
 
-def rank(g: GainGraph, mode: str = "numeric", tol: float | None = None) -> int:
+def rank(g: GainGraph, mode: str = "numeric") -> int:
     """Rank of H(G, phi) via the requested backend.
 
     numeric: count eigenvalues above the zero threshold.
@@ -270,7 +270,7 @@ def rank(g: GainGraph, mode: str = "numeric", tol: float | None = None) -> int:
     oracle:  largest k with a nonzero combinatorial coefficient a_k.
     """
     if mode == "numeric":
-        return inertia(hermitian_adjacency(g), tol).rank
+        return inertia(hermitian_adjacency(g)).rank
     if mode == "exact":
         return exact_rank(g)
     if mode == "oracle":

@@ -11,9 +11,9 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .combinatorics import (
-    block_decomposition,
     cycle_matching_condition,
     cycle_record,
+    cycle_structure,
     cyclomatic_number,
     matching_number,
     max_acyclic_deletion_matching,
@@ -196,15 +196,13 @@ def component_facts(g: GainGraph) -> GraphFacts:
     for sub, kept in g.components():
         r, backend = _component_rank(sub)
         G = underlying(sub)
-        dec = block_decomposition(G)
-        cycles = dec.disjoint_cycles()
+        cycles, overlap = cycle_structure(G)
         disjoint = cycles is not None
         records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
         out.append(ComponentFacts(
             graph=sub, kept=kept, rank=r, backend=backend,
             m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
-            overlap=None if disjoint else dec.overlap_witness(),
-            records=records,
+            overlap=overlap, records=records,
             types=tuple(classify_cycle(sub, rec) for rec in records) if disjoint else None,
             condition_iii=cycle_matching_condition(G, cycles)[0] if disjoint else None,
         ))
