@@ -92,7 +92,7 @@ _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.
 # octant -> r with _COS8[octant] == _COS8[r], r in 0..4: the real-part class
 _COS_CLASS = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int8)
 _ALPHABET_STAGES = ("enumerate", "facts", "eigensolve", "checks")
-_CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "spot_checks")
+_CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws", "spot_checks")
 
 
 @dataclass
@@ -279,22 +279,40 @@ def _edge_set_hash(G: SimpleGraph) -> int:
     return h
 
 
-def _switched_copy(
-    G: SimpleGraph, ends: np.ndarray, expo: np.ndarray, q: int
-) -> tuple[int, np.ndarray]:
-    """One representative, picked by the graph alone, and a switched copy.
+def _edge_set_hashes(n: int, codes: np.ndarray, ecount: np.ndarray) -> np.ndarray:
+    """_edge_set_hash of every graph of a chunk, from its edge codes u*n + v
+    (B, E) and edge counts (B,). The recurrence runs in wrapping uint64
+    arithmetic, exact modulo 2^61 because 2^61 divides 2^64."""
+    h = np.full(len(codes), n, dtype=np.uint64)
+    for e, code in enumerate(codes.T.astype(np.uint64)):
+        h = np.where(e < ecount, h * np.uint64(1_000_003) + code + np.uint64(1), h)
+    return (h & np.uint64((1 << 61) - 1)).astype(np.int64)
 
-    ends is G.edges as an (E, 2) array and expo holds the representatives'
-    gain exponents, one row each. The copy is phi'(u,v) = s_u phi(u,v) s_v^-1
-    with s_v = exp(2*pi*i*k_v/q), which is D H D* for D = diag(s): the same
-    spectrum and cycle gains.
+
+def _switched_copies(
+    n: int, codes: np.ndarray, ecount: np.ndarray, expo: np.ndarray, start: np.ndarray,
+    counts: np.ndarray, q: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per graph of a chunk, picked by the graph alone,
+    and a switched copy of it.
+
+    Graph g's counts[g] representatives are the expo rows from start[g]. The
+    copy is phi'(u,v) = s_u phi(u,v) s_v^-1 with s_v = exp(2*pi*i*k_v/q), k_v
+    the base-q digits of the edge-set hash h: D H D* for D = diag(s), the
+    same spectrum and cycle gains. Returns the offsets h mod counts[g] and
+    the copies' exponents (B, E), q past each graph's last edge.
     """
-    h = _edge_set_hash(G)
-    r = h % expo.shape[0]
-    k = np.array([(h // q**v) % q for v in range(G.n)], dtype=np.int64)
-    if q > 1 and (k == k[0]).all():  # a scalar switching changes nothing
-        k[-1] = (k[-1] + 1) % q
-    return r, (expo[r] + k[ends[:, 0]] - k[ends[:, 1]]) % q
+    h = _edge_set_hashes(n, codes, ecount)
+    k, rest = np.empty((len(h), n), dtype=np.int64), h
+    for v in range(n):  # digit by digit, so no power of q overflows
+        rest, k[:, v] = np.divmod(rest, q)
+    if q > 1:  # a scalar switching changes nothing
+        scalar = (k == k[:, :1]).all(axis=1)
+        k[scalar, -1] = (k[scalar, -1] + 1) % q
+    r = h % counts
+    rows = np.arange(len(h))[:, None]
+    copy = (expo[start + r].astype(np.int64) + k[rows, codes // n] - k[rows, codes % n]) % q
+    return r, np.where(np.arange(codes.shape[1]) < ecount[:, None], copy, q)
 
 
 def _class_indices(total: int, count: int, seed: str) -> np.ndarray:
@@ -354,18 +372,20 @@ def _flush_alphabet_chunk(
     for j in range(int(digits.max(initial=0))):
         on = np.nonzero(digits > j)[0]
         expo[on, cot[gid[on], j]] = index_of_row[on] // q**j % q
-    ends = np.stack([codes // n, codes % n], axis=2)
-    switched = np.zeros(B, dtype=np.int64)
-    K = max((len(cyc) for cyc in cycles if cyc), default=0)
-    cyc_mask = np.zeros((B, K), dtype=np.int64)
-    memb = np.zeros((B, K, E), dtype=np.int8)
-    for g, (G, cot_g, cyc, index) in enumerate(zip(graphs, cotrees, cycles, indices)):
-        s, a, e = int(start[g]), counts[g], len(G.edges)
-        for j, col in enumerate(cot_g if index is not None else ()):
-            expo[s : s + a, col] = index // q**j % q
-        switched[g], expo[s + a, :e] = _switched_copy(G, ends[g, :e], expo[s : s + a, :e], q)
-        if cyc:
-            cyc_mask[g, : len(cyc)], memb[g, : len(cyc), :e] = zip(*cyc)
+    for s, a, cot_g, index in zip(start.tolist(), counts, cotrees, indices):
+        if index is not None:  # sampled classes
+            for j, col in enumerate(cot_g):
+                expo[s : s + a, col] = index // q**j % q
+    switched, expo[start + A] = _switched_copies(n, codes, ecount, expo, start, A, q)
+    # the disjoint cycles' vertex masks and signed edge rows, laid out by slot
+    found = [cyc or () for cyc in cycles]
+    ncyc = np.fromiter(map(len, found), np.int64, B)
+    cg, ck = np.repeat(np.arange(B), ncyc), _group_offsets(ncyc)
+    cyc_mask = np.zeros((B, int(ncyc.max(initial=0))), dtype=np.int64)
+    memb = np.zeros((*cyc_mask.shape, E), dtype=np.int8)
+    cyc_mask[cg, ck], e = [mask for cyc in found for mask, _ in cyc], ecount[cg]
+    signs = chain.from_iterable(row for cyc in found for _, row in cyc)
+    memb[np.repeat(cg, e), np.repeat(ck, e), _group_offsets(e)] = np.fromiter(signs, np.int8)
     if n <= _DP_N_MAX:
         p = _batched_matching_counts(adjmask, n)
         m = _max_index_positive(_unpack_counts(p[(1 << n) - 1], n // 2 + 1))
@@ -522,9 +542,12 @@ def _batched_matching_counts(adjmask: np.ndarray, n: int) -> np.ndarray:
     vertices has matchings at least one level below the top field.
     """
     B = adjmask.shape[0]
-    adjacent = [[(adjmask[:, v] >> u & 1).astype(bool) for u in range(n)] for v in range(n)]
+    # the step to the next level where u is adjacent to v, else 0; v is the
+    # lowest vertex of every set it serves, so only pairs u > v are needed
+    step = {(v, u): (adjmask[:, v] >> u & 1) << _PACK_SHIFT for v, u in combinations(range(n), 2)}
     p = np.zeros((1 << n, B), dtype=np.int64)
     p[0] = 1
+    term = np.empty(B, dtype=np.int64)
     for mask in range(1, 1 << n):
         v = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << v)
@@ -534,7 +557,7 @@ def _batched_matching_counts(adjmask: np.ndarray, n: int) -> np.ndarray:
         while others:
             u = (others & -others).bit_length() - 1
             others ^= 1 << u
-            np.add(acc, p[rest ^ (1 << u)] << _PACK_SHIFT, out=acc, where=adjacent[v][u])
+            acc += np.multiply(p[rest ^ (1 << u)], step[v, u], out=term)
     return p
 
 
@@ -680,56 +703,63 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
 
     The spectrum depends on the gains only through Re phi(C_k) of the c
     occupied cycle slots, each one of the five eighth-root real parts, so
-    the coefficient sweep runs over 5^c classes per graph.
+    the coefficient sweep runs over 5^c classes per graph, for each c at
+    that width. A chunk whose graphs have at most C cycles tiles each
+    graph's columns to 5^C: a digit in an empty slot changes nothing.
     """
     t = time.perf_counter()
     B, n = len(chunk.structs), chunk.n
     full = (1 << n) - 1
     levels = n // 2 + 1
-    rows = np.arange(B)
-    C = int(chunk.ncyc.max(initial=0))
-    K = 5**C
+    K = 5 ** int(chunk.ncyc.max(initial=0))
 
     p = _batched_matching_counts(chunk.adjmask, n)
     cond_iii = _condition_iii(p, chunk.cyc_mask, n)
-    # per cycle subset T, in the order {}, {0}, {1}, {0, 1}, ...: the matching
-    # counts of G - V(T), the total length of T, and whether every slot of T
-    # holds a cycle
-    subsets = [[k for k in range(C) if T >> k & 1] for T in range(1 << C)]
-    N = [
-        _unpack_counts(p[full ^ np.bitwise_or.reduce(chunk.cyc_mask[:, T], axis=1), rows], levels)
-        for T in subsets
-    ]
-    length = [chunk.cyc_len[:, T].sum(axis=1) for T in subsets]
-    present = [(chunk.cyc_len[:, T] > 0).all(axis=1) for T in subsets]
+    m = _max_index_positive(_unpack_counts(p[full], levels))
     t = _stage(timings, "matching_dp", t)
 
-    digit = np.arange(K) // 5 ** np.arange(C)[:, None] % 5  # (C, K) slot classes, read as octants
-    weight = [(-2.0 * _COS8[digit[T]]).prod(axis=0) for T in subsets]  # (-2)^|T| prod(Re)
+    rank = np.empty((B, K), dtype=np.int64)
+    lower, upper = np.empty((B, K), dtype=bool), np.empty((B, K), dtype=bool)
+    for c in np.unique(chunk.ncyc).tolist():
+        at = np.flatnonzero(chunk.ncyc == c)
+        cyc_mask, cyc_len = chunk.cyc_mask[at, :c], chunk.cyc_len[at, :c]
+        rows = np.arange(len(at))
+        # per cycle subset T, in the order {}, {0}, {1}, {0, 1}, ...: the
+        # matching counts of G - V(T) and the total length of T
+        subsets = [[k for k in range(c) if T >> k & 1] for T in range(1 << c)]
+        N = [
+            _unpack_counts(p[full ^ np.bitwise_or.reduce(cyc_mask[:, T], axis=1), at], levels)
+            for T in subsets
+        ]
+        length = [cyc_len[:, T].sum(axis=1) for T in subsets]
+        digit = np.arange(5**c) // 5 ** np.arange(c)[:, None] % 5  # (c, 5^c) classes, as octants
+        weight = [(-2.0 * _COS8[digit[T]]).prod(axis=0) for T in subsets]  # (-2)^|T| prod(Re)
 
-    # characteristic coefficients, highest nonzero index gives the rank:
-    # a_k = sum over cycle subsets T of (-2)^|T| prod(Re) (-1)^j N_j(G - V(T))
-    # with 2j = k - total length of T
-    rank = np.zeros((B, K), dtype=np.int64)
-    settled = np.zeros((B, K), dtype=bool)
-    for k in range(n, 0, -1):
-        ak = np.zeros((B, K))
-        for N_T, l_T, on_T, w_T in zip(N, length, present, weight):
-            jj = k - l_T
-            valid = on_T & (jj >= 0) & (jj % 2 == 0)
-            j = np.clip(jj // 2, 0, levels - 1)
-            coef = np.where(j % 2 == 0, 1.0, -1.0) * N_T[rows, j]
-            ak += np.where(valid, coef, 0.0)[:, None] * w_T
-        hit = ~settled & (np.abs(ak) > COEFF_RANK_TOL)
-        rank[hit] = k
-        settled |= hit
+        # characteristic coefficients, highest nonzero index gives the rank:
+        # a_k = sum over cycle subsets T of (-2)^|T| prod(Re) (-1)^j N_j(G - V(T))
+        # with 2j = k - total length of T
+        rank_c = np.zeros((len(at), 5**c), dtype=np.int64)
+        settled = np.zeros((len(at), 5**c), dtype=bool)
+        for k in range(n, 0, -1):
+            ak = np.zeros((len(at), 5**c))
+            for N_T, l_T, w_T in zip(N, length, weight):
+                jj = k - l_T
+                valid = (jj >= 0) & (jj % 2 == 0)
+                j = np.clip(jj // 2, 0, levels - 1)
+                coef = np.where(j % 2 == 0, 1.0, -1.0) * N_T[rows, j]
+                ak += np.where(valid, coef, 0.0)[:, None] * w_T
+            hit = ~settled & (np.abs(ak) > COEFF_RANK_TOL)
+            rank_c[hit] = k
+            settled |= hit
 
-    lower = upper = cond_iii[:, None]
-    for l_k, digit_k in zip(chunk.cyc_len.T, digit):
-        low, up = _cycle_flags(l_k[:, None], digit_k, 8)
-        lower, upper = lower & low, upper & up
+        low_c = up_c = cond_iii[at, None]
+        for l_k, digit_k in zip(cyc_len.T, digit):
+            low, up = _cycle_flags(l_k[:, None], digit_k, 8)
+            low_c, up_c = low_c & low, up_c & up
+        tile = (1, K // 5**c)
+        rank[at], lower[at], upper[at] = (np.tile(a, tile) for a in (rank_c, low_c, up_c))
     _stage(timings, "sweep", t)
-    return _ClassTable(_max_index_positive(N[0]), cond_iii, rank, lower, upper)
+    return _ClassTable(m, cond_iii, rank, lower, upper)
 
 
 def _class_instance(st: CactusStructure, col: int) -> GainGraph:
@@ -786,31 +816,34 @@ def _flush_cactus_chunk(
     # a deterministic sample of octant assignments, drawn as their cycle
     # octant sums: uniform edge octants map onto (Z/8)^c by a surjective
     # homomorphism, so the sums are uniform and independent. Tiny assignment
-    # spaces only repeat instances, which verifies the same thing twice
+    # spaces only repeat instances, which verifies the same thing twice.
+    # Only a chunk with a failing class looks its draws up; the draw itself
+    # always runs, so the stream, and every spot check after it, stays fixed
     sums = rng.integers(0, 8, size=(chunk.cyc_mask.shape[1], B, cap), dtype=np.int8)
-    cls = np.zeros((B, cap), dtype=_COS_CLASS.dtype)
-    for k, sums_k in enumerate(sums):
-        sums_k[c <= k] = 0  # an absent cycle reads class 0
-        cls += 5**k * _COS_CLASS[sums_k]
     space = np.minimum(8.0 ** chunk.ecount, float(cap)).astype(np.int64)
-    bad = np.take_along_axis(bad_class, cls, axis=1)
-    # one failure per failing (graph, class), serialized as its representative;
-    # bincount rather than np.unique, which imports numpy.ma on first use
-    K = rank.shape[1]
-    failing = np.flatnonzero(np.bincount(np.nonzero(bad)[0] * K + cls[bad]))
-    for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
-        i, r = divmod(key, K)
-        rep.failures.append(
-            Failure(
-                message=(
-                    f"cactus equivalence failed: rank={int(rank[i, r])} "
-                    f"m={int(m_dp[i])} c={int(c[i])} "
-                    f"structural=({bool(table.lower[i, r])},{bool(table.upper[i, r])})"
-                ),
-                graph_text=serialize_gain_graph(_class_instance(chunk.structs[i], r)),
+    if bad_class.any():
+        cls = np.zeros((B, cap), dtype=_COS_CLASS.dtype)
+        for k, sums_k in enumerate(sums):
+            sums_k[c <= k] = 0  # an absent cycle reads class 0
+            cls += 5**k * _COS_CLASS[sums_k]
+        bad = np.take_along_axis(bad_class, cls, axis=1)
+        # one failure per failing (graph, class), serialized as its representative;
+        # bincount rather than np.unique, which imports numpy.ma on first use
+        K = rank.shape[1]
+        failing = np.flatnonzero(np.bincount(np.nonzero(bad)[0] * K + cls[bad]))
+        for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
+            i, r = divmod(key, K)
+            rep.failures.append(
+                Failure(
+                    message=(
+                        f"cactus equivalence failed: rank={int(rank[i, r])} "
+                        f"m={int(m_dp[i])} c={int(c[i])} "
+                        f"structural=({bool(table.lower[i, r])},{bool(table.upper[i, r])})"
+                    ),
+                    graph_text=serialize_gain_graph(_class_instance(chunk.structs[i], r)),
+                )
             )
-        )
-    t = _stage(rep.timings, "sweep", t)
+    t = _stage(rep.timings, "draws", t)
 
     # spot checks tie the vectorized tables back to the scalar engines on a
     # deterministic lattice of cyclic instances: a random octant on every
@@ -819,11 +852,11 @@ def _flush_cactus_chunk(
         if c[i] == 0:
             continue
         st = chunk.structs[i]
-        G = SimpleGraph.build(st.n, st.edges)
+        G = SimpleGraph.build(st.n, st.edges)  # the edges decoded once, in the same order
         mb = matching_number(G)
-        octs = rng.integers(0, 8, len(st.edges))
+        octs = rng.integers(0, 8, len(G.edges))
         inst = GainGraph.build(
-            st.n, [(u, v, Gain.from_angle(int(o), 8)) for (u, v), o in zip(st.edges, octs)]
+            st.n, [(u, v, Gain.from_angle(int(o), 8)) for (u, v), o in zip(G.edges, octs)]
         )
         walks = (cycle_record(inst, cyc).gain for cyc in st.cycles)
         col = sum(int(_COS_CLASS[g.k * (8 // g.q)]) * 5**k for k, g in enumerate(walks))
@@ -859,7 +892,8 @@ def run_cactus_slice(
     """All disjoint-cycle connected graphs to n_max, eighth-root gains.
 
     report.timings splits the run into the stages enumerate, pack,
-    matching_dp, sweep, trees and spot_checks (seconds).
+    matching_dp, sweep (the class table), trees, draws (the sampled
+    assignments, their class lookup and failures) and spot_checks (seconds).
     """
     if n_max > GRAPH_ENUM_LIMIT:  # refused before any work, not after n_max - 1 is done
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")

@@ -225,9 +225,6 @@ class _EdgeMasks:
         pairs = list(combinations(range(n), 2))
         self.n = n
         self.bit = {p: 1 << i for i, p in enumerate(pairs)}
-        self.pairbit = np.zeros((n, n), dtype=np.int64)  # symmetric: the bit of pair {u, v}
-        for (u, v), b in self.bit.items():
-            self.pairbit[u, v] = self.pairbit[v, u] = b
         self.half = (len(pairs) + 1) // 2
         self.low, self.high = _subsets(pairs[: self.half]), _subsets(pairs[self.half :])
 
@@ -277,9 +274,14 @@ class CactusStructure(NamedTuple):
     cycles themselves (known from construction, not re-derived)."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, ...], ...]
-    mask: int  # the edge set over combinations(range(n), 2): edges == _EdgeMasks(n).edges(mask)
+    mask: int  # the edge set: bit i for the i-th pair of combinations(range(n), 2)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge tuple, decoded from mask bit by bit; pairs come in sorted order."""
+        m = self.mask
+        return tuple(e for i, e in enumerate(combinations(range(self.n), 2)) if m >> i & 1)
 
 
 def _decode_forests(n: int, roots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -304,8 +306,16 @@ def _decode_forests(n: int, roots: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     return leaf, seq
 
 
-def _cycle_mask(em: _EdgeMasks, order: tuple[int, ...]) -> int:
-    return int(em.pairbit[order, order[1:] + order[:1]].sum())
+def _pair_bits(n: int) -> np.ndarray:
+    """Symmetric (n, n) table: the bit of pair {u, v} in an edge mask."""
+    pairbit = np.zeros((n, n), dtype=np.int64)
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        pairbit[u, v] = pairbit[v, u] = 1 << i
+    return pairbit
+
+
+def _cycle_mask(pairbit: np.ndarray, order: tuple[int, ...]) -> int:
+    return int(pairbit[order, order[1:] + order[:1]].sum())
 
 
 def _cycle_orders(K: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -338,17 +348,17 @@ def _attachments(n: int, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
     return first[a[t]] + d // size[b[t]], first[b[t]] + d % size[b[t]]
 
 
-def _families(em: _EdgeMasks) -> Iterator[tuple[list[int], tuple]]:
+def _families(pairbit: np.ndarray) -> Iterator[tuple[list[int], tuple]]:
     """The stream's edge masks, one list per cycles tuple: the trees, then
     one cycle on each vertex set K with every forest rooted in K, then two
     cycles joined by every attachment."""
-    n = em.n
-    yield em.pairbit[_decode_forests(n, (n - 1,))].sum(axis=1).tolist(), ()
+    n = len(pairbit)
+    yield pairbit[_decode_forests(n, (n - 1,))].sum(axis=1).tolist(), ()
     for k in range(3, n + 1):
         for K in combinations(range(n), k):
-            forests = em.pairbit[_decode_forests(n, K)].sum(axis=1) if k < n else np.zeros(1, int)
+            forests = pairbit[_decode_forests(n, K)].sum(axis=1) if k < n else np.zeros(1, int)
             for order in _cycle_orders(K):
-                yield (_cycle_mask(em, order) | forests).tolist(), (order,)
+                yield (_cycle_mask(pairbit, order) | forests).tolist(), (order,)
     for k1 in range(3, n - 2):
         for k2 in range(k1, n - k1 + 1):
             x, y = _attachments(n, k1, k2)
@@ -358,11 +368,11 @@ def _families(em: _EdgeMasks) -> Iterator[tuple[list[int], tuple]]:
                     if k1 == k2 and K2[0] < K1[0]:
                         continue
                     label = np.array([v for v in rest if v not in K2] + list(K1 + K2))
-                    attachments = em.pairbit[label[x], label[y]].sum(axis=1)
+                    attachments = pairbit[label[x], label[y]].sum(axis=1)
                     for order1 in _cycle_orders(K1):
-                        cyc1 = _cycle_mask(em, order1)
+                        cyc1 = _cycle_mask(pairbit, order1)
                         for order2 in _cycle_orders(K2):
-                            base = cyc1 | _cycle_mask(em, order2)
+                            base = cyc1 | _cycle_mask(pairbit, order2)
                             yield (base | attachments).tolist(), (order1, order2)
 
 
@@ -373,17 +383,17 @@ def enumerate_connected_cacti(n: int) -> Iterator[CactusStructure]:
 
     Order is fixed: trees by sequence, then unicyclic, then bicyclic. Each
     family's forests or attachments are decoded in numpy at once, as edge
-    masks that the cycle masks are ORed onto.
+    masks that the cycle masks are ORed onto. A structure holds its mask;
+    its edge tuple is decoded only when read.
     """
     if n > GRAPH_ENUM_LIMIT:
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
     if n < 2:
         return iter(())
-    em = _EdgeMasks(n)
-    new = partial(tuple.__new__, CactusStructure)  # from a 4-tuple, without a Python frame
+    new = partial(tuple.__new__, CactusStructure)  # from a 3-tuple, without a Python frame
+    families = _families(_pair_bits(n))
     return chain.from_iterable(
-        map(new, zip(repeat(n), map(em.edges, masks), repeat(cycles), masks))
-        for masks, cycles in _families(em)
+        map(new, zip(repeat(n), repeat(cycles), masks)) for masks, cycles in families
     )
 
 

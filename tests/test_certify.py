@@ -381,15 +381,15 @@ def test_every_labeled_assignment_matches_its_class_representative(kind):
 
 
 def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
-    switched_copy = certify._switched_copy
+    switched_copies = certify._switched_copies
 
-    def corrupted(G, ends, expo, q):
-        r, copy = switched_copy(G, ends, expo, q)
-        copy = copy.copy()
-        copy[-1] = (copy[-1] + 1) % q  # one edge moves alone: not a switching
+    def corrupted(n, codes, ecount, expo, start, counts, q):
+        r, copy = switched_copies(n, codes, ecount, expo, start, counts, q)
+        last = np.arange(len(copy)), ecount - 1
+        copy[last] = (copy[last] + 1) % q  # one edge moves alone: not a switching
         return r, copy
 
-    monkeypatch.setattr(certify, "_switched_copy", corrupted)
+    monkeypatch.setattr(certify, "_switched_copies", corrupted)
     signed = GainSetSpec.parse("signed").values()
     triangle = SimpleGraph.build(3, [(0, 1), (1, 2), (0, 2)])
     path = SimpleGraph.build(3, [(0, 1), (1, 2)])
@@ -402,6 +402,51 @@ def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
     assert failure.message.startswith("switching check failed")
     g = parse_gain_graph(failure.graph_text)
     assert (g.n, len(g.edges)) == (3, 3)
+
+
+def _switched_copy(G, expo, q):
+    """The switched copy graph by graph, as first written: representative
+    h mod rows of expo, switched by the base-q digits of h."""
+    h = certify._edge_set_hash(G)
+    r = h % expo.shape[0]
+    k = np.array([(h // q**v) % q for v in range(G.n)], dtype=np.int64)
+    if q > 1 and (k == k[0]).all():  # a scalar switching changes nothing
+        k[-1] = (k[-1] + 1) % q
+    u, v = np.array(G.edges).T
+    return r, (expo[r] + k[u] - k[v]) % q
+
+
+@pytest.mark.parametrize("kind", ["signed", "roots:3", "roots:1000003"])
+def test_switched_copies_are_the_per_graph_switchings(kind):
+    q = GainSetSpec.parse(kind).order
+    graphs = [G for G in enumerate_connected_graphs(5) if G.n == 5]
+    _, ecount, codes = certify._pack_edges(5, [G.edges for G in graphs], 10)
+    counts = np.arange(len(graphs)) % 4 + 1
+    start = np.cumsum(counts) - counts
+    expo = np.random.default_rng(0).integers(0, q, size=(counts.sum(), 10))
+    r, copy = certify._switched_copies(5, codes, ecount, expo, start, counts, q)
+    potentials = np.array(list(product(range(min(q, 3)), repeat=5)))
+    for g, G in enumerate(graphs):
+        E = len(G.edges)
+        rows = expo[start[g] : start[g] + counts[g], :E]
+        want_r, want_copy = _switched_copy(G, rows, q)
+        assert (r[g], copy[g, :E].tolist()) == (want_r, want_copy.tolist()), G
+        assert (copy[g, E:] == q).all()
+        moved = (copy[g, :E] - rows[r[g]]) % q
+        assert moved.any(), G  # a scalar switching would change nothing
+        if q <= 3:  # moved(u, v) = k_u - k_v for some vertex potentials k
+            u, v = np.array(G.edges).T
+            assert ((potentials[:, u] - potentials[:, v]) % q == moved).all(axis=1).any(), G
+
+
+def test_chunk_hashes_equal_the_per_graph_hash():
+    graphs = list(enumerate_connected_graphs(6))
+    assert len(graphs) == 27475
+    for n in range(2, 7):
+        same = [G for G in graphs if G.n == n]
+        _, ecount, codes = certify._pack_edges(n, [G.edges for G in same], n * (n - 1) // 2)
+        got = certify._edge_set_hashes(n, codes, ecount)
+        assert got.tolist() == [certify._edge_set_hash(G) for G in same], n
 
 
 def _reference_flags(G, gvals):
@@ -516,6 +561,14 @@ def _report_fields(rep):
     return fields, failures
 
 
+# sha256 of the report fields and failure lists below, as the per-graph
+# switched copies first produced them
+TINY_CHUNK_SHA256 = {
+    "signed": "4a9f29fed683c5755bc9a1fc47cc7e4da1e1220acdf6415d9783320ba11a661d",
+    "roots:5": "ca533e4fe9912d3683ff500ba3c40c1167efb5797f0249124f75046713a9f855",
+}
+
+
 @pytest.mark.parametrize("kind", ["signed", "roots:5"])
 def test_tiny_chunks_keep_the_report_and_the_failure_list(kind, monkeypatch):
     # a cut of 0.9 misranks many classes, so there are failures to keep in
@@ -537,6 +590,7 @@ def test_tiny_chunks_keep_the_report_and_the_failure_list(kind, monkeypatch):
     monkeypatch.setattr(certify, "_SOLVE_ROWS", 8)
     narrow = run()
     assert narrow == wide
+    assert hashlib.sha256(repr(wide).encode()).hexdigest() == TINY_CHUNK_SHA256[kind]
     (fields, failures), (k5_fields, _) = wide
     assert failures and k5_fields[2] > 8  # failures, and K5's 64 classes outgrow a chunk
     assert kind == "signed" or (fields[4] > 0 and k5_fields[4] > 0)
@@ -595,6 +649,8 @@ def test_cactus_slice_tiny(monkeypatch):
 
 def test_cactus_slice_reports_stage_timings():
     rep = run_cactus_slice(n_max=6, cap=5, seed=0)
+    stages = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws", "spot_checks")
+    assert _CACTUS_STAGES == stages
     assert set(rep.timings) == set(_CACTUS_STAGES)
     assert all(t >= 0.0 for t in rep.timings.values())
     assert sum(rep.timings.values()) <= rep.elapsed
@@ -693,7 +749,7 @@ def test_three_cycle_class_table_matches_numeric_rank_and_structure():
     structs = []
     for bridges in [((2, 3), (5, 6)), ((0, 3), (0, 6)), ((1, 3), (4, 6))]:
         edges = tuple(sorted(triangles + list(bridges)))
-        structs.append(CactusStructure(n, edges, cycles, sum(1 << pairs.index(e) for e in edges)))
+        structs.append(CactusStructure(n, cycles, sum(1 << pairs.index(e) for e in edges)))
     graphs = [SimpleGraph.build(n, st.edges) for st in structs]
     B = len(structs)
     chunk = _CactusChunk(
@@ -864,6 +920,42 @@ def test_every_spot_check_reads_the_class_it_walked(monkeypatch):
     for f in spot:
         oracle, table = map(int, re.search(r"oracle rank (\d+) vs table (\d+)", f.message).groups())
         assert table == oracle + 1
+
+
+def _failure_digest(rep):
+    failures = [(f.message, f.graph_text) for f in rep.failures]
+    return hashlib.sha256(repr(failures).encode()).hexdigest()
+
+
+# sha256 of run_cactus_slice(n_max=6, cap=20, seed=0)'s failure list under
+# two mutations, as the engine first produced it: a raised class column,
+# found through the draws' class lookup, and an oracle rank off by one,
+# found by the spot checks alone while the class table stays clean
+RAISED_COLUMN_SHA256 = "acd326bded6c21f60678803caea817a4d78ff8b192ab017fb5edc5f4cad9b03f"
+ORACLE_OFF_SHA256 = "ed9e0f550336439f11a39433c54fc2fd4fff85133795b0c9f4a6e8e4d4cfb1c1"
+
+
+def test_raised_class_column_keeps_its_failure_list(monkeypatch):
+    _raise_class_columns(monkeypatch, [1])
+    rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
+    assert len(rep.failures) == 3887
+    assert _failure_digest(rep) == RAISED_COLUMN_SHA256
+
+
+def test_oracle_off_by_one_keeps_its_spot_check_failure_list(monkeypatch):
+    real = certify.rank_combinatorial
+    monkeypatch.setattr(certify, "rank_combinatorial", lambda g: real(g) + 1)
+    monkeypatch.setattr(certify, "_CACTUS_SPOT_EVERY", 7)
+    rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
+    assert len(rep.failures) == rep.cross_checks == 569
+    assert all(f.message.startswith("spot check mismatch") for f in rep.failures)
+    assert _failure_digest(rep) == ORACLE_OFF_SHA256
+
+
+def test_cactus_slice_to_seven_keeps_its_counts():
+    rep = run_cactus_slice(7, cap=50, seed=0)
+    assert rep.ok
+    assert (rep.graphs, rep.instances, rep.cross_checks) == (96_201, 4_810_008, 82)
 
 
 def test_cactus_size_limit_is_checked_before_any_enumeration(monkeypatch):
