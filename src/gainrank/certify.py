@@ -10,15 +10,20 @@ Two engines, sized to what they must cover on a single core:
   q^(n-1) labeled assignments, all q^c classes or a sample fixed by the seed
   and the edge set. Per chunk of same-n graphs, the cactus engine's matching
   DP gives m and condition (iii), fundamental cycles decide disjointness,
-  cycle-gain exponent sums decide the structural flags in integers, one
-  eigensolve per slice of rows ranks every representative and a switched
-  copy per graph, which must agree, and the blossom route re-checks every
-  97th graph. Rank is the count of eigenvalues above half the proven bound
-  beta(n, deg, q) on nonzero ones (spectral.nonzero_eigenvalue_bound), for
-  every q; a representative with an eigenvalue within eigvalsh's error of
-  both 0 and beta goes to the exact modular rank. Up to n = 7 that can
-  happen only for q = 11 from n = 6, q = 13 from n = 5, or q in
-  {15, 16, 20, 24} at n = 7.
+  cycle-gain exponent sums decide the structural flags in integers, a rank
+  kernel per slice of rows ranks every representative and a switched copy
+  per graph, which must agree, and the blossom route re-checks every 97th
+  graph. Signed and trivial gains (q <= 2) make H an integer matrix: up to
+  n = 12 the kernel computes its characteristic coefficients exactly in
+  int64, from power traces by Newton's identities, and the rank is the
+  highest index of a nonzero one; the switched copy must reproduce its
+  representative's coefficients. Otherwise the kernel is one eigensolve
+  per slice, and the rank the count of eigenvalues above half the proven
+  bound beta(n, deg, q) on nonzero ones (spectral.nonzero_eigenvalue_bound);
+  a representative with an eigenvalue within eigvalsh's error of both 0
+  and beta goes to the exact modular rank. Up to n = 7 that can happen
+  only for q = 11 from n = 6, q = 13 from n = 5, or q in {15, 16, 20, 24}
+  at n = 7.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
@@ -28,11 +33,12 @@ Two engines, sized to what they must cover on a single core:
   gains, and the characteristic coefficients decompose as matching counts of
   vertex-deleted subgraphs weighted by those real parts. Matching counts for
   all induced subgraphs at once come from a subset-mask dynamic program
-  vectorized across graphs, and coefficients land on the lattice
-  (p + q*sqrt(2))/2 whose nonzero values stay above 1.6e-4, so a 1e-6
-  threshold decides rank exactly. A real part takes one of five values, so
-  the coefficient sweep, one term per subset of the c cycle slots, ranks
-  5^c real-part classes per graph.
+  vectorized across graphs, and each coefficient is an integer table
+  A[k, T] over the cycle subsets T times weights (-2)^|T| prod(Re) that lie
+  in Z[sqrt(2)], so it is P + Q*sqrt(2) with integers P and Q, and zero
+  exactly when both are: no threshold decides a rank. A real part takes
+  one of five values, so the coefficient sweep, one term per subset of the
+  c cycle slots, ranks 5^c real-part classes per graph.
   A sampled gain assignment is drawn as its c cycle octant sums: edge
   octants map onto them by a surjective homomorphism onto (Z/8)^c, so
   uniform edge octants give uniform independent sums, and the sample reads
@@ -50,7 +56,9 @@ Two engines, sized to what they must cover on a single core:
 
 Both engines check, per instance (per class representative in the
 alphabet engine): rank == 2m-2c exactly when the lower structural
-conditions hold, and rank == 2m+c exactly when the upper ones hold. Any
+conditions hold, and rank == 2m+c exactly when the upper ones hold. The
+cactus engine also checks every class against both theorems' bounds,
+2m-2c <= rank <= min(2m+c, 2m+b) with b the number of odd cycles. Any
 counterexample is serialized for replay.
 """
 from __future__ import annotations
@@ -79,9 +87,10 @@ from .generators import enumerate_connected_graphs
 from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
 from .spectral import exact_rank, nonzero_eigenvalue_bound
 
-COEFF_RANK_TOL = 1e-6  # cactus coefficient sweep: nonzero lattice values stay above 1.6e-4
 _EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR*n*eps*deg
 _SOLVE_ROWS = 1 << 14  # matrices per eigensolve call, and class rows per alphabet chunk
+_KERNEL_ROWS = 1 << 12  # matrices per block of the integer rank kernel
+_KERNEL_N_MAX = 12  # largest n whose integer characteristic coefficients fit int64
 _DP_N_MAX = 8  # largest n the packed matching table serves
 _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
 _CACTUS_CHUNK = 20000  # cactus structures packed and certified at once
@@ -91,6 +100,8 @@ _CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a 
 _COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
 # octant -> r with _COS8[octant] == _COS8[r], r in 0..4: the real-part class
 _COS_CLASS = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int8)
+# -2 * _COS8[r] for the real-part classes r = 0..4, as a + b*sqrt(2): rows a, b
+_MINUS_2COS8 = np.array([[-2, 0, 0, 0, 2], [0, -1, 0, 1, 0]], dtype=np.int64)
 _ALPHABET_STAGES = ("enumerate", "facts", "eigensolve", "checks")
 _CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws", "spot_checks")
 
@@ -106,7 +117,7 @@ class SliceReport:
     name: str
     graphs: int = 0
     instances: int = 0
-    classes: int = 0  # switching-class representatives eigensolved
+    classes: int = 0  # switching-class representatives ranked
     switching_checks: int = 0  # switched copies compared with their representative
     cross_checks: int = 0
     elapsed: float = 0.0
@@ -179,6 +190,35 @@ def _rank_by_cut(aw: np.ndarray, deg: np.ndarray, q: int) -> tuple[np.ndarray, n
     if (beta - floor > floor).all():
         return rank, np.zeros(len(aw), dtype=bool)
     return rank, ((aw >= beta - floor) & (aw <= floor)).any(axis=1)
+
+
+def _char_coeffs(H: np.ndarray) -> np.ndarray:
+    """Characteristic coefficients of integer symmetric matrices, exactly.
+
+    H is (n, n, rows) int64. Returns c (rows, n+1) with det(xI - H) =
+    sum_k c[:, k] x^(n-k), c[:, 0] = 1: the power traces
+    p_k = tr H^k = <H^floor(k/2), H^ceil(k/2)> (H is symmetric) give
+    k c_k = -sum_{i=1..k} c_{k-i} p_i (Newton's identities), each division
+    exact. H is Hermitian, so its rank is the largest k with c_k != 0.
+
+    Nothing overflows int64 for n <= _KERNEL_N_MAX = 12: every eigenvalue
+    has |lambda| <= deg <= n - 1, so |p_i| <= n deg^i and
+    |c_j| = |e_j(lambda)| <= C(n, j) deg^j, and every partial sum of the
+    identity is at most k C(n, n//2) n deg^k <= 12*924*12*11^12 < 4.2e17
+    < 2^63; an entry of a power H^a, or a partial sum of one, counts signed
+    walks, at most deg^a.
+    """
+    n, _, rows = H.shape
+    powers = [None, H]
+    for _ in range(2, -(-n // 2) + 1):
+        powers.append(np.einsum("ijr,jkr->ikr", powers[-1], H))
+    p = [None, np.einsum("iir->r", H)]
+    p += [np.einsum("ijr,ijr->r", powers[k // 2], powers[k - k // 2]) for k in range(2, n + 1)]
+    c = np.zeros((n + 1, rows), dtype=np.int64)
+    c[0] = 1
+    for k in range(1, n + 1):
+        c[k] = -sum(c[k - i] * p[i] for i in range(1, k + 1)) // k
+    return c.T
 
 
 def _build_instance(G: SimpleGraph, alphabet: tuple[Gain, ...], idx_row: np.ndarray) -> GainGraph:
@@ -394,28 +434,44 @@ def _flush_alphabet_chunk(
         m, cond = map(np.array, zip(*map(_blossom_facts, graphs, cycles)))
     t = _stage(rep.timings, "facts", t)
 
-    # eigvalsh reads the lower triangle alone: H[v, u] = conj(phi(u, v)) for
-    # an edge u < v, 0 past a graph's last edge; real values, real H
+    # the lower triangle H[v, u] = conj(phi(u, v)) for an edge u < v, 0
+    # past a graph's last edge, is all eigvalsh reads; real values, real H
     values = np.real_if_close(np.array([g.value for g in alphabet])[pos])
     lower_values, lower_codes = np.append(values, 0).conj(), codes % n * n + codes // n
     deg = np.bitwise_count(adjmask).max(axis=1)
     copy, src = start + A, start + switched
-    # each slice is ranked as it is solved; only the switching pairs keep their spectra
-    kept_rows, kept = np.stack([src, copy], axis=1).ravel(), np.empty((2 * B, n))
+    # signed and trivial gains make H an integer matrix, (-1)^k for exponent
+    # k, ranked exactly by its characteristic coefficients; other alphabets,
+    # and graphs past _KERNEL_N_MAX, take the eigenvalue cut
+    exact = q <= 2 and n <= _KERNEL_N_MAX
+    # each slice is ranked as it is solved; only the switching pairs keep
+    # their spectra, or their coefficient rows
+    kept_rows = np.stack([src, copy], axis=1).ravel()
+    kept = np.empty((2 * B, n + 1), dtype=np.int64) if exact else np.empty((2 * B, n))
     R = len(gid)
     rank = np.empty(R, dtype=np.int64)
-    for lo in range(0, R, _SOLVE_ROWS):
-        rows = np.arange(lo, min(lo + _SOLVE_ROWS, R))
-        H = np.zeros((len(rows), n * n), dtype=lower_values.dtype)
-        H[(rows - lo)[:, None], lower_codes[gid[rows]]] = lower_values[expo[rows]]
-        w = np.linalg.eigvalsh(H.reshape(-1, n, n))
-        t = _stage(rep.timings, "eigensolve", t)
-        rank[rows], shaky = _rank_by_cut(np.abs(w), deg[gid[rows]], q)
-        shaky &= rows != copy[gid[rows]]  # switched copies are compared, not ranked
-        for i in rows[shaky]:
-            G = graphs[gid[i]]
-            rank[i] = exact_rank(_build_instance(G, alphabet, pos[expo[i, : len(G.edges)]]))
-            rep.cross_checks += 1
+    step = min(_SOLVE_ROWS, _KERNEL_ROWS) if exact else _SOLVE_ROWS
+    for lo in range(0, R, step):
+        rows = np.arange(lo, min(lo + step, R))
+        if exact:
+            H = np.zeros((n * n, len(rows)), dtype=np.int64)
+            entries, cols = np.append((-1) ** np.arange(q), 0)[expo[rows]].T, rows - lo
+            H[codes[gid[rows]].T, cols] = entries
+            H[lower_codes[gid[rows]].T, cols] = entries
+            w = _char_coeffs(H.reshape(n, n, -1))
+            rank[rows] = n - (w[:, ::-1] != 0).argmax(axis=1)
+            t = _stage(rep.timings, "eigensolve", t)
+        else:
+            H = np.zeros((len(rows), n * n), dtype=lower_values.dtype)
+            H[(rows - lo)[:, None], lower_codes[gid[rows]]] = lower_values[expo[rows]]
+            w = np.linalg.eigvalsh(H.reshape(-1, n, n))
+            t = _stage(rep.timings, "eigensolve", t)
+            rank[rows], shaky = _rank_by_cut(np.abs(w), deg[gid[rows]], q)
+            shaky &= rows != copy[gid[rows]]  # switched copies are compared, not ranked
+            for i in rows[shaky]:
+                G = graphs[gid[i]]
+                rank[i] = exact_rank(_build_instance(G, alphabet, pos[expo[i, : len(G.edges)]]))
+                rep.cross_checks += 1
         k0, k1 = np.searchsorted(kept_rows, [lo, lo + len(rows)])
         kept[k0:k1] = w[kept_rows[k0:k1] - lo]
         t = _stage(rep.timings, "checks", t)
@@ -428,7 +484,8 @@ def _flush_alphabet_chunk(
     lower, upper = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
     lower[on], upper[on] = low.all(axis=1) & cond[g], up.all(axis=1) & cond[g]
 
-    gap = np.abs(kept[1::2] - kept[::2]).max(axis=1, initial=0.0)
+    gap = np.abs(kept[1::2] - kept[::2]).max(axis=1, initial=0)
+    compared = "characteristic coefficients" if exact else "spectra"
     same_flags = (lower[copy] == lower[src]) & (upper[copy] == upper[src])
     want_lower, want_upper = rank == (2 * m - 2 * c)[gid], rank == (2 * m + c)[gid]
     bad = (want_lower != lower) | (want_upper != upper)
@@ -446,7 +503,7 @@ def _flush_alphabet_chunk(
     for k, kind, i, message in sorted(events)[: max(0, max_failures - len(rep.failures))]:
         if kind == 1:
             message = (
-                f"switching check failed: spectra differ by {gap[k]:.3g}, "
+                f"switching check failed: {compared} differ by {gap[k]:.3g}, "
                 f"structural flags {'agree' if same_flags[k] else 'differ'}, "
                 f"against class representative {switched[k]}"
             )
@@ -487,8 +544,9 @@ def run_alphabet_slice(
 
     report.timings splits the run into the stages enumerate (pulling the
     next graph), facts (cotree, cycles, class rows and matching DP),
-    eigensolve and checks (structural flags, ranks, escalation, switching
-    compare, spot checks and failures), in seconds.
+    eigensolve (the rank kernel: characteristic coefficients for q <= 2 up
+    to n = 12, else the eigensolve) and checks (structural flags, ranks,
+    escalation, switching compare, spot checks and failures), in seconds.
     """
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_ALPHABET_STAGES, 0.0))
@@ -698,6 +756,28 @@ class _ClassTable(NamedTuple):
     upper: np.ndarray  # (B, 5^c) bool, structural upper conditions
 
 
+def _subset_coefficients(
+    p: np.ndarray, cyc_mask: np.ndarray, cyc_len: np.ndarray, at: np.ndarray, n: int
+) -> np.ndarray:
+    """A[k, i, T] = (-1)^j N_j(G_i - V(T)) with 2j = k - |V(T)|, 0 where
+    k - |V(T)| is odd or negative, for the graphs at (B,) of the packed
+    table p, each with the c cycles cyc_mask, cyc_len (B, c); cycle subset T
+    is the bitmask sum 2^k over its slots k. (n+1, B, 2^c) int64."""
+    B, c = cyc_mask.shape
+    levels = n // 2 + 1
+    A = np.zeros((n + 1, B, 1 << c), dtype=np.int64)
+    for T in range(1 << c):
+        slots = [k for k in range(c) if T >> k & 1]
+        rest = ((1 << n) - 1) ^ np.bitwise_or.reduce(cyc_mask[:, slots], axis=1)
+        N = _unpack_counts(p[rest, at], levels)
+        length = cyc_len[:, slots].sum(axis=1)
+        for j in range(levels):
+            k = length + 2 * j
+            on = np.nonzero(k <= n)[0]
+            A[k[on], on, T] = (-1) ** j * N[on, j]
+    return A
+
+
 def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _ClassTable:
     """Matching DP, condition (iii) and the rank of every real-part class.
 
@@ -722,35 +802,26 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
     lower, upper = np.empty((B, K), dtype=bool), np.empty((B, K), dtype=bool)
     for c in np.unique(chunk.ncyc).tolist():
         at = np.flatnonzero(chunk.ncyc == c)
-        cyc_mask, cyc_len = chunk.cyc_mask[at, :c], chunk.cyc_len[at, :c]
-        rows = np.arange(len(at))
-        # per cycle subset T, in the order {}, {0}, {1}, {0, 1}, ...: the
-        # matching counts of G - V(T) and the total length of T
-        subsets = [[k for k in range(c) if T >> k & 1] for T in range(1 << c)]
-        N = [
-            _unpack_counts(p[full ^ np.bitwise_or.reduce(cyc_mask[:, T], axis=1), at], levels)
-            for T in subsets
-        ]
-        length = [cyc_len[:, T].sum(axis=1) for T in subsets]
+        cyc_len = chunk.cyc_len[at, :c]
         digit = np.arange(5**c) // 5 ** np.arange(c)[:, None] % 5  # (c, 5^c) classes, as octants
-        weight = [(-2.0 * _COS8[digit[T]]).prod(axis=0) for T in subsets]  # (-2)^|T| prod(Re)
-
-        # characteristic coefficients, highest nonzero index gives the rank:
-        # a_k = sum over cycle subsets T of (-2)^|T| prod(Re) (-1)^j N_j(G - V(T))
-        # with 2j = k - total length of T
+        # characteristic coefficients in Z[sqrt(2)], the highest nonzero
+        # index giving the rank: a_k = sum over cycle subsets T of
+        # A[k, T] (-2)^|T| prod(Re), where (-2)^|T| prod(Re) = P_T + Q_T sqrt(2)
+        # with integers |P_T|, |Q_T| <= 2^c, so a_k = 0 exactly when
+        # A[k] P = A[k] Q = 0. Every product and partial sum of those
+        # matmuls is an integer of magnitude below 2^12 * 4^c < 2^53, so
+        # float64 (BLAS) computes them exactly
+        A = _subset_coefficients(p, chunk.cyc_mask[at, :c], cyc_len, at, n)
+        P = np.ones((1 << c, 5**c), dtype=np.int64)
+        Q = np.zeros_like(P)
+        for T in range(1 << c):
+            for a, b in (_MINUS_2COS8[:, digit[i]] for i in range(c) if T >> i & 1):
+                P[T], Q[T] = P[T] * a + 2 * Q[T] * b, P[T] * b + Q[T] * a
+        P, Q = P.astype(float), Q.astype(float)
         rank_c = np.zeros((len(at), 5**c), dtype=np.int64)
-        settled = np.zeros((len(at), 5**c), dtype=bool)
-        for k in range(n, 0, -1):
-            ak = np.zeros((len(at), 5**c))
-            for N_T, l_T, w_T in zip(N, length, weight):
-                jj = k - l_T
-                valid = (jj >= 0) & (jj % 2 == 0)
-                j = np.clip(jj // 2, 0, levels - 1)
-                coef = np.where(j % 2 == 0, 1.0, -1.0) * N_T[rows, j]
-                ak += np.where(valid, coef, 0.0)[:, None] * w_T
-            hit = ~settled & (np.abs(ak) > COEFF_RANK_TOL)
-            rank_c[hit] = k
-            settled |= hit
+        for k in range(1, n + 1):
+            A_k = A[k].astype(float)
+            rank_c[((A_k @ P) != 0) | ((A_k @ Q) != 0)] = k
 
         low_c = up_c = cond_iii[at, None]
         for l_k, digit_k in zip(cyc_len.T, digit):
@@ -812,6 +883,16 @@ def _flush_cactus_chunk(
     want_lower = rank == (2 * m_dp - 2 * c)[:, None]
     want_upper = rank == (2 * m_dp + c)[:, None]
     bad_class = (want_lower != table.lower) | (want_upper != table.upper)
+    # every class a graph has, its first 5^c columns, must obey both
+    # theorems' bounds 2m - 2c <= r <= min(2m + c, 2m + b), b the odd
+    # cycles, which hold for every unit gain; a class that fails the
+    # equivalence is reported as that
+    K = rank.shape[1]
+    odd = (chunk.cyc_len % 2).sum(axis=1)
+    least, most = 2 * m_dp - 2 * c, 2 * m_dp + np.minimum(c, odd)
+    keys = np.flatnonzero((rank < least[:, None]) | (rank > most[:, None]))
+    i, r = np.divmod(keys, K)
+    failing = [keys[~bad_class[i, r] & (r < 5 ** c[i])]]  # keys i * K + r of (graph, class)
 
     # a deterministic sample of octant assignments, drawn as their cycle
     # octant sums: uniform edge octants map onto (Z/8)^c by a surjective
@@ -827,22 +908,28 @@ def _flush_cactus_chunk(
             sums_k[c <= k] = 0  # an absent cycle reads class 0
             cls += 5**k * _COS_CLASS[sums_k]
         bad = np.take_along_axis(bad_class, cls, axis=1)
-        # one failure per failing (graph, class), serialized as its representative;
-        # bincount rather than np.unique, which imports numpy.ma on first use
-        K = rank.shape[1]
-        failing = np.flatnonzero(np.bincount(np.nonzero(bad)[0] * K + cls[bad]))
-        for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
-            i, r = divmod(key, K)
-            rep.failures.append(
-                Failure(
-                    message=(
-                        f"cactus equivalence failed: rank={int(rank[i, r])} "
-                        f"m={int(m_dp[i])} c={int(c[i])} "
-                        f"structural=({bool(table.lower[i, r])},{bool(table.upper[i, r])})"
-                    ),
-                    graph_text=serialize_gain_graph(_class_instance(chunk.structs[i], r)),
-                )
+        # one failure per failing drawn (graph, class); bincount rather than
+        # np.unique, which imports numpy.ma on first use
+        failing.append(np.flatnonzero(np.bincount(np.nonzero(bad)[0] * K + cls[bad])))
+    # each failure is serialized as its class's representative
+    failing = np.sort(np.concatenate(failing))
+    for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
+        i, r = divmod(key, K)
+        if bad_class[i, r]:
+            message = (
+                f"cactus equivalence failed: rank={int(rank[i, r])} "
+                f"m={int(m_dp[i])} c={int(c[i])} "
+                f"structural=({bool(table.lower[i, r])},{bool(table.upper[i, r])})"
             )
+        else:
+            message = (
+                f"cactus bound failed: rank={int(rank[i, r])} outside "
+                f"[{int(least[i])}, {int(most[i])}], m={int(m_dp[i])} c={int(c[i])} "
+                f"odd cycles={int(odd[i])}"
+            )
+        rep.failures.append(
+            Failure(message, serialize_gain_graph(_class_instance(chunk.structs[i], r)))
+        )
     t = _stage(rep.timings, "draws", t)
 
     # spot checks tie the vectorized tables back to the scalar engines on a
@@ -892,8 +979,9 @@ def run_cactus_slice(
     """All disjoint-cycle connected graphs to n_max, eighth-root gains.
 
     report.timings splits the run into the stages enumerate, pack,
-    matching_dp, sweep (the class table), trees, draws (the sampled
-    assignments, their class lookup and failures) and spot_checks (seconds).
+    matching_dp, sweep (the class table), trees, draws (the bound check,
+    the sampled assignments, their class lookup and failures) and
+    spot_checks (seconds).
     """
     if n_max > GRAPH_ENUM_LIMIT:  # refused before any work, not after n_max - 1 is done
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")

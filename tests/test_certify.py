@@ -241,8 +241,11 @@ def test_integer_coefficient_alphabets_take_the_proven_threshold(kind, monkeypat
 
     monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", bound)
     rep = run_alphabet_slice(graphs, alphabet, cap=None)
-    assert rep.ok and rep.cross_checks == 0  # the proven cut alone, nothing escalated
-    assert cuts == {(n, d, q) for n in range(2, 5) for d in range(n)}  # this q, every degree
+    assert rep.ok and rep.cross_checks == 0  # nothing escalated
+    if q <= 2:  # an integer H is ranked by its characteristic coefficients: no cut
+        assert cuts == set()
+    else:  # the proven cut alone, for this q and every degree
+        assert cuts == {(n, d, q) for n in range(2, 5) for d in range(n)}
     values = np.array([g.value for g in alphabet])[_group_positions(alphabet)]
     for G in graphs:
         cot = _cotree_columns(G)
@@ -404,6 +407,98 @@ def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
     assert (g.n, len(g.edges)) == (3, 3)
 
 
+def test_char_coeffs_equal_numpy_poly_on_every_representative(monkeypatch):
+    seen = []
+    char_coeffs = certify._char_coeffs
+
+    def recorded(H):
+        c = char_coeffs(H)
+        seen.append((H, c))
+        return c
+
+    monkeypatch.setattr(certify, "_char_coeffs", recorded)
+    k8 = SimpleGraph.build(8, list(combinations(range(8), 2)))
+    for kind in ("trivial", "signed"):
+        alphabet = GainSetSpec.parse(kind).values()
+        assert run_alphabet_slice(enumerate_connected_graphs(5), alphabet, cap=None).ok
+    assert run_alphabet_slice([k8], GainSetSpec.parse("signed").values(), cap=256, seed=3).ok
+    assert {H.shape[0] for H, _ in seen} == {2, 3, 4, 5, 8}
+    for H, c in seen:
+        want = [np.round(np.poly(H[:, :, r])).astype(np.int64) for r in range(H.shape[2])]
+        assert np.array_equal(c, want)
+
+
+def _char_poly_by_faddeev_leverrier(H):
+    """det(xI - H) as Python ints, highest power first: M_k = H M_{k-1} +
+    c_{k-1} I, c_k = -tr(H M_k) / k."""
+    n = len(H)
+    c, M = [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(H[i][t] * M[t][j] for t in range(n)) + (c[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        HM_trace = sum(H[i][t] * M[t][i] for i in range(n) for t in range(n))
+        c.append(-HM_trace // k)
+    return c
+
+
+def test_char_coeffs_stay_exact_at_the_size_limit():
+    # K12 reaches the largest degree the int64 bound allows for, and its
+    # coefficients the largest magnitudes: all gains 1 give
+    # (x - 11)(x + 1)^11, and random signs are checked against Python ints
+    n = certify._KERNEL_N_MAX
+    rng = np.random.default_rng(12)
+    upper = np.triu(np.ones((n, n), dtype=np.int64), 1)[None] * rng.choice([-1, 1], (5, n, n))
+    H = np.concatenate([np.triu(np.ones((1, n, n), dtype=np.int64), 1), upper])
+    H += H.transpose(0, 2, 1)
+    c = certify._char_coeffs(np.ascontiguousarray(H.transpose(1, 2, 0)))
+    ones = [math.comb(n - 1, k) for k in range(n)]  # (x + 1)^11
+    assert c[0].tolist() == [a - 11 * b for a, b in zip(ones + [0], [0] + ones)]
+    for h, row in zip(H, c):
+        assert row.tolist() == _char_poly_by_faddeev_leverrier(h.tolist())
+
+
+def test_signed_runs_neither_eigensolve_nor_escalate(monkeypatch):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args[0].shape)
+        raise RuntimeError("eigvalsh called")
+
+    def no_exact_rank(g):
+        raise AssertionError("exact_rank called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(certify, "exact_rank", no_exact_rank)
+    rep = run_signed_slice(5)
+    assert rep.ok and rep.cross_checks == 0 and not calls
+    # the cactus trees keep their eigensolve, the third route beside the
+    # leaf matching and the matching table
+    with pytest.raises(RuntimeError, match="eigvalsh called"):
+        run_cactus_slice(5)
+    assert calls
+
+
+def test_corrupted_switched_coefficient_is_a_serialized_failure(monkeypatch):
+    char_coeffs = certify._char_coeffs
+
+    def corrupted(H):
+        c = char_coeffs(H).copy()
+        c[-1, -1] += 1  # the block's last row: the last graph's switched copy
+        return c
+
+    monkeypatch.setattr(certify, "_char_coeffs", corrupted)
+    signed = GainSetSpec.parse("signed").values()
+    triangle = SimpleGraph.build(3, [(0, 1), (1, 2), (0, 2)])
+    path = SimpleGraph.build(3, [(0, 1), (1, 2)])
+    rep = run_alphabet_slice([path, triangle], signed, cap=None)
+    assert rep.switching_checks == 2
+    assert [f.message.split(",")[0] for f in rep.failures] == [
+        "switching check failed: characteristic coefficients differ by 1"
+    ]
+    g = parse_gain_graph(rep.failures[0].graph_text)
+    assert (g.n, len(g.edges)) == (3, 3)
+
+
 def _switched_copy(G, expo, q):
     """The switched copy graph by graph, as first written: representative
     h mod rows of expo, switched by the base-q digits of h."""
@@ -561,21 +656,32 @@ def _report_fields(rep):
     return fields, failures
 
 
-# sha256 of the report fields and failure lists below, as the per-graph
-# switched copies first produced them
+# sha256 of the report fields and failure lists below: roots:5 as the
+# per-graph switched copies first produced it, signed as the integer rank
+# kernel first produced it
 TINY_CHUNK_SHA256 = {
-    "signed": "4a9f29fed683c5755bc9a1fc47cc7e4da1e1220acdf6415d9783320ba11a661d",
+    "signed": "58764e57aab3ea3cdcc5ea7cb29f1fc752645f39e2430d63fc7edb3ebaafec4c",
     "roots:5": "ca533e4fe9912d3683ff500ba3c40c1167efb5797f0249124f75046713a9f855",
 }
 
 
 @pytest.mark.parametrize("kind", ["signed", "roots:5"])
 def test_tiny_chunks_keep_the_report_and_the_failure_list(kind, monkeypatch):
-    # a cut of 0.9 misranks many classes, so there are failures to keep in
-    # order, and an error floor of 0.05*n*deg opens the band [0.8, 1.0] on
-    # K5, so roots:5 escalates some of its rows
+    # a cut of 0.9 misranks many roots:5 classes, so there are failures to
+    # keep in order, and an error floor of 0.05*n*deg opens the band
+    # [0.8, 1.0] on K5, so roots:5 escalates some of its rows; signed gains
+    # take the integer kernel, which misranks many classes when it drops
+    # every characteristic coefficient of magnitude at most 2
     monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", lambda n, d, q: 1.8)
     monkeypatch.setattr(certify, "_EIG_ERROR", 0.05 / np.finfo(float).eps)
+    char_coeffs = certify._char_coeffs
+
+    def drop_small(H):
+        c = char_coeffs(H).copy()
+        c[:, 1:][np.abs(c[:, 1:]) <= 2] = 0
+        return c
+
+    monkeypatch.setattr(certify, "_char_coeffs", drop_small)
     alphabet = GainSetSpec.parse(kind).values()
     graphs = list(enumerate_connected_graphs(5))
     k5 = [G for G in graphs if len(G.edges) == 10]  # alone, its rows span nine slices of 8
@@ -920,6 +1026,60 @@ def test_every_spot_check_reads_the_class_it_walked(monkeypatch):
     for f in spot:
         oracle, table = map(int, re.search(r"oracle rank (\d+) vs table (\d+)", f.message).groups())
         assert table == oracle + 1
+
+
+def test_a_wrong_subset_coefficient_is_a_serialized_cactus_failure(monkeypatch):
+    real = certify._subset_coefficients
+
+    def bumped(p, cyc_mask, cyc_len, at, n):
+        A = real(p, cyc_mask, cyc_len, at, n)
+        A[n, :, 0] += 1  # the determinant's cycle-free term, one entry per graph
+        return A
+
+    monkeypatch.setattr(certify, "_subset_coefficients", bumped)
+    rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
+    cactus = [f for f in rep.failures if f.message.startswith("cactus ")]
+    assert cactus
+    for f in cactus:
+        reported = int(re.search(r"rank=(\d+)", f.message).group(1))
+        assert exact_rank(parse_gain_graph(f.graph_text)) != reported, f
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_a_rank_outside_the_bounds_is_a_serialized_bound_failure(monkeypatch, side):
+    # the class columns 2 + 5d have Re phi(C_1) = 0, so no graph is extremal
+    # there: a rank of 2m - 2c - 1 or 2m + c + 1 passes the equivalence, and
+    # only the bounds catch it, once per class a graph has: one for a single
+    # cycle, whose columns repeat every 5, and five for two cycles
+    cols = range(2, 25, 5)
+
+    def outside(rank, table, chunk):
+        here = [col for col in cols if col < table.rank.shape[1]]
+        neither = ~table.lower[:, here] & ~table.upper[:, here]
+        m, c = table.m, chunk.ncyc
+        wrong = 2 * m - 2 * c - 1 if side == "lower" else 2 * m + c + 1
+        return np.where(neither, wrong[:, None], rank)
+
+    _patch_class_rank(monkeypatch, cols, outside)
+    rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
+    bound = [f for f in rep.failures if f.message.startswith("cactus bound failed")]
+    spot = [f for f in rep.failures if f.message.startswith("spot check mismatch")]
+    assert len(bound) + len(spot) == len(rep.failures)
+    assert len(bound) == sum(
+        5 ** (len(st.cycles) - 1) for n in range(2, 7) for st in enumerate_connected_cacti(n)
+        if st.cycles
+    )
+    assert len({f.graph_text for f in bound}) == len(bound)
+    for f in bound:
+        g = parse_gain_graph(f.graph_text)
+        cycles = enumerate_cycles(g)
+        assert {_octant_class(g, cycles), _octant_class(g, cycles[::-1])} & set(cols), f.graph_text
+        r, least, most, m, c = map(int, re.search(
+            r"rank=(-?\d+) outside \[(-?\d+), (\d+)\], m=(\d+) c=(\d+)", f.message
+        ).groups())
+        odd = sum(len(cyc) % 2 for cyc in cycles)
+        assert (least, most) == (2 * m - 2 * c, 2 * m + min(c, odd)), f.message
+        assert r == (least - 1 if side == "lower" else 2 * m + c + 1), f.message
 
 
 def _failure_digest(rep):
