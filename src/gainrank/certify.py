@@ -2,28 +2,29 @@
 
 Two engines, sized to what they must cover on a single core:
 
-* Alphabet engine: every connected labeled graph up to a small n, gains from
-  the group of q-th roots of unity. Switching by a diagonal unitary D maps H
-  to D*HD, which keeps the spectrum and every cycle gain, so the engine
-  ranks one representative per switching class: gain 1 on a spanning tree
-  and a choice on each of the c cotree edges, each class standing for
-  q^(n-1) labeled assignments, all q^c classes or a sample fixed by the seed
-  and the edge set. Per chunk of same-n graphs, the cactus engine's matching
+* Alphabet engine: every connected labeled graph up to n = 8, the packed
+  matching table's reach (SizeLimitError past it), gains from the group of
+  q-th roots of unity. Switching by a diagonal unitary D maps H to D*HD,
+  which keeps the spectrum and every cycle gain, so the engine ranks one
+  representative per switching class: gain 1 on a spanning tree and a
+  choice on each of the c cotree edges, each class standing for q^(n-1)
+  labeled assignments, all q^c classes or a sample fixed by the seed and
+  the edge set. Per chunk of same-n graphs, the cactus engine's matching
   DP gives m and condition (iii), fundamental cycles decide disjointness,
   cycle-gain exponent sums decide the structural flags in integers, a rank
   kernel per slice of rows ranks every representative and a switched copy
   per graph, which must agree, and the blossom route re-checks every 97th
-  graph. Signed and trivial gains (q <= 2) make H an integer matrix: up to
-  n = 12 the kernel computes its characteristic coefficients exactly in
-  int64, from power traces by Newton's identities, and the rank is the
-  highest index of a nonzero one; the switched copy must reproduce its
-  representative's coefficients. Otherwise the kernel is one eigensolve
-  per slice, and the rank the count of eigenvalues above half the proven
-  bound beta(n, deg, q) on nonzero ones (spectral.nonzero_eigenvalue_bound);
-  a representative with an eigenvalue within eigvalsh's error of both 0
-  and beta goes to the exact modular rank. Up to n = 7 that can happen
-  only for q = 11 from n = 6, q = 13 from n = 5, or q in {15, 16, 20, 24}
-  at n = 7.
+  graph. Signed and trivial gains (q <= 2) make H an integer matrix: the
+  kernel computes its characteristic coefficients exactly in float64,
+  every integer it forms below 2^53, from power traces by Newton's
+  identities, and the rank is the highest index of a nonzero one; the
+  switched copy must reproduce its representative's coefficients.
+  Otherwise the kernel is one eigensolve per slice, and the rank the count
+  of eigenvalues above half the proven bound beta(n, deg, q) on nonzero
+  ones (spectral.nonzero_eigenvalue_bound); a representative with an
+  eigenvalue within eigvalsh's error of both 0 and beta goes to the exact
+  modular rank. Up to n = 7 that can happen only for q = 11 from n = 6,
+  q = 13 from n = 5, or q in {15, 16, 20, 24} at n = 7.
 
 * Cactus engine: every connected graph with pairwise vertex-disjoint cycles
   up to n=8 (built constructively, cycles known), gains from the eighth
@@ -88,10 +89,8 @@ from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
 from .spectral import exact_rank, nonzero_eigenvalue_bound
 
 _EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR*n*eps*deg
-_SOLVE_ROWS = 1 << 14  # matrices per eigensolve call, and class rows per alphabet chunk
-_KERNEL_ROWS = 1 << 12  # matrices per block of the integer rank kernel
-_KERNEL_N_MAX = 12  # largest n whose integer characteristic coefficients fit int64
-_DP_N_MAX = 8  # largest n the packed matching table serves
+_SOLVE_ROWS = 1 << 14  # matrices per rank-kernel slice, and class rows per alphabet chunk
+_DP_N_MAX = 8  # largest n the packed matching table, and so the alphabet engine, serves
 _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
 _CACTUS_CHUNK = 20000  # cactus structures packed and certified at once
 _CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a cactus chunk
@@ -195,29 +194,29 @@ def _rank_by_cut(aw: np.ndarray, deg: np.ndarray, q: int) -> tuple[np.ndarray, n
 def _char_coeffs(H: np.ndarray) -> np.ndarray:
     """Characteristic coefficients of integer symmetric matrices, exactly.
 
-    H is (n, n, rows) int64. Returns c (rows, n+1) with det(xI - H) =
-    sum_k c[:, k] x^(n-k), c[:, 0] = 1: the power traces
+    H is (rows, n, n) float64 with integer entries. Returns c (rows, n+1)
+    with det(xI - H) = sum_k c[:, k] x^(n-k), c[:, 0] = 1: the power traces
     p_k = tr H^k = <H^floor(k/2), H^ceil(k/2)> (H is symmetric) give
     k c_k = -sum_{i=1..k} c_{k-i} p_i (Newton's identities), each division
     exact. H is Hermitian, so its rank is the largest k with c_k != 0.
 
-    Nothing overflows int64 for n <= _KERNEL_N_MAX = 12: every eigenvalue
-    has |lambda| <= deg <= n - 1, so |p_i| <= n deg^i and
-    |c_j| = |e_j(lambda)| <= C(n, j) deg^j, and every partial sum of the
-    identity is at most k C(n, n//2) n deg^k <= 12*924*12*11^12 < 4.2e17
-    < 2^63; an entry of a power H^a, or a partial sum of one, counts signed
-    walks, at most deg^a.
+    float64 holds every integer formed here exactly for n <= 11, so BLAS
+    may sum in any order: every eigenvalue has |lambda| <= deg <= n - 1, so
+    |p_i| <= n deg^i and |c_j| = |e_j(lambda)| <= C(n, j) deg^j, and every
+    partial sum of the identity is at most
+    k C(n, n//2) n deg^k <= 11*462*11*10^11 < 5.6e15 < 2^53; an entry of a
+    power H^a, or a partial sum of one, counts signed walks, at most deg^a.
     """
-    n, _, rows = H.shape
+    rows, n, _ = H.shape
     powers = [None, H]
     for _ in range(2, -(-n // 2) + 1):
-        powers.append(np.einsum("ijr,jkr->ikr", powers[-1], H))
-    p = [None, np.einsum("iir->r", H)]
-    p += [np.einsum("ijr,ijr->r", powers[k // 2], powers[k - k // 2]) for k in range(2, n + 1)]
-    c = np.zeros((n + 1, rows), dtype=np.int64)
+        powers.append(powers[-1] @ H)
+    p = [None, np.trace(H, axis1=1, axis2=2)]
+    p += [np.einsum("rij,rij->r", powers[k // 2], powers[k - k // 2]) for k in range(2, n + 1)]
+    c = np.zeros((n + 1, rows))
     c[0] = 1
     for k in range(1, n + 1):
-        c[k] = -sum(c[k - i] * p[i] for i in range(1, k + 1)) // k
+        c[k] = -sum(c[k - i] * p[i] for i in range(1, k + 1)) / k
     return c.T
 
 
@@ -310,19 +309,13 @@ def _cycle_flags(l: np.ndarray, s: np.ndarray, q: int) -> tuple[np.ndarray, np.n
     return low, ~has | (~even & (s4 != q) & (s4 != 3 * q))
 
 
-def _edge_set_hash(G: SimpleGraph) -> int:
-    """Deterministic 61-bit hash of n and the edge set. Per-graph choices
-    come from it, so how graphs are split into shards never changes them."""
-    h = G.n
-    for u, v in G.edges:
-        h = (h * 1_000_003 + u * G.n + v + 1) % (1 << 61)
-    return h
-
-
 def _edge_set_hashes(n: int, codes: np.ndarray, ecount: np.ndarray) -> np.ndarray:
-    """_edge_set_hash of every graph of a chunk, from its edge codes u*n + v
-    (B, E) and edge counts (B,). The recurrence runs in wrapping uint64
-    arithmetic, exact modulo 2^61 because 2^61 divides 2^64."""
+    """Deterministic 61-bit hash of n and the edge set of every graph of a
+    chunk, from its edge codes u*n + v (B, E) and edge counts (B,): h = n,
+    then h = h * 1_000_003 + code + 1 per edge, mod 2^61. Per-graph choices
+    come from it, so how graphs are split into shards or chunks never
+    changes them. The recurrence runs in wrapping uint64 arithmetic, exact
+    modulo 2^61 because 2^61 divides 2^64."""
     h = np.full(len(codes), n, dtype=np.uint64)
     for e, code in enumerate(codes.T.astype(np.uint64)):
         h = np.where(e < ecount, h * np.uint64(1_000_003) + code + np.uint64(1), h)
@@ -330,7 +323,7 @@ def _edge_set_hashes(n: int, codes: np.ndarray, ecount: np.ndarray) -> np.ndarra
 
 
 def _switched_copies(
-    n: int, codes: np.ndarray, ecount: np.ndarray, expo: np.ndarray, start: np.ndarray,
+    h: np.ndarray, n: int, codes: np.ndarray, expo: np.ndarray, start: np.ndarray,
     counts: np.ndarray, q: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One representative per graph of a chunk, picked by the graph alone,
@@ -338,11 +331,11 @@ def _switched_copies(
 
     Graph g's counts[g] representatives are the expo rows from start[g]. The
     copy is phi'(u,v) = s_u phi(u,v) s_v^-1 with s_v = exp(2*pi*i*k_v/q), k_v
-    the base-q digits of the edge-set hash h: D H D* for D = diag(s), the
+    the base-q digits of the edge-set hash h[g]: D H D* for D = diag(s), the
     same spectrum and cycle gains. Returns the offsets h mod counts[g] and
-    the copies' exponents (B, E), q past each graph's last edge.
+    the copies' exponents (B, E), q past each graph's last edge, where its
+    code is 0.
     """
-    h = _edge_set_hashes(n, codes, ecount)
     k, rest = np.empty((len(h), n), dtype=np.int64), h
     for v in range(n):  # digit by digit, so no power of q overflows
         rest, k[:, v] = np.divmod(rest, q)
@@ -352,7 +345,7 @@ def _switched_copies(
     r = h % counts
     rows = np.arange(len(h))[:, None]
     copy = (expo[start + r].astype(np.int64) + k[rows, codes // n] - k[rows, codes % n]) % q
-    return r, np.where(np.arange(codes.shape[1]) < ecount[:, None], copy, q)
+    return r, np.where(codes > 0, copy, q)
 
 
 def _class_indices(total: int, count: int, seed: str) -> np.ndarray:
@@ -387,16 +380,20 @@ def _blossom_facts(G: SimpleGraph, cycles: list | None) -> tuple[int, bool]:
 
 
 def _flush_alphabet_chunk(
-    entries: list, alphabet: tuple[Gain, ...], pos: np.ndarray, rep: SliceReport, max_failures: int
+    entries: list, alphabet: tuple[Gain, ...], pos: np.ndarray, seed: int, rep: SliceReport,
+    max_failures: int,
 ) -> _AlphabetRows:
     """Certify one chunk of same-n graphs; an entry is (G, cotree columns,
-    fundamental cycles, classes solved, sampled class indices or None)."""
+    fundamental cycles, classes solved). A graph solving fewer than its q^c
+    classes solves a sample drawn from seed and its edge-set hash."""
     t = time.perf_counter()
-    graphs, cotrees, cycles, counts, indices = zip(*entries)
+    graphs, cotrees, cycles, counts = zip(*entries)
     B, n, q = len(graphs), graphs[0].n, len(alphabet)
     edges = [G.edges for G in graphs]
     adjmask, ecount, codes = _pack_edges(n, edges, max(map(len, edges)))
     E = codes.shape[1]
+    h = _edge_set_hashes(n, codes, ecount)
+    sampled = [a < q ** len(cot) for a, cot in zip(counts, cotrees)]
     c = np.fromiter(map(len, cotrees), np.int64, B)
     A = np.array(counts, dtype=np.int64)
     start = np.cumsum(A + 1) - (A + 1)
@@ -408,15 +405,16 @@ def _flush_alphabet_chunk(
     expo[np.arange(E) < ecount[gid, None]] = 0
     cot = np.zeros((B, int(c.max(initial=0))), dtype=np.int64)
     cot[np.repeat(np.arange(B), c), _group_offsets(c)] = list(chain.from_iterable(cotrees))
-    digits, index_of_row = np.where([i is None for i in indices], c, 0)[gid], _group_offsets(A + 1)
+    digits, index_of_row = np.where(sampled, 0, c)[gid], _group_offsets(A + 1)
     for j in range(int(digits.max(initial=0))):
         on = np.nonzero(digits > j)[0]
         expo[on, cot[gid[on], j]] = index_of_row[on] // q**j % q
-    for s, a, cot_g, index in zip(start.tolist(), counts, cotrees, indices):
-        if index is not None:  # sampled classes
-            for j, col in enumerate(cot_g):
-                expo[s : s + a, col] = index // q**j % q
-    switched, expo[start + A] = _switched_copies(n, codes, ecount, expo, start, A, q)
+    for g in np.flatnonzero(sampled).tolist():
+        s, a = start[g], counts[g]
+        index = _class_indices(q ** len(cotrees[g]), a, f"{seed}/{h[g]}")
+        for j, col in enumerate(cotrees[g]):
+            expo[s : s + a, col] = index // q**j % q
+    switched, expo[start + A] = _switched_copies(h, n, codes, expo, start, A, q)
     # the disjoint cycles' vertex masks and signed edge rows, laid out by slot
     found = [cyc or () for cyc in cycles]
     ncyc = np.fromiter(map(len, found), np.int64, B)
@@ -426,12 +424,9 @@ def _flush_alphabet_chunk(
     cyc_mask[cg, ck], e = [mask for cyc in found for mask, _ in cyc], ecount[cg]
     signs = chain.from_iterable(row for cyc in found for _, row in cyc)
     memb[np.repeat(cg, e), np.repeat(ck, e), _group_offsets(e)] = np.fromiter(signs, np.int8)
-    if n <= _DP_N_MAX:
-        p = _batched_matching_counts(adjmask, n)
-        m = _max_index_positive(_unpack_counts(p[(1 << n) - 1], n // 2 + 1))
-        cond = _condition_iii(p, cyc_mask, n)
-    else:  # past the packed table's reach the blossom route is the only one
-        m, cond = map(np.array, zip(*map(_blossom_facts, graphs, cycles)))
+    p = _batched_matching_counts(adjmask, n)
+    m = _max_index_positive(_unpack_counts(p[(1 << n) - 1], n // 2 + 1))
+    cond = _condition_iii(p, cyc_mask, n)
     t = _stage(rep.timings, "facts", t)
 
     # the lower triangle H[v, u] = conj(phi(u, v)) for an edge u < v, 0
@@ -440,30 +435,26 @@ def _flush_alphabet_chunk(
     lower_values, lower_codes = np.append(values, 0).conj(), codes % n * n + codes // n
     deg = np.bitwise_count(adjmask).max(axis=1)
     copy, src = start + A, start + switched
-    # signed and trivial gains make H an integer matrix, (-1)^k for exponent
-    # k, ranked exactly by its characteristic coefficients; other alphabets,
-    # and graphs past _KERNEL_N_MAX, take the eigenvalue cut
-    exact = q <= 2 and n <= _KERNEL_N_MAX
+    # signed and trivial gains make H an integer matrix, ranked exactly by
+    # its characteristic coefficients; other alphabets take the eigenvalue cut
+    exact = q <= 2
     # each slice is ranked as it is solved; only the switching pairs keep
     # their spectra, or their coefficient rows
     kept_rows = np.stack([src, copy], axis=1).ravel()
-    kept = np.empty((2 * B, n + 1), dtype=np.int64) if exact else np.empty((2 * B, n))
+    kept = np.empty((2 * B, n + exact))
     R = len(gid)
     rank = np.empty(R, dtype=np.int64)
-    step = min(_SOLVE_ROWS, _KERNEL_ROWS) if exact else _SOLVE_ROWS
-    for lo in range(0, R, step):
-        rows = np.arange(lo, min(lo + step, R))
-        if exact:
-            H = np.zeros((n * n, len(rows)), dtype=np.int64)
-            entries, cols = np.append((-1) ** np.arange(q), 0)[expo[rows]].T, rows - lo
-            H[codes[gid[rows]].T, cols] = entries
-            H[lower_codes[gid[rows]].T, cols] = entries
-            w = _char_coeffs(H.reshape(n, n, -1))
+    for lo in range(0, R, _SOLVE_ROWS):
+        rows = np.arange(lo, min(lo + _SOLVE_ROWS, R))
+        at, entries = (rows - lo)[:, None], lower_values[expo[rows]]
+        H = np.zeros((len(rows), n * n), dtype=lower_values.dtype)
+        H[at, lower_codes[gid[rows]]] = entries
+        if exact:  # the kernel reads both triangles
+            H[at, codes[gid[rows]]] = entries
+            w = _char_coeffs(H.reshape(-1, n, n))
             rank[rows] = n - (w[:, ::-1] != 0).argmax(axis=1)
             t = _stage(rep.timings, "eigensolve", t)
         else:
-            H = np.zeros((len(rows), n * n), dtype=lower_values.dtype)
-            H[(rows - lo)[:, None], lower_codes[gid[rows]]] = lower_values[expo[rows]]
             w = np.linalg.eigvalsh(H.reshape(-1, n, n))
             t = _stage(rep.timings, "eigensolve", t)
             rank[rows], shaky = _rank_by_cut(np.abs(w), deg[gid[rows]], q)
@@ -493,7 +484,7 @@ def _flush_alphabet_chunk(
     # failures graph by graph: spot check, switching check, then class rows;
     # the blossom route re-derives m and condition (iii) on a lattice of graphs
     events = []
-    for k in range(-rep.graphs % _SPOT_EVERY, B, _SPOT_EVERY) if n <= _DP_N_MAX else ():
+    for k in range(-rep.graphs % _SPOT_EVERY, B, _SPOT_EVERY):
         mb, cb = _blossom_facts(graphs[k], cycles[k])
         if mb != m[k] or cb != cond[k]:
             message = f"blossom m {mb} vs table {m[k]}, blossom cond (iii) {cb} vs table {cond[k]}"
@@ -540,13 +531,14 @@ def run_alphabet_slice(
     drawn from seed and the edge set; each counts as its q^(E-c) labeled
     instances. One switched copy per graph must match its representative.
     A chunk is a run of same-n graphs whose rows fit in _SOLVE_ROWS, or one
-    larger graph; failures follow the input order.
+    larger graph; failures follow the input order. A graph with more than
+    _DP_N_MAX = 8 vertices raises SizeLimitError.
 
     report.timings splits the run into the stages enumerate (pulling the
     next graph), facts (cotree, cycles, class rows and matching DP),
-    eigensolve (the rank kernel: characteristic coefficients for q <= 2 up
-    to n = 12, else the eigensolve) and checks (structural flags, ranks,
-    escalation, switching compare, spot checks and failures), in seconds.
+    eigensolve (the rank kernel: characteristic coefficients for q <= 2,
+    else the eigensolve) and checks (structural flags, ranks, escalation,
+    switching compare, spot checks and failures), in seconds.
     """
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_ALPHABET_STAGES, 0.0))
@@ -556,21 +548,22 @@ def run_alphabet_slice(
     t = time.perf_counter()
     for G in graphs:
         t = _stage(rep.timings, "enumerate", t)
+        if G.n > _DP_N_MAX:
+            raise SizeLimitError(f"the alphabet engine is limited to n <= {_DP_N_MAX}")
         cot = _cotree_columns(G)
         total = len(alphabet) ** len(cot)
         A = total if cap is None else min(total, cap)
         if A > 1 << 20:
             raise SizeLimitError(f"{A} switching classes on one graph; pass a smaller cap")
-        index = None if A == total else _class_indices(total, A, f"{seed}/{_edge_set_hash(G)}")
         cycles = _fundamental_cycles(G, cot)
         t = _stage(rep.timings, "facts", t)
         if chunk and (G.n != chunk[0][0].n or rows + A + 1 > _SOLVE_ROWS):
-            _flush_alphabet_chunk(chunk, alphabet, pos, rep, max_failures)
+            _flush_alphabet_chunk(chunk, alphabet, pos, seed, rep, max_failures)
             chunk, rows, t = [], 0, time.perf_counter()
-        chunk.append((G, cot, cycles, A, index))
+        chunk.append((G, cot, cycles, A))
         rows += A + 1
     if chunk:
-        _flush_alphabet_chunk(chunk, alphabet, pos, rep, max_failures)
+        _flush_alphabet_chunk(chunk, alphabet, pos, seed, rep, max_failures)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

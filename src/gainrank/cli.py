@@ -74,14 +74,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_cycles(args: argparse.Namespace) -> int:
     try:
+        if args.max_cycles < 0:
+            raise ValueError("--max-cycles must be >= 0")
         g = _read_graph(args.path)
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         found = enumerate_cycles(underlying(g), limit=args.max_cycles)
-    except SizeLimitError as exc:
-        print(f"error: {exc}; raise --max-cycles", file=sys.stderr)
+    except SizeLimitError:  # one hint: the option, not the library's "raise the limit"
+        print(f"error: more than {args.max_cycles} cycles; raise --max-cycles", file=sys.stderr)
         return EXIT_INPUT
     summaries = [CycleSummary.of(g, rec) for rec in cycle_records(g, found)]
     doc = {"command": "cycles", "schema_version": SCHEMA_VERSION, "count": len(summaries)}

@@ -207,11 +207,21 @@ def test_alphabet_slice_rejects_unbounded_product():
 
 
 def test_alphabet_slice_size_limit_counts_classes():
-    # a path with 21 edges has 2^21 labeled sign assignments but one class
-    path = SimpleGraph.build(22, [(v, v + 1) for v in range(21)])
-    rep = run_alphabet_slice([path], GainSetSpec.parse("signed").values(), cap=None)
+    # K8 less the path 0-1-...-7 is connected with 21 edges: 2^21 labeled
+    # sign assignments but 2^14 classes, all solved though 2^21 would not be
+    path = {(v, v + 1) for v in range(7)}
+    G = SimpleGraph.build(8, [e for e in combinations(range(8), 2) if e not in path])
+    assert len(G.edges) == 21
+    rep = run_alphabet_slice([G], GainSetSpec.parse("signed").values(), cap=None)
     assert rep.ok
-    assert (rep.classes, rep.instances, rep.switching_checks) == (1, 1 << 21, 1)
+    assert (rep.classes, rep.instances, rep.switching_checks) == (1 << 14, 1 << 21, 1)
+
+
+def test_alphabet_slice_refuses_a_graph_past_the_matching_table():
+    path = SimpleGraph.build(9, [(v, v + 1) for v in range(8)])
+    for kind in ("signed", "roots:3"):
+        with pytest.raises(SizeLimitError):
+            run_alphabet_slice([path], GainSetSpec.parse(kind).values())
 
 
 def test_class_sample_is_distinct_and_needs_no_int64():
@@ -386,9 +396,9 @@ def test_every_labeled_assignment_matches_its_class_representative(kind):
 def test_corrupted_switched_copy_is_a_serialized_failure(monkeypatch):
     switched_copies = certify._switched_copies
 
-    def corrupted(n, codes, ecount, expo, start, counts, q):
-        r, copy = switched_copies(n, codes, ecount, expo, start, counts, q)
-        last = np.arange(len(copy)), ecount - 1
+    def corrupted(h, n, codes, expo, start, counts, q):
+        r, copy = switched_copies(h, n, codes, expo, start, counts, q)
+        last = np.arange(len(copy)), (codes > 0).sum(axis=1) - 1
         copy[last] = (copy[last] + 1) % q  # one edge moves alone: not a switching
         return r, copy
 
@@ -422,9 +432,9 @@ def test_char_coeffs_equal_numpy_poly_on_every_representative(monkeypatch):
         alphabet = GainSetSpec.parse(kind).values()
         assert run_alphabet_slice(enumerate_connected_graphs(5), alphabet, cap=None).ok
     assert run_alphabet_slice([k8], GainSetSpec.parse("signed").values(), cap=256, seed=3).ok
-    assert {H.shape[0] for H, _ in seen} == {2, 3, 4, 5, 8}
+    assert {H.shape[1] for H, _ in seen} == {2, 3, 4, 5, 8}
     for H, c in seen:
-        want = [np.round(np.poly(H[:, :, r])).astype(np.int64) for r in range(H.shape[2])]
+        want = [np.round(np.poly(H[r])).astype(np.int64) for r in range(len(H))]
         assert np.array_equal(c, want)
 
 
@@ -442,17 +452,17 @@ def _char_poly_by_faddeev_leverrier(H):
 
 
 def test_char_coeffs_stay_exact_at_the_size_limit():
-    # K12 reaches the largest degree the int64 bound allows for, and its
-    # coefficients the largest magnitudes: all gains 1 give
-    # (x - 11)(x + 1)^11, and random signs are checked against Python ints
-    n = certify._KERNEL_N_MAX
-    rng = np.random.default_rng(12)
+    # n = 11 is the largest n whose float64 bound holds, and K11 reaches
+    # its largest degree and coefficient magnitudes: all gains 1 give
+    # (x - 10)(x + 1)^10, and random signs are checked against Python ints
+    n = 11
+    rng = np.random.default_rng(11)
     upper = np.triu(np.ones((n, n), dtype=np.int64), 1)[None] * rng.choice([-1, 1], (5, n, n))
     H = np.concatenate([np.triu(np.ones((1, n, n), dtype=np.int64), 1), upper])
     H += H.transpose(0, 2, 1)
-    c = certify._char_coeffs(np.ascontiguousarray(H.transpose(1, 2, 0)))
-    ones = [math.comb(n - 1, k) for k in range(n)]  # (x + 1)^11
-    assert c[0].tolist() == [a - 11 * b for a, b in zip(ones + [0], [0] + ones)]
+    c = certify._char_coeffs(H.astype(float))
+    ones = [math.comb(n - 1, k) for k in range(n)]  # (x + 1)^10
+    assert c[0].tolist() == [a - 10 * b for a, b in zip(ones + [0], [0] + ones)]
     for h, row in zip(H, c):
         assert row.tolist() == _char_poly_by_faddeev_leverrier(h.tolist())
 
@@ -470,6 +480,9 @@ def test_signed_runs_neither_eigensolve_nor_escalate(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(certify, "exact_rank", no_exact_rank)
     rep = run_signed_slice(5)
+    assert rep.ok and rep.cross_checks == 0 and not calls
+    k8 = SimpleGraph.build(8, list(combinations(range(8), 2)))
+    rep = run_alphabet_slice([k8], GainSetSpec.parse("signed").values(), cap=256)
     assert rep.ok and rep.cross_checks == 0 and not calls
     # the cactus trees keep their eigensolve, the third route beside the
     # leaf matching and the matching table
@@ -499,10 +512,18 @@ def test_corrupted_switched_coefficient_is_a_serialized_failure(monkeypatch):
     assert (g.n, len(g.edges)) == (3, 3)
 
 
+def _edge_set_hash(G):
+    """The edge-set hash graph by graph, as first written."""
+    h = G.n
+    for u, v in G.edges:
+        h = (h * 1_000_003 + u * G.n + v + 1) % (1 << 61)
+    return h
+
+
 def _switched_copy(G, expo, q):
     """The switched copy graph by graph, as first written: representative
     h mod rows of expo, switched by the base-q digits of h."""
-    h = certify._edge_set_hash(G)
+    h = _edge_set_hash(G)
     r = h % expo.shape[0]
     k = np.array([(h // q**v) % q for v in range(G.n)], dtype=np.int64)
     if q > 1 and (k == k[0]).all():  # a scalar switching changes nothing
@@ -519,7 +540,8 @@ def test_switched_copies_are_the_per_graph_switchings(kind):
     counts = np.arange(len(graphs)) % 4 + 1
     start = np.cumsum(counts) - counts
     expo = np.random.default_rng(0).integers(0, q, size=(counts.sum(), 10))
-    r, copy = certify._switched_copies(5, codes, ecount, expo, start, counts, q)
+    h = certify._edge_set_hashes(5, codes, ecount)
+    r, copy = certify._switched_copies(h, 5, codes, expo, start, counts, q)
     potentials = np.array(list(product(range(min(q, 3)), repeat=5)))
     for g, G in enumerate(graphs):
         E = len(G.edges)
@@ -541,7 +563,7 @@ def test_chunk_hashes_equal_the_per_graph_hash():
         same = [G for G in graphs if G.n == n]
         _, ecount, codes = certify._pack_edges(n, [G.edges for G in same], n * (n - 1) // 2)
         got = certify._edge_set_hashes(n, codes, ecount)
-        assert got.tolist() == [certify._edge_set_hash(G) for G in same], n
+        assert got.tolist() == [_edge_set_hash(G) for G in same], n
 
 
 def _reference_flags(G, gvals):

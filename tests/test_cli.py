@@ -112,7 +112,22 @@ def test_cycles_rejects_a_non_finite_gain(tmp_path, capsys, token):
 
 def test_cycles_cap(squares_file, capsys):
     assert cli.main(["cycles", squares_file, "--max-cycles", "1"]) == 1
-    assert "--max-cycles" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: more than 1 cycles; raise --max-cycles\n"
+
+
+@pytest.mark.parametrize("text,exit_at_zero", [
+    ("n 3\ne 0 1 1\ne 1 2 1\n", 0),  # a path: no cycle
+    ("n 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n", 1),  # a triangle: one cycle
+], ids=["path", "triangle"])
+def test_cycles_rejects_a_negative_cap(tmp_path, capsys, text, exit_at_zero):
+    # a negative cap once let a path exit 0 and gave a triangle two hints
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    assert cli.main(["cycles", str(p), "--max-cycles", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-cycles must be >= 0\n"
+    assert cli.main(["cycles", str(p), "--max-cycles", "0"]) == exit_at_zero
 
 
 def test_cycles_cap_defaults_to_the_enumeration_limit(squares_file):
