@@ -57,10 +57,11 @@ Two engines, sized to what they must cover on a single core:
 
 Both engines check, per instance (per class representative in the
 alphabet engine): rank == 2m-2c exactly when the lower structural
-conditions hold, and rank == 2m+c exactly when the upper ones hold. The
-cactus engine also checks every class against both theorems' bounds,
-2m-2c <= rank <= min(2m+c, 2m+b) with b the number of odd cycles. Any
-counterexample is serialized for replay.
+conditions hold, and rank == 2m+c exactly when the upper ones hold. Both
+also check every class against the theorems' bounds: 2m-2c <= rank <= 2m+c
+in the alphabet engine, 2m-2c <= rank <= min(2m+c, 2m+b) with b the number
+of odd cycles in the cactus engine. Any counterexample is serialized for
+replay.
 """
 from __future__ import annotations
 
@@ -89,10 +90,10 @@ from .graphs import GainGraph, SimpleGraph, serialize_gain_graph
 from .spectral import exact_rank, nonzero_eigenvalue_bound
 
 _EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR*n*eps*deg
-_SOLVE_ROWS = 1 << 14  # matrices per rank-kernel slice, and class rows per alphabet chunk
+_SOLVE_ROWS = 1 << 12  # rows per slice of every batched array in both engines: bounds memory
 _DP_N_MAX = 8  # largest n the packed matching table, and so the alphabet engine, serves
 _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
-_CACTUS_CHUNK = 20000  # cactus structures packed and certified at once
+_CACTUS_CHUNK = 20000  # cactus structures per chunk: fixes the draws and spot-check lattice
 _CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a cactus chunk
 
 # real parts of the eighth roots of unity, indexed by octant
@@ -478,9 +479,13 @@ def _flush_alphabet_chunk(
     gap = np.abs(kept[1::2] - kept[::2]).max(axis=1, initial=0)
     compared = "characteristic coefficients" if exact else "spectra"
     same_flags = (lower[copy] == lower[src]) & (upper[copy] == upper[src])
-    want_lower, want_upper = rank == (2 * m - 2 * c)[gid], rank == (2 * m + c)[gid]
+    least, most = (2 * m - 2 * c)[gid], (2 * m + c)[gid]
+    want_lower, want_upper = rank == least, rank == most
     bad = (want_lower != lower) | (want_upper != upper)
-    bad[copy] = False
+    # a row must also obey the bounds 2m - 2c <= rank <= 2m + c; one that
+    # fails the equivalence is reported as that
+    failed = bad | (rank < least) | (rank > most)
+    failed[copy] = False
     # failures graph by graph: spot check, switching check, then class rows;
     # the blossom route re-derives m and condition (iii) on a lattice of graphs
     events = []
@@ -490,7 +495,7 @@ def _flush_alphabet_chunk(
             message = f"blossom m {mb} vs table {m[k]}, blossom cond (iii) {cb} vs table {cond[k]}"
             events.append((k, 0, start[k], f"spot check mismatch: {message}"))
     events += [(k, 1, copy[k], "") for k in np.nonzero((gap > 1e-9) | ~same_flags)[0]]
-    events += [(gid[i], 2, i, "") for i in np.nonzero(bad)[0]]
+    events += [(gid[i], 2, i, "") for i in np.nonzero(failed)[0]]
     for k, kind, i, message in sorted(events)[: max(0, max_failures - len(rep.failures))]:
         if kind == 1:
             message = (
@@ -498,10 +503,15 @@ def _flush_alphabet_chunk(
                 f"structural flags {'agree' if same_flags[k] else 'differ'}, "
                 f"against class representative {switched[k]}"
             )
-        elif kind == 2:
+        elif kind == 2 and bad[i]:
             message = (
                 f"equivalence failed: rank={rank[i]} m={m[k]} c={c[k]} "
                 f"spectral=({want_lower[i]},{want_upper[i]}) structural=({lower[i]},{upper[i]})"
+            )
+        elif kind == 2:
+            message = (
+                f"alphabet bound failed: rank={rank[i]} outside [{least[i]}, {most[i]}], "
+                f"m={m[k]} c={c[k]}"
             )
         inst = _build_instance(graphs[k], alphabet, pos[expo[i, : len(graphs[k].edges)]])
         rep.failures.append(Failure(message=message, graph_text=serialize_gain_graph(inst)))
@@ -528,8 +538,10 @@ def run_alphabet_slice(
     class representative has gain 1 on a spanning forest and any gain on
     each of the c cotree edges. All q^c classes are solved when cap is None
     or they fit in cap (at most 2^20 per graph), else cap distinct ones
-    drawn from seed and the edge set; each counts as its q^(E-c) labeled
-    instances. One switched copy per graph must match its representative.
+    drawn from seed and the edge set; a cap below 1 raises ValueError. Each
+    class counts as its q^(E-c) labeled instances. One switched copy per
+    graph must match its representative, and every representative's rank
+    must lie in [2m - 2c, 2m + c].
     A chunk is a run of same-n graphs whose rows fit in _SOLVE_ROWS, or one
     larger graph; failures follow the input order. A graph with more than
     _DP_N_MAX = 8 vertices raises SizeLimitError.
@@ -540,6 +552,8 @@ def run_alphabet_slice(
     else the eigensolve) and checks (structural flags, ranks, escalation,
     switching compare, spot checks and failures), in seconds.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"infeasible cap {cap}")
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_ALPHABET_STAGES, 0.0))
     pos = _group_positions(alphabet)
@@ -779,50 +793,54 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
     the coefficient sweep runs over 5^c classes per graph, for each c at
     that width. A chunk whose graphs have at most C cycles tiles each
     graph's columns to 5^C: a digit in an empty slot changes nothing.
+    Every step runs on slices of _SOLVE_ROWS graphs, so the packed table p
+    holds 2^n x _SOLVE_ROWS entries whatever the chunk's size.
     """
-    t = time.perf_counter()
     B, n = len(chunk.structs), chunk.n
-    full = (1 << n) - 1
-    levels = n // 2 + 1
     K = 5 ** int(chunk.ncyc.max(initial=0))
-
-    p = _batched_matching_counts(chunk.adjmask, n)
-    cond_iii = _condition_iii(p, chunk.cyc_mask, n)
-    m = _max_index_positive(_unpack_counts(p[full], levels))
-    t = _stage(timings, "matching_dp", t)
-
+    m, cond_iii = np.empty(B, dtype=np.int64), np.empty(B, dtype=bool)
     rank = np.empty((B, K), dtype=np.int64)
     lower, upper = np.empty((B, K), dtype=bool), np.empty((B, K), dtype=bool)
-    for c in np.unique(chunk.ncyc).tolist():
-        at = np.flatnonzero(chunk.ncyc == c)
-        cyc_len = chunk.cyc_len[at, :c]
-        digit = np.arange(5**c) // 5 ** np.arange(c)[:, None] % 5  # (c, 5^c) classes, as octants
-        # characteristic coefficients in Z[sqrt(2)], the highest nonzero
-        # index giving the rank: a_k = sum over cycle subsets T of
-        # A[k, T] (-2)^|T| prod(Re), where (-2)^|T| prod(Re) = P_T + Q_T sqrt(2)
-        # with integers |P_T|, |Q_T| <= 2^c, so a_k = 0 exactly when
-        # A[k] P = A[k] Q = 0. Every product and partial sum of those
-        # matmuls is an integer of magnitude below 2^12 * 4^c < 2^53, so
-        # float64 (BLAS) computes them exactly
-        A = _subset_coefficients(p, chunk.cyc_mask[at, :c], cyc_len, at, n)
-        P = np.ones((1 << c, 5**c), dtype=np.int64)
-        Q = np.zeros_like(P)
-        for T in range(1 << c):
-            for a, b in (_MINUS_2COS8[:, digit[i]] for i in range(c) if T >> i & 1):
-                P[T], Q[T] = P[T] * a + 2 * Q[T] * b, P[T] * b + Q[T] * a
-        P, Q = P.astype(float), Q.astype(float)
-        rank_c = np.zeros((len(at), 5**c), dtype=np.int64)
-        for k in range(1, n + 1):
-            A_k = A[k].astype(float)
-            rank_c[((A_k @ P) != 0) | ((A_k @ Q) != 0)] = k
+    for lo in range(0, B, _SOLVE_ROWS):
+        t = time.perf_counter()
+        part = slice(lo, lo + _SOLVE_ROWS)
+        p = _batched_matching_counts(chunk.adjmask[part], n)
+        cond_iii[part] = _condition_iii(p, chunk.cyc_mask[part], n)
+        m[part] = _max_index_positive(_unpack_counts(p[-1], n // 2 + 1))
+        t = _stage(timings, "matching_dp", t)
 
-        low_c = up_c = cond_iii[at, None]
-        for l_k, digit_k in zip(cyc_len.T, digit):
-            low, up = _cycle_flags(l_k[:, None], digit_k, 8)
-            low_c, up_c = low_c & low, up_c & up
-        tile = (1, K // 5**c)
-        rank[at], lower[at], upper[at] = (np.tile(a, tile) for a in (rank_c, low_c, up_c))
-    _stage(timings, "sweep", t)
+        ncyc = chunk.ncyc[part]
+        for c in np.unique(ncyc).tolist():
+            at = np.flatnonzero(ncyc == c)  # columns of p; rows of the chunk from lo
+            rows, cyc_len = lo + at, chunk.cyc_len[lo + at, :c]
+            digit = np.arange(5**c) // 5 ** np.arange(c)[:, None] % 5  # (c, 5^c) class octants
+            # characteristic coefficients in Z[sqrt(2)], the highest nonzero
+            # index giving the rank: a_k = sum over cycle subsets T of
+            # A[k, T] (-2)^|T| prod(Re), where (-2)^|T| prod(Re) = P_T + Q_T
+            # sqrt(2) with integers |P_T|, |Q_T| <= 2^c, so a_k = 0 exactly
+            # when A[k] P = A[k] Q = 0. Every product and partial sum of
+            # those matmuls is an integer of magnitude below 2^12 * 4^c <
+            # 2^53, so float64 (BLAS) computes them exactly
+            A = _subset_coefficients(p, chunk.cyc_mask[rows, :c], cyc_len, at, n)
+            P = np.ones((1 << c, 5**c), dtype=np.int64)
+            Q = np.zeros_like(P)
+            for T in range(1 << c):
+                for a, b in (_MINUS_2COS8[:, digit[i]] for i in range(c) if T >> i & 1):
+                    P[T], Q[T] = P[T] * a + 2 * Q[T] * b, P[T] * b + Q[T] * a
+            P, Q = P.astype(float), Q.astype(float)
+            rank_c = np.zeros((len(at), 5**c), dtype=np.int64)
+            for k in range(1, n + 1):
+                A_k = A[k].astype(float)
+                rank_c[((A_k @ P) != 0) | ((A_k @ Q) != 0)] = k
+
+            low_c = up_c = cond_iii[rows, None]
+            for l_k, digit_k in zip(cyc_len.T, digit):
+                low, up = _cycle_flags(l_k[:, None], digit_k, 8)
+                low_c, up_c = low_c & low, up_c & up
+            tile = (1, K // 5**c)
+            rank[rows], lower[rows], upper[rows] = (np.tile(a, tile) for a in (rank_c, low_c, up_c))
+        del p  # before the next slice's table is built beside it
+        _stage(timings, "sweep", t)
     return _ClassTable(m, cond_iii, rank, lower, upper)
 
 
@@ -853,10 +871,13 @@ def _flush_cactus_chunk(
     tree_rows = np.nonzero(c == 0)[0]
     if tree_rows.size:
         adj = chunk.adjmask[tree_rows]
-        Ht = ((adj[:, :, None] & (1 << np.arange(n))) != 0).astype(float)
-        wt = np.linalg.eigvalsh(Ht)
-        # at q = 1 the band is empty through n = 11, past GRAPH_ENUM_LIMIT
-        r_eig = _rank_by_cut(np.abs(wt), np.bitwise_count(adj).max(axis=1), 1)[0]
+        r_eig = np.empty(len(adj), dtype=np.int64)
+        for lo in range(0, len(adj), _SOLVE_ROWS):
+            part = adj[lo : lo + _SOLVE_ROWS]
+            wt = np.linalg.eigvalsh(((part[:, :, None] >> np.arange(n)) & 1).astype(float))
+            deg = np.bitwise_count(part).max(axis=1)
+            # at q = 1 the band is empty through n = 11, past GRAPH_ENUM_LIMIT
+            r_eig[lo : lo + _SOLVE_ROWS] = _rank_by_cut(np.abs(wt), deg, 1)[0]
         m_leaf = _leaf_matching(adj)
         bad = (r_eig != 2 * m_leaf) | (m_dp[tree_rows] != m_leaf)
         for j in np.nonzero(bad)[0][: max(0, max_failures - len(rep.failures))]:
@@ -971,6 +992,11 @@ def run_cactus_slice(
 ) -> SliceReport:
     """All disjoint-cycle connected graphs to n_max, eighth-root gains.
 
+    Structures are certified in chunks of _CACTUS_CHUNK, which fix the
+    draws (cap per graph, at least 1) and the spot-check lattice; each
+    chunk's batched arrays run in slices of _SOLVE_ROWS graphs, which bound
+    memory and change no output.
+
     report.timings splits the run into the stages enumerate, pack,
     matching_dp, sweep (the class table), trees, draws (the bound check,
     the sampled assignments, their class lookup and failures) and
@@ -978,6 +1004,8 @@ def run_cactus_slice(
     """
     if n_max > GRAPH_ENUM_LIMIT:  # refused before any work, not after n_max - 1 is done
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
+    if cap < 1:
+        raise ValueError(f"infeasible cap {cap}")
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_CACTUS_STAGES, 0.0))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -1005,6 +1033,8 @@ def certify_equivalences(
     """The full two-family certification used by the acceptance run."""
     if cactus_n_max > GRAPH_ENUM_LIMIT:  # refused before the signed slice runs
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
+    if cap < 1:
+        raise ValueError(f"infeasible cap {cap}")
     signed = run_signed_slice(signed_n_max)
     cactus = run_cactus_slice(cactus_n_max, cap=cap, seed=seed)
     return CertificationResult(slices={signed.name: signed, cactus.name: cactus})

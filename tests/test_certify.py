@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -512,6 +513,48 @@ def test_corrupted_switched_coefficient_is_a_serialized_failure(monkeypatch):
     assert (g.n, len(g.edges)) == (3, 3)
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_an_alphabet_rank_outside_the_bounds_is_a_serialized_bound_failure(monkeypatch, side):
+    # the kernel is pinned to rank 0 (lower) or n (upper) on every row, the
+    # switched copies included; a representative whose flags agree with that
+    # rank but which lies outside [2m - 2c, 2m + c] fails only the bounds.
+    # Rank n > 2m + c needs few matchings: the unicyclic n = 6 graphs with m = 2
+    def pinned(H):
+        coeffs = np.zeros((H.shape[0], H.shape[1] + 1))
+        coeffs[:, 0] = 1
+        coeffs[:, 1:] = side == "upper"
+        return coeffs
+
+    monkeypatch.setattr(certify, "_char_coeffs", pinned)
+    signed = GainSetSpec.parse("signed").values()
+    pos = _group_positions(signed)
+    graphs = [
+        G for G in enumerate_connected_graphs(6)
+        if G.n < 5 or G.n == 6 and len(G.edges) == 6 and matching_number(G) == 2
+    ]
+    rep = run_alphabet_slice(graphs, signed, cap=None, max_failures=10**9)
+    want = []  # graph by graph, class index by class index
+    for G in graphs:
+        m, cotree = matching_number(G), _cotree_columns(G)
+        c, r = len(cotree), 0 if side == "lower" else G.n
+        for index in range(2**c):
+            expo = [0] * len(G.edges)
+            for j, col in enumerate(cotree):
+                expo[col] = index >> j & 1
+            g = GainGraph.build(G.n, [(u, v, signed[pos[x]]) for (u, v), x in zip(G.edges, expo)])
+            flags = lower_optimal_structural(g).holds, upper_optimal_structural(g).holds
+            if flags != (r == 2 * m - 2 * c, r == 2 * m + c):
+                want.append(("equivalence failed", serialize_gain_graph(g)))
+            elif not 2 * m - 2 * c <= r <= 2 * m + c:
+                message = f"alphabet bound failed: rank={r} outside [{2 * m - 2 * c}, {2 * m + c}]"
+                want.append((f"{message}, m={m} c={c}", serialize_gain_graph(g)))
+    # an equivalence failure's details are pinned elsewhere; only its kind here
+    got = [(f.message, f.graph_text) for f in rep.failures]
+    got = [(m.split(":")[0] if m.startswith("equivalence") else m, g) for m, g in got]
+    assert got == want
+    assert sum(message.startswith("alphabet bound") for message, _ in got) > 10
+
+
 def _edge_set_hash(G):
     """The edge-set hash graph by graph, as first written."""
     h = G.n
@@ -870,7 +913,8 @@ def test_cactus_class_table_matches_numeric_rank_and_structure(n):
 
 # at n = 9 the packed matching counts still fit: a graph on 9 vertices has at
 # most 1,260 j-matchings (K_9 at j = 3), below 2^12, and 5 levels fill 60 bits
-def test_three_cycle_class_table_matches_numeric_rank_and_structure():
+def _three_cycle_chunk():
+    """Three triangles on n = 9, joined by two bridges three ways."""
     n, cycles = 9, ((0, 1, 2), (3, 4, 5), (6, 7, 8))
     triangles = [e for cyc in cycles for e in combinations(cyc, 2)]
     pairs = list(combinations(range(n), 2))
@@ -889,6 +933,12 @@ def test_three_cycle_class_table_matches_numeric_rank_and_structure():
         cyc_len=np.full((B, 3), 3),
         ncyc=np.full(B, 3),
     )
+    return chunk, graphs
+
+
+def test_three_cycle_class_table_matches_numeric_rank_and_structure():
+    chunk, graphs = _three_cycle_chunk()
+    structs, B = chunk.structs, len(graphs)
     table = _cactus_class_table(chunk, {})
     assert table.rank.shape == (B, 125)
     assert table.m.tolist() == [matching_number(G) for G in graphs]
@@ -917,6 +967,56 @@ def test_class_tables_keep_their_digest():
                 h.update(str(a.shape).encode())
                 h.update(a.tobytes())
     assert h.hexdigest() == CLASS_TABLES_SHA256
+
+
+def _table_fields(table):
+    return [(a.dtype, a.shape, a.tobytes()) for a in table]
+
+
+# each batched step of the class table and the tree eigensolve runs on
+# slices of _SOLVE_ROWS graphs; the slice size must change no output
+def test_class_tables_keep_their_digest_in_slices_of_seven(monkeypatch):
+    monkeypatch.setattr(certify, "_SOLVE_ROWS", 7)
+    test_class_tables_keep_their_digest()
+
+
+def test_row_slices_keep_the_three_cycle_table(monkeypatch):
+    chunk, _ = _three_cycle_chunk()
+    whole = _table_fields(_cactus_class_table(chunk, {}))
+    for rows in (7, 2):  # one slice, then two
+        monkeypatch.setattr(certify, "_SOLVE_ROWS", rows)
+        assert _table_fields(_cactus_class_table(chunk, {})) == whole, rows
+
+
+def test_row_slices_keep_the_cactus_report_and_failure_list(monkeypatch):
+    # a raised class column fails cyclic graphs through the draws, and a cut
+    # at 1.1 misranks every tree with an eigenvalue of magnitude in (0, 1.1]
+    _raise_class_columns(monkeypatch, [1])
+    monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", lambda n, d, q: 2.2)
+
+    def run():
+        return _report_fields(run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6))
+
+    whole = run()
+    monkeypatch.setattr(certify, "_SOLVE_ROWS", 7)
+    assert run() == whole
+    messages = {message.split(":")[0] for message, _ in whole[1]}
+    assert {"tree certification failed", "cactus equivalence failed"} <= messages
+
+
+def test_a_class_table_keeps_a_bounded_working_set():
+    # the first n = 7 chunk: its whole-chunk packed table alone would take
+    # 2^7 x 20,000 x 8 bytes = 20.5 MB
+    structs = list(islice(enumerate_connected_cacti(7), _CACTUS_CHUNK))
+    assert len(structs) == _CACTUS_CHUNK
+    chunk = _pack_cacti(7, structs)
+    tracemalloc.start()
+    try:
+        _cactus_class_table(chunk, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def _octant_class(g, cycles):
@@ -1150,6 +1250,23 @@ def test_cactus_size_limit_is_checked_before_any_enumeration(monkeypatch):
         run_cactus_slice(n_max=9)
     with pytest.raises(SizeLimitError):
         certify_equivalences(signed_n_max=3, cactus_n_max=9)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_cap_below_one_is_refused_before_any_work(monkeypatch, cap):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(certify, "enumerate_connected_cacti", refuse)
+    monkeypatch.setattr(certify, "enumerate_connected_graphs", refuse)
+    signed = GainSetSpec.parse("signed").values()
+    for start in (
+        lambda: run_cactus_slice(n_max=5, cap=cap),
+        lambda: run_alphabet_slice(map(refuse, [0]), signed, cap=cap),
+        lambda: certify_equivalences(signed_n_max=3, cactus_n_max=4, cap=cap),
+    ):
+        with pytest.raises(ValueError, match=f"infeasible cap {cap}"):
+            start()
 
 
 def test_certify_equivalences_combined():
