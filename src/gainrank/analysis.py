@@ -14,7 +14,7 @@ from .combinatorics import CycleRecord, cycle_record, enumerate_cycles
 from .combinatorics.transversal import TRANSVERSAL_LIMIT
 from .errors import SizeLimitError, TheoremViolation
 from .graphs import GainGraph
-from .spectral import hermitian_adjacency, inertia
+from .spectral import EXACT_PRIME_BUDGET, hermitian_adjacency, inertia
 from .spectral import rank as spectral_rank
 from .theorems import (
     BoundReport,
@@ -108,6 +108,8 @@ def analyze(
 
     h = hermitian_adjacency(g)
     ine = inertia(h, tol)
+    if any(f.exact_refused for f in facts.components):
+        skipped["exact_rank"] = f"more than EXACT_PRIME_BUDGET ({EXACT_PRIME_BUDGET}) primes"
     if mode is None:
         r, backend = verdict.rank, verdict.rank_backend
     elif mode == "numeric":
@@ -271,6 +273,8 @@ def render_text(rep: AnalysisReport) -> str:
     ]
     if "rank_inertia_identity" in rep.skipped:
         lines.insert(3, f"  not checked: {rep.skipped['rank_inertia_identity']}")
+    if "exact_rank" in rep.skipped:
+        lines.insert(3, f"  exact rank refused: {rep.skipped['exact_rank']}")
     if rep.refined is not None:
         lines.append(
             f"refined bounds  {rep.refined.lower_refined} <= {rep.rank} <= "

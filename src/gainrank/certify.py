@@ -110,6 +110,7 @@ _CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws",
 class Failure:
     message: str
     graph_text: str
+    position: int | None = None  # the graph's index in run_alphabet_slice's input
 
 
 @dataclass
@@ -514,7 +515,7 @@ def _flush_alphabet_chunk(
                 f"m={m[k]} c={c[k]}"
             )
         inst = _build_instance(graphs[k], alphabet, pos[expo[i, : len(graphs[k].edges)]])
-        rep.failures.append(Failure(message=message, graph_text=serialize_gain_graph(inst)))
+        rep.failures.append(Failure(message, serialize_gain_graph(inst), int(rep.graphs + k)))
 
     rep.graphs += B
     rep.classes += sum(counts)

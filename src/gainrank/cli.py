@@ -42,6 +42,7 @@ from .theorems import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
+MAX_FAILURES = 5  # failures an enumerate run keeps, the first in enumeration order
 
 
 def _read_graph(path: str) -> GainGraph:
@@ -218,7 +219,9 @@ def _enumerate_shard(params: tuple) -> SliceReport:
             if i % workers == shard:
                 yield G
 
-    return run_alphabet_slice(my_graphs(), alphabet, cap=cap, seed=seed, name=f"shard-{shard}")
+    return run_alphabet_slice(
+        my_graphs(), alphabet, cap=cap, seed=seed, name=f"shard-{shard}", max_failures=MAX_FAILURES
+    )
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -245,14 +248,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     classes = sum(r.classes for r in reports)
     switching = sum(r.switching_checks for r in reports)
     checks = sum(r.cross_checks for r in reports)
+    # the j-th graph of shard k is graph j * workers + k; each shard kept its
+    # own first failures, which hold every one of the run's first in its graphs
     failures = sorted(
-        ((f.message, f.graph_text) for r in reports for f in r.failures)
-    )
+        ((f.position * workers + k, f.message, f.graph_text)
+         for k, r in enumerate(reports) for f in r.failures),
+        key=lambda row: row[0],  # stable: one graph's failures keep their order
+    )[:MAX_FAILURES]
     timings = {stage: sum(r.timings[stage] for r in reports) for stage in reports[0].timings}
 
     if failures and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for msg, text in failures:
+            for _, msg, text in failures:
                 fh.write(f"# {msg}\n{text}\n")
 
     doc = {

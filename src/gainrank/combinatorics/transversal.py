@@ -8,12 +8,10 @@ The acyclic-deletion search partitions the feedback vertex sets by
 branching on one cycle C = (c_1, ..., c_k) of what remains: branch i
 deletes c_i and keeps c_1..c_(i-1) for good (Schwikowski & Speckenmeyer,
 Discrete Appl. Math. 117, 2002). Every set whose removal leaves a forest
-lies in exactly one branch, so no leaf is reached twice and every minimal
-feedback set is a leaf. Removing fewer vertices never shrinks a matching,
-so the minimal sets carry the maximum; the witness is the lexicographically
-smallest minimal set that reaches it, whatever order the search runs in.
-A node with fewer than 2 * best vertices left is cut, as no forest below
-it can tie.
+lies in exactly one branch, so no leaf is reached twice and every forest
+G - V0 is scored. A forest on k vertices has matching number at most
+k // 2, so a node with no more than 2 * best + 1 vertices left cannot
+improve the best matching and is cut.
 """
 from __future__ import annotations
 
@@ -88,29 +86,6 @@ def _forest_matching(adj: list[int], alive: int) -> int:
     return matched
 
 
-def _trees(adj: list[int], alive: int) -> list[int]:
-    """Vertex masks of the connected components induced on `alive`."""
-    out = []
-    while alive:
-        tree = frontier = alive & -alive
-        while frontier:
-            reach = 0
-            for v in vertices(frontier):
-                reach |= adj[v]
-            frontier = reach & alive & ~tree
-            tree |= frontier
-        out.append(tree)
-        alive &= ~tree
-    return out
-
-
-def _minimal(adj: list[int], alive: int, removed: int) -> bool:
-    """Whether putting back any removed vertex closes a cycle in the forest
-    on `alive`, i.e. each has two neighbours in one of its trees."""
-    trees = _trees(adj, alive)
-    return all(any((adj[v] & t).bit_count() > 1 for t in trees) for v in vertices(removed))
-
-
 def is_bipartite(G: SimpleGraph | GainGraph) -> bool:
     adj = neighbour_masks(G)
     return _bipartite(adj, (1 << len(adj)) - 1)
@@ -153,33 +128,30 @@ def max_acyclic_deletion_matching(G: SimpleGraph | GainGraph) -> tuple[int, froz
     kept for good) pairs: a node whose 2-core is empty is a leaf, scored by
     leaf matching on its forest; otherwise it branches on a cycle of the
     core, branch i deleting the i-th free cycle vertex and keeping the free
-    ones before it. The witness is the lexicographically smallest minimal
-    feedback vertex set whose forest reaches the maximum; a leaf is minimal
-    when each deleted vertex has two neighbours in one tree of its forest.
+    ones before it. The witness is the first V0 the search reaches at the
+    maximum: G - V0 is a forest whose matching number is the value. V0 is
+    not promised to be minimal or lexicographically first.
     """
     adj = neighbour_masks(G)
     n = len(adj)
     if n > TRANSVERSAL_LIMIT:
         raise SizeLimitError(f"acyclic deletion search limited to n <= {TRANSVERSAL_LIMIT}, got n={n}")
     full = (1 << n) - 1
-    best: tuple[int, tuple[int, ...]] | None = None
+    best, witness = -1, 0
     stack = [(0, 0)]
     while stack:
         removed, kept = stack.pop()
         alive = full & ~removed
-        if best is not None and alive.bit_count() // 2 < best[0]:
-            continue  # no forest on these vertices can tie the best matching
+        if alive.bit_count() // 2 <= best:
+            continue  # no forest on these vertices can beat the best matching
         core = two_core(adj, alive)
         if not core:
             value = _forest_matching(adj, alive)
-            if best is None or value >= best[0]:
-                witness = tuple(vertices(removed))
-                if (best is None or value > best[0] or witness < best[1]) and _minimal(adj, alive, removed):
-                    best = (value, witness)
+            if value > best:
+                best, witness = value, removed
             continue
         for v in _core_cycle(adj, core):
             if not kept >> v & 1:
                 stack.append((removed | 1 << v, kept))
                 kept |= 1 << v
-    assert best is not None
-    return best[0], frozenset(best[1])
+    return best, frozenset(vertices(witness))

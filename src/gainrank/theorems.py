@@ -50,7 +50,11 @@ class CycleType(enum.Enum):
 
 def classify_cycle(g: GainGraph, cycle: "CycleRecord | tuple[int, ...]") -> CycleType:
     """Type of one cycle of g. A vertex sequence is validated as a cycle of g;
-    a CycleRecord already carries its gain product, which is used as is."""
+    a CycleRecord already carries its gain product, which is used as is.
+
+    A rational-angle gain exp(2 pi i k/q) is typed in integers: an odd cycle
+    is imaginary iff 4k is q or 3q, and its real part is positive iff
+    4k < q or 4k > 3q. TYPE_TOL serves float gains only."""
     rec = cycle if isinstance(cycle, CycleRecord) else cycle_record(g, tuple(cycle))
     l = rec.length
     if l % 2 == 0:
@@ -60,11 +64,18 @@ def classify_cycle(g: GainGraph, cycle: "CycleRecord | tuple[int, ...]") -> Cycl
         else:
             singular = abs(gain.value - target.value) <= TYPE_TOL
         return CycleType.EVEN_SINGULAR if singular else CycleType.EVEN_REGULAR
-    re = rec.real_part
-    if abs(re) <= TYPE_TOL:
-        return CycleType.ODD_IMAGINARY
-    twisted = re if ((l - 1) // 2) % 2 == 0 else -re
-    return CycleType.ODD_POSITIVE if twisted > 0 else CycleType.ODD_NEGATIVE
+    gain = rec.gain
+    if gain.q is not None:  # exp(2 pi i k/q), decided in integers
+        k4, q = 4 * gain.k, gain.q
+        if k4 in (q, 3 * q):
+            return CycleType.ODD_IMAGINARY
+        positive = k4 < q or k4 > 3 * q
+    else:
+        if abs(gain.real) <= TYPE_TOL:
+            return CycleType.ODD_IMAGINARY
+        positive = gain.real > 0
+    twisted = positive == (((l - 1) // 2) % 2 == 0)
+    return CycleType.ODD_POSITIVE if twisted else CycleType.ODD_NEGATIVE
 
 
 def cycle_inertia(l: int, t: CycleType) -> tuple[int, int]:
@@ -143,6 +154,7 @@ class ComponentFacts:
     kept: tuple[int, ...]  # component vertex id -> parent vertex id
     rank: int
     backend: str
+    exact_refused: bool  # exact rank refused past EXACT_PRIME_BUDGET; backend numeric
     m: int
     c: int
     cycles: tuple[tuple[int, ...], ...] | None  # None when two cycles share a vertex
@@ -163,8 +175,9 @@ class GraphFacts:
     c: int
 
 
-def _component_rank(g: GainGraph) -> tuple[int, str]:
-    """Rank of a connected piece, exact whenever it can be.
+def _component_rank(g: GainGraph) -> tuple[int, str, bool]:
+    """Rank of a connected piece, exact whenever it can be, its backend, and
+    whether the exact rank was refused at the prime budget.
 
     Gains that are q-th roots of unity get the exact rank mod primes
     p = 1 (mod q). It needs no tolerance: rank mod P <= rank, and p divides
@@ -177,30 +190,30 @@ def _component_rank(g: GainGraph) -> tuple[int, str]:
     that carries the component.
     """
     try:
-        r, backend = spectral_rank(g, mode="exact"), "exact"
-    except (ValueError, SizeLimitError):  # float gains, or past the prime budget
-        r, backend = spectral_rank(g, mode="numeric"), "numeric"
-    if backend != "numeric" and g.n <= CROSS_CHECK_LIMIT:
+        r = spectral_rank(g, mode="exact")
+    except (ValueError, SizeLimitError) as exc:  # float gains, or past the prime budget
+        return spectral_rank(g, mode="numeric"), "numeric", isinstance(exc, SizeLimitError)
+    if g.n <= CROSS_CHECK_LIMIT:
         rn = spectral_rank(g, mode="numeric")
         if rn != r:
             raise TheoremViolation(
-                f"rank backends disagree on n={g.n}: {backend}={r}, numeric={rn}",
+                f"rank backends disagree on n={g.n}: exact={r}, numeric={rn}",
                 instance=serialize_gain_graph(g),
             )
-    return r, backend
+    return r, "exact", False
 
 
 def component_facts(g: GainGraph) -> GraphFacts:
     """Facts of every connected component of g, from one pass over them."""
     out = []
     for sub, kept in g.components():
-        r, backend = _component_rank(sub)
+        r, backend, refused = _component_rank(sub)
         G = underlying(sub)
         cycles, overlap = cycle_structure(G)
         disjoint = cycles is not None
         records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
         out.append(ComponentFacts(
-            graph=sub, kept=kept, rank=r, backend=backend,
+            graph=sub, kept=kept, rank=r, backend=backend, exact_refused=refused,
             m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
             overlap=overlap, records=records,
             types=tuple(classify_cycle(sub, rec) for rec in records) if disjoint else None,

@@ -212,6 +212,21 @@ def test_skipped_names_the_size_limit_that_was_hit(n):
     assert rep.ok
 
 
+def test_skipped_names_a_refused_exact_rank():
+    # q = 2 * 10^10 + 1 turns the exact rank away before any prime is searched
+    tri = GainGraph.build(3, [(0, 1, "rot(5000000000/20000000001)"), (1, 2, "1"), (0, 2, "1")])
+    rep = analyze(tri)
+    assert rep.rank_backend == "numeric"
+    assert report_to_dict(rep)["skipped"] == {
+        "exact_rank": "more than EXACT_PRIME_BUDGET (1024) primes"
+    }
+    assert "exact rank refused: more than EXACT_PRIME_BUDGET (1024) primes" in render_text(rep)
+    # float gains are not a refusal, and a small q is ranked exactly
+    for token in ("c(0.6,0.8)", "rot(1/5)"):
+        g = GainGraph.build(3, [(0, 1, token), (1, 2, "1"), (0, 2, "1")])
+        assert "exact_rank" not in analyze(g).skipped, token
+
+
 def test_skipped_names_the_cycle_cap():
     k6 = GainGraph.build(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
     rep = analyze(k6, max_cycles=10)

@@ -333,6 +333,40 @@ def test_enumerate_reports_elapsed_throughput_and_stage_timings(workers, monkeyp
         assert sum(doc["timings"].values()) <= doc["elapsed"]
 
 
+def test_near_imaginary_rational_triangle_is_consistent(tmp_path, capsys):
+    p = tmp_path / "near_imaginary.txt"
+    p.write_text("n 3\ne 0 1 rot(2500000000/10000000001)\ne 1 2 1\ne 0 2 1\n")
+    assert cli.main(["analyze", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["consistent"] is True
+    assert cli.main(["cycles", str(p), "--json"]) == 0
+    assert [c["type"] for c in json.loads(capsys.readouterr().out)["cycles"]] == ["ODD_NEGATIVE"]
+
+
+def test_enumerate_failures_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    from gainrank import certify
+
+    real = certify._char_coeffs
+
+    def last_coefficient_zeroed(H):
+        w = real(H).copy()
+        w[:, -1] = 0
+        return w
+
+    monkeypatch.setattr(certify, "_char_coeffs", last_coefficient_zeroed)
+    docs, bodies = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GAINRANK_WORKERS", workers)
+        out = tmp_path / f"failures-{workers}.txt"
+        assert cli.main(["enumerate", "--n-max", "4", "--gains", "signed",
+                         "--out", str(out), "--json"]) == 2
+        doc = _without_times(json.loads(capsys.readouterr().out))
+        docs.append({k: v for k, v in doc.items() if k != "failure_file"})
+        bodies.append(out.read_text())
+    assert docs[0] == docs[1]
+    assert docs[0]["failures"] == cli.MAX_FAILURES
+    assert bodies[0] == bodies[1]
+
+
 def test_enumerate_rejects_uniform(capsys):
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "uniform"]) == 1
     assert cli.main(["enumerate", "--n-max", "9", "--gains", "signed"]) == 1

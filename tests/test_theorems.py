@@ -1,6 +1,7 @@
 """Cycle classification, rank bounds, and the optimality equivalences."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,9 @@ from gainrank.combinatorics.blocks import cyclomatic_number
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
 from gainrank.graphs import GainGraph, underlying
+from gainrank.combinatorics import cycle_record
 from gainrank.theorems import (
+    TYPE_TOL,
     CycleType,
     check_rank_bounds,
     check_refined_bounds,
@@ -72,6 +75,34 @@ def test_classification_examples(square, triangle):
     assert classify_cycle(triangle, (0, 1, 2)) is CycleType.ODD_NEGATIVE
     g = GainGraph.build(3, [(0, 1, "i"), (1, 2, "1"), (2, 0, "1")])
     assert classify_cycle(g, (0, 1, 2)) is CycleType.ODD_IMAGINARY
+
+
+def test_a_near_imaginary_rational_gain_is_typed_in_integers():
+    # 4k = q - 1: the real part is +1.6e-10, below TYPE_TOL but not zero
+    g = GainGraph.build(3, [(0, 1, "rot(2500000000/10000000001)"), (1, 2, "1"), (0, 2, "1")])
+    assert 0 < cycle_record(g, (0, 1, 2)).real_part <= TYPE_TOL
+    assert classify_cycle(g, (0, 1, 2)) is CycleType.ODD_NEGATIVE
+    imaginary = GainGraph.build(3, [(0, 1, "rot(1/4)"), (1, 2, "1"), (0, 2, "1")])
+    assert classify_cycle(imaginary, (0, 1, 2)) is CycleType.ODD_IMAGINARY
+
+
+def _type_by_real_part(l, gain):
+    """The float rule: |Re| <= TYPE_TOL is imaginary, else the twisted sign."""
+    if abs(gain.real) <= TYPE_TOL:
+        return CycleType.ODD_IMAGINARY
+    twisted = gain.real if ((l - 1) // 2) % 2 == 0 else -gain.real
+    return CycleType.ODD_POSITIVE if twisted > 0 else CycleType.ODD_NEGATIVE
+
+
+@pytest.mark.parametrize("l", [3, 5, 7])
+def test_rational_gains_up_to_q_64_keep_their_float_type(l):
+    # every |cos(2 pi k/q)| with q <= 64 is 0 or far above TYPE_TOL, so the
+    # float rule types these cycles correctly
+    for q in range(1, 65):
+        for k in (k for k in range(q) if math.gcd(k, q) == 1):
+            g = make_cycle_with_gain(l, Gain.from_angle(k, q))
+            rec = cycle_record(g, tuple(range(l)))
+            assert classify_cycle(g, rec) is _type_by_real_part(l, rec.gain), (l, k, q)
 
 
 def test_classification_orientation_invariant():

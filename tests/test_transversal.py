@@ -1,5 +1,6 @@
 """Odd cycle transversals and forest-leaving deletions."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -64,7 +65,6 @@ def test_transversal_witness_hits_every_odd_cycle():
 def test_acyclic_deletion_on_double_squares(double_squares):
     adv, witness = max_acyclic_deletion_matching(double_squares)
     assert adv == 3
-    assert witness == frozenset({1, 4})
     H, _ = underlying(double_squares).delete_vertices(witness)
     assert find_cycle(H) is None
     assert matching_number(H) == 3
@@ -125,23 +125,22 @@ def _subsets(n):
 
 
 def _brute_force(G):
-    """(transversal, acyclic deletion) with the canonical witnesses."""
+    """The transversal with its canonical witness, and the acyclic-deletion
+    value: the largest matching number over every forest G - V0."""
     oct_ = next(
         (len(sub), frozenset(sub))
         for sub in _subsets(G.n)
         if _is_bipartite_by_parity(G.delete_vertices(sub)[0])
     )
-    best = None
-    for sub in sorted(_subsets(G.n)):  # lexicographic, as tuples
-        H, _ = G.delete_vertices(sub)
-        if not _is_forest(H):
-            continue
-        if any(_is_forest(G.delete_vertices(set(sub) - {v})[0]) for v in sub):
-            continue  # not minimal
-        value = matching_number_bruteforce(H)
-        if best is None or value > best[0]:
-            best = (value, sub)
-    return oct_, (best[0], frozenset(best[1]))
+    forests = (G.delete_vertices(sub)[0] for sub in _subsets(G.n))
+    return oct_, max(matching_number_bruteforce(H) for H in forests if _is_forest(H))
+
+
+def _assert_deletion_witness(G, value, witness):
+    """G - witness is a forest and its blossom matching number is value."""
+    H, _ = G.delete_vertices(witness)
+    assert _is_forest(H), (G, witness)
+    assert matching_number(H) == value, (G, witness)
 
 
 def _seeded_graphs(count, n_max, extra_max, seed0):
@@ -156,14 +155,18 @@ def test_searches_match_brute_force_on_every_connected_graph_up_to_five():
     for G in enumerate_connected_graphs(5):
         oct_, acyclic = _brute_force(G)
         assert odd_cycle_transversal(G) == oct_, G
-        assert max_acyclic_deletion_matching(G) == acyclic, G
+        value, witness = max_acyclic_deletion_matching(G)
+        assert value == acyclic, G
+        _assert_deletion_witness(G, value, witness)
 
 
 def test_searches_match_brute_force_on_seeded_graphs_up_to_nine():
     for G in _seeded_graphs(200, 9, 12, seed0=7_000):
         oct_, acyclic = _brute_force(G)
         assert odd_cycle_transversal(G) == oct_, G
-        assert max_acyclic_deletion_matching(G) == acyclic, G
+        value, witness = max_acyclic_deletion_matching(G)
+        assert value == acyclic, G
+        _assert_deletion_witness(G, value, witness)
 
 
 def test_acyclic_deletion_witness_properties_up_to_twenty():
@@ -171,8 +174,6 @@ def test_acyclic_deletion_witness_properties_up_to_twenty():
         value, witness = max_acyclic_deletion_matching(G)
         H, _ = G.delete_vertices(witness)
         assert _is_forest(H)
-        for v in witness:
-            assert not _is_forest(G.delete_vertices(witness - {v})[0])
         assert value == matching_number(H)
         b, cover = odd_cycle_transversal(G)
         assert b == len(cover) and is_bipartite(G.delete_vertices(cover)[0])
@@ -181,11 +182,28 @@ def test_acyclic_deletion_witness_properties_up_to_twenty():
 @pytest.mark.parametrize("n", [8, 12, 16, 20])
 def test_dense_graphs_stay_within_the_limit(n):
     kn = SimpleGraph.build(n, list(combinations(range(n), 2)))
-    assert max_acyclic_deletion_matching(kn) == (1, frozenset(range(n - 2)))
+    value, witness = max_acyclic_deletion_matching(kn)
+    assert value == 1
+    _assert_deletion_witness(kn, value, witness)
     if n <= 16:  # the transversal tries every smaller subset of K_n first
         assert odd_cycle_transversal(kn) == (n - 2, frozenset(range(n - 2)))
     G = random_connected_graph(20, 30, seed=n)
     value, witness = max_acyclic_deletion_matching(G)
-    assert value == matching_number(G.delete_vertices(witness)[0])
+    _assert_deletion_witness(G, value, witness)
     b, cover = odd_cycle_transversal(G)
     assert is_bipartite(G.delete_vertices(cover)[0])
+
+
+# sha256 of "b,adv" per graph, joined by ";", over the 300 seeded graphs
+# below; taken from the search that kept the lexicographically smallest
+# minimal witness, so the first-maximum search is held to its values
+BOUND_VALUES_SHA256 = "c84598a76a85edcbd9ac35c288d9aa079293d39c60d1bbbaecc65c5e3114f148"
+
+
+def test_refined_bound_values_keep_their_digest_up_to_twenty():
+    rows = []
+    for G in _seeded_graphs(300, 20, 30, seed0=11_000):
+        b, _ = odd_cycle_transversal(G)
+        adv, _ = max_acyclic_deletion_matching(G)
+        rows.append(f"{b},{adv}")
+    assert hashlib.sha256(";".join(rows).encode()).hexdigest() == BOUND_VALUES_SHA256
