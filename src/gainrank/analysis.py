@@ -14,7 +14,7 @@ from .combinatorics import CycleRecord, cycle_record, enumerate_cycles
 from .combinatorics.transversal import TRANSVERSAL_LIMIT
 from .errors import SizeLimitError, TheoremViolation
 from .graphs import GainGraph
-from .spectral import EXACT_PRIME_BUDGET, hermitian_adjacency, inertia
+from .spectral import EXACT_PRIME_BUDGET, block_inertia, hermitian_adjacency, inertia
 from .spectral import rank as spectral_rank
 from .theorems import (
     BoundReport,
@@ -106,8 +106,10 @@ def analyze(
     basic = check_rank_bounds(facts)
     verdict = verify_equivalence(facts)
 
-    h = hermitian_adjacency(g)
-    ine = inertia(h, tol)
+    # H is the direct sum of its components: each is eigensolved once
+    ine = block_inertia([
+        (f.inertia or inertia(hermitian_adjacency(f.graph))).eigenvalues for f in facts.components
+    ], tol)
     if any(f.exact_refused for f in facts.components):
         skipped["exact_rank"] = f"more than EXACT_PRIME_BUDGET ({EXACT_PRIME_BUDGET}) primes"
     if mode is None:

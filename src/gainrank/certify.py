@@ -92,7 +92,7 @@ from .spectral import exact_rank, nonzero_eigenvalue_bound
 _EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR*n*eps*deg
 _SOLVE_ROWS = 1 << 12  # rows per slice of every batched array in both engines: bounds memory
 _DP_N_MAX = 8  # largest n the packed matching table, and so the alphabet engine, serves
-_SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on every 97th graph
+_SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on 1 graph in 97
 _CACTUS_CHUNK = 20000  # cactus structures per chunk: fixes the draws and spot-check lattice
 _CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a cactus chunk
 
@@ -488,9 +488,10 @@ def _flush_alphabet_chunk(
     failed = bad | (rank < least) | (rank > most)
     failed[copy] = False
     # failures graph by graph: spot check, switching check, then class rows;
-    # the blossom route re-derives m and condition (iii) on a lattice of graphs
+    # the blossom route re-derives m and condition (iii) on the graphs whose
+    # edge-set hash it divides, so sharding never changes which are checked
     events = []
-    for k in range(-rep.graphs % _SPOT_EVERY, B, _SPOT_EVERY):
+    for k in np.flatnonzero(h % _SPOT_EVERY == 0).tolist():
         mb, cb = _blossom_facts(graphs[k], cycles[k])
         if mb != m[k] or cb != cond[k]:
             message = f"blossom m {mb} vs table {m[k]}, blossom cond (iii) {cb} vs table {cond[k]}"

@@ -23,6 +23,7 @@ from .theorems import verify_equivalence
 GRAPH_ENUM_LIMIT = 8
 _UNIFORM_REAL_BAND = 1e-6
 _MASK_BLOCK = 1 << 20  # edge masks tested for connectivity at once
+_TREE_BLOCK = 1 << 15  # Pruefer heads decoded at once: one block up to n = 7, eight at n = 8
 _ORDERS = {"trivial": 1, "signed": 2, "gaussian": 4}
 
 
@@ -284,16 +285,18 @@ class CactusStructure(NamedTuple):
         return tuple(e for i, e in enumerate(combinations(range(self.n), 2)) if m >> i & 1)
 
 
-def _decode_forests(n: int, roots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _decode_forests(
+    n: int, roots: tuple[int, ...], part: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
     """Every forest on range(n) in which each tree holds exactly one root,
     as (leaf, seq) arrays: row i's edge j joins leaf[i, j] to seq[i, j].
 
     A sequence holds the stripped leaves' neighbours in smallest-leaf order,
     the last a root: the head in product(range(n)) order, then the root.
     Each decodes to a distinct forest, k * n^(n-k-1) in all. Roots (n-1,)
-    give the labeled trees in Pruefer order."""
+    give the labeled trees in Pruefer order. part slices the head order."""
     L = n - len(roots)
-    head = np.arange(n ** (L - 1))[:, None] // n ** np.arange(L - 2, -1, -1) % n
+    head = np.arange(*part.indices(n ** (L - 1)))[:, None] // n ** np.arange(L - 2, -1, -1) % n
     seq = np.hstack([np.repeat(head, len(roots), axis=0), np.tile(roots, len(head))[:, None]])
     rows = np.arange(len(seq))
     deg = 1 + (seq[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.int8)  # 1 + occurrences left
@@ -349,11 +352,13 @@ def _attachments(n: int, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _families(pairbit: np.ndarray) -> Iterator[tuple[list[int], tuple]]:
-    """The stream's edge masks, one list per cycles tuple: the trees, then
-    one cycle on each vertex set K with every forest rooted in K, then two
-    cycles joined by every attachment."""
+    """The stream's edge masks, one list per cycles tuple: the trees, in
+    blocks of _TREE_BLOCK, then one cycle on each vertex set K with every
+    forest rooted in K, then two cycles joined by every attachment."""
     n = len(pairbit)
-    yield pairbit[_decode_forests(n, (n - 1,))].sum(axis=1).tolist(), ()
+    for lo in range(0, n ** (n - 2), _TREE_BLOCK):
+        trees = _decode_forests(n, (n - 1,), slice(lo, lo + _TREE_BLOCK))
+        yield pairbit[trees].sum(axis=1).tolist(), ()
     for k in range(3, n + 1):
         for K in combinations(range(n), k):
             forests = pairbit[_decode_forests(n, K)].sum(axis=1) if k < n else np.zeros(1, int)

@@ -1,10 +1,12 @@
 """Hermitian adjacency matrices: eigenvalues, inertia, rank, characteristic
 polynomial.
 
-The numeric path goes through numpy's Hermitian eigensolver. The exact path
+The numeric path goes through numpy's Hermitian eigensolver, and cuts a
+block-diagonal matrix's inertia from its blocks' eigenvalues. The exact path
 takes gains that are q-th roots of unity and eliminates over F_p for as many
-primes p = 1 (mod q) as a Hadamard bound on the minors asks for. The oracle
-path delegates to the combinatorial coefficient expansion.
+primes p = 1 (mod q) as a Hadamard bound on the minors asks for, or until
+the rank meets a proven upper bound. The oracle path delegates to the
+combinatorial coefficient expansion.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +47,7 @@ class InertiaResult:
     rank: int
     tol_used: float
     auto_tol: float  # the cut the solver's error calls for, whatever tol_used is
+    eigenvalues: np.ndarray = field(repr=False, compare=False)  # the values that were cut
 
     def __post_init__(self):
         assert self.rank == self.p_plus + self.n_minus
@@ -58,16 +61,22 @@ def auto_tolerance(w: np.ndarray) -> float:
 
 def inertia(h: np.ndarray, tol: float | None = None) -> InertiaResult:
     """Eigenvalue signs, cut at tol (a finite value >= 0) or the auto tolerance."""
+    return block_inertia([eigenvalues(h)], tol)
+
+
+def block_inertia(blocks: list[np.ndarray], tol: float | None = None) -> InertiaResult:
+    """inertia of a block-diagonal matrix from its blocks' eigenvalues, which
+    together are its spectrum: one cut, at tol or their auto tolerance."""
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    w = eigenvalues(h)
+    w = blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
     auto = auto_tolerance(w)
     if tol is None:
         tol = auto
     p = int(np.sum(w > tol))
     m = int(np.sum(w < -tol))
     z = len(w) - p - m
-    return InertiaResult(p, z, m, p + m, tol, auto)
+    return InertiaResult(p, z, m, p + m, tol, auto, w)
 
 
 def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
@@ -204,6 +213,29 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
     return rank
 
 
+def vertex_cover(g: GainGraph) -> set[int]:
+    """A greedy vertex cover: a leaf's neighbour while a leaf is left, else a
+    vertex of largest degree. Some minimum cover holds a leaf's neighbour,
+    and a forest always has a leaf, so on forests it is minimum: size m."""
+    adj = [set(a) for a in g.neighbors()]
+    leaves, cover = [v for v, a in enumerate(adj) if len(a) == 1], set()
+    while True:
+        while leaves and not adj[leaves[-1]]:  # isolated since it was listed
+            leaves.pop()
+        if leaves:
+            (u,) = adj[leaves.pop()]
+        else:
+            u = max(range(g.n), key=lambda v: len(adj[v]), default=None)
+            if u is None or not adj[u]:
+                return cover
+        cover.add(u)
+        for x in adj[u]:
+            adj[x].discard(u)
+            if len(adj[x]) == 1:
+                leaves.append(x)
+        adj[u].clear()
+
+
 def exact_rank(g: GainGraph) -> int:
     """Rank of H(G, phi) for gains that are q-th roots of unity, decided
     exactly by elimination over F_p for primes p = 1 (mod q) above 2^61.
@@ -215,9 +247,14 @@ def exact_rank(g: GainGraph) -> int:
     Q(zeta_q), so N(d)^2 <= prod_i deg_i^phi(q) (Hadamard), and a P that
     kills d puts p | N(d), a nonzero integer. Once the product of the primes
     squared exceeds that bound (compared in integers), some P keeps d, so
-    the largest rank over those primes is the rank. The search stops early
-    at a prime whose rank equals the number of non-isolated vertices, which
-    no larger rank can exceed.
+    the largest rank over those primes is the rank.
+
+    The search stops once that rank reaches an upper bound: the number of
+    non-isolated vertices, or 2|C| for the vertex_cover C, computed only
+    when a second prime is asked for. Every nonzero entry of H lies in a
+    row or a column of C, so H = P_C H + (I - P_C) H P_C, with P_C keeping
+    the coordinates in C, and each term has rank at most |C| over any
+    field: rank mod P <= rank <= 2|C|, so a prime reaching 2|C| has the rank.
 
     Raises ValueError for float gains. When the certificate needs more than
     EXACT_PRIME_BUDGET primes, one prime is still tried and SizeLimitError
@@ -247,15 +284,20 @@ def exact_rank(g: GainGraph) -> int:
     phi = _totient(q, factors)
     over = phi * bits >= room
     target = 1 if over else bound**phi  # past the budget, one prime
-    best, prod, p = 0, 1, 1 << 61
-    while prod * prod <= target and best < len(degrees):
+    expo = [(u, v, gain.k * (q // gain.q)) for u, v, gain in g.edges]
+    best, prod, p, cap = 0, 1, 1 << 61, len(degrees)
+    while prod * prod <= target and best < cap:
         p, w = _next_modulus(q, factors, p)
+        power: dict[int, int] = {}  # w^k for each distinct exponent, and its conjugate
         rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-        for u, v, gain in g.edges:
-            k = gain.k * (q // gain.q)
-            rows[u][v], rows[v][u] = pow(w, k, p), pow(w, q - k, p)
+        for u, v, k in expo:
+            if k not in power:
+                power[k], power[-k % q] = pow(w, k, p), pow(w, -k % q, p)
+            rows[u][v], rows[v][u] = power[k], power[-k % q]
         best = max(best, _rank_mod(rows, p))
         prod *= p
+        if prod == p and best < cap and prod * prod <= target:  # a second prime is asked for
+            cap = min(cap, 2 * len(vertex_cover(g)))
     if over and best < len(degrees):
         raise refusal
     return best

@@ -23,6 +23,7 @@ from .combinatorics.cycles import CycleRecord
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
 from .graphs import GainGraph, pendant_vertices, serialize_gain_graph, underlying
+from .spectral import InertiaResult, hermitian_adjacency, inertia
 from .spectral import rank as spectral_rank
 
 TYPE_TOL = 1e-9
@@ -155,6 +156,7 @@ class ComponentFacts:
     rank: int
     backend: str
     exact_refused: bool  # exact rank refused past EXACT_PRIME_BUDGET; backend numeric
+    inertia: InertiaResult | None  # the eigenvalue cut the rank path took, if it took one
     m: int
     c: int
     cycles: tuple[tuple[int, ...], ...] | None  # None when two cycles share a vertex
@@ -175,9 +177,10 @@ class GraphFacts:
     c: int
 
 
-def _component_rank(g: GainGraph) -> tuple[int, str, bool]:
-    """Rank of a connected piece, exact whenever it can be, its backend, and
-    whether the exact rank was refused at the prime budget.
+def _component_rank(g: GainGraph) -> tuple[int, str, bool, InertiaResult | None]:
+    """Rank of a connected piece, exact whenever it can be, its backend,
+    whether the exact rank was refused at the prime budget, and the
+    eigenvalue cut at the piece's auto tolerance where one was taken.
 
     Gains that are q-th roots of unity get the exact rank mod primes
     p = 1 (mod q). It needs no tolerance: rank mod P <= rank, and p divides
@@ -192,28 +195,30 @@ def _component_rank(g: GainGraph) -> tuple[int, str, bool]:
     try:
         r = spectral_rank(g, mode="exact")
     except (ValueError, SizeLimitError) as exc:  # float gains, or past the prime budget
-        return spectral_rank(g, mode="numeric"), "numeric", isinstance(exc, SizeLimitError)
-    if g.n <= CROSS_CHECK_LIMIT:
-        rn = spectral_rank(g, mode="numeric")
-        if rn != r:
-            raise TheoremViolation(
-                f"rank backends disagree on n={g.n}: exact={r}, numeric={rn}",
-                instance=serialize_gain_graph(g),
-            )
-    return r, "exact", False
+        numeric = inertia(hermitian_adjacency(g))
+        return numeric.rank, "numeric", isinstance(exc, SizeLimitError), numeric
+    if g.n > CROSS_CHECK_LIMIT:
+        return r, "exact", False, None
+    numeric = inertia(hermitian_adjacency(g))
+    if numeric.rank != r:
+        raise TheoremViolation(
+            f"rank backends disagree on n={g.n}: exact={r}, numeric={numeric.rank}",
+            instance=serialize_gain_graph(g),
+        )
+    return r, "exact", False, numeric
 
 
 def component_facts(g: GainGraph) -> GraphFacts:
     """Facts of every connected component of g, from one pass over them."""
     out = []
     for sub, kept in g.components():
-        r, backend, refused = _component_rank(sub)
+        r, backend, refused, numeric = _component_rank(sub)
         G = underlying(sub)
         cycles, overlap = cycle_structure(G)
         disjoint = cycles is not None
         records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
         out.append(ComponentFacts(
-            graph=sub, kept=kept, rank=r, backend=backend, exact_refused=refused,
+            graph=sub, kept=kept, rank=r, backend=backend, exact_refused=refused, inertia=numeric,
             m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
             overlap=overlap, records=records,
             types=tuple(classify_cycle(sub, rec) for rec in records) if disjoint else None,

@@ -1,6 +1,8 @@
 """The single-graph analysis report and its serializations."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -157,6 +159,33 @@ def test_analyze_reuses_the_walks_of_disjoint_cycles(monkeypatch):
     ]
 
 
+def test_analyze_eigensolves_each_component_once(monkeypatch):
+    import numpy as np
+
+    from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph
+
+    real, sizes = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    floats = assign_gains(random_connected_graph(12, 4, seed=7), GainSetSpec("uniform", seed=8))
+    exact = assign_gains(random_connected_graph(12, 4, seed=7), GainSetSpec("gaussian", seed=8))
+    float_triangle = (3, [(0, 1, "c(0.6,0.8)"), (1, 2, "1"), (2, 0, "1")])
+    cases = [
+        (floats, [12]),  # float gains: the numeric rank's eigenvalues
+        (_union(_TRIANGLE_TAIL, float_triangle), [5, 3]),  # a cross-check, float gains
+        (_union((12, [(e.u, e.v, e.gain) for e in exact.edges]), _POINT), [12, 1]),
+        (GainGraph.build(4, _SQUARE[1]), [4]),  # the n <= 9 cross-check's eigenvalues
+    ]
+    for g, want in cases:
+        sizes.clear()
+        assert analyze(g).ok
+        assert sorted(sizes) == sorted(want)
+
+
 def _union(*parts):
     edges, offset = [], 0
     for n, part in parts:
@@ -232,3 +261,37 @@ def test_skipped_names_the_cycle_cap():
     rep = analyze(k6, max_cycles=10)
     assert rep.cycles is None
     assert report_to_dict(rep)["skipped"] == {"cycles": "more than max_cycles (10) cycles"}
+
+
+def _corpus():
+    """62 graphs shaped like the benchmark's: a spanning tree plus 0-4
+    edges, n log-uniform in [16, 160], gaussian, eighth-root and uniform
+    gains in turn; every tenth has a second component of half its size."""
+    from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph
+
+    rng = random.Random(2029)
+    kinds = (("gaussian", None), ("roots", 8), ("uniform", None))
+    out = []
+    for i in range(60):
+        n = round(16 * 10 ** rng.random())
+        parts = [n, n // 2] if i % 10 == 9 else [n]
+        edges, offset = [], 0
+        for size in parts:
+            G = random_connected_graph(size, rng.randint(0, 4), rng.randrange(1 << 30))
+            spec = GainSetSpec(*kinds[i % 3], seed=rng.randrange(1 << 30))
+            edges += [(e.u + offset, e.v + offset, e.gain) for e in assign_gains(G, spec).edges]
+            offset += size
+        out.append(GainGraph.build(offset, edges))
+    return out + [GainGraph.build(1, []), GainGraph.build(3, [(0, 1, "i")])]
+
+
+# sha256 of the reports on _corpus() as the graph-wide eigensolve and the
+# Hadamard certificate alone first produced them
+ANALYZE_CORPUS_SHA256 = "cb656f5b2cec97dcbf09cfdbfed6fc1ad468ab122e923be84724e486747427bd"
+
+
+def test_analyze_reports_on_a_seeded_corpus_are_pinned():
+    docs = [report_to_dict(analyze(g)) for g in _corpus()]
+    assert all(doc["ok"] for doc in docs)
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ANALYZE_CORPUS_SHA256

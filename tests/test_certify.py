@@ -53,7 +53,7 @@ from gainrank.generators import (
     enumerate_connected_graphs,
     random_tree,
 )
-from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph, serialize_gain_graph
+from gainrank.graphs import GainGraph, SimpleGraph, parse_gain_graph, serialize_gain_graph, underlying
 from gainrank.spectral import exact_rank, nonzero_eigenvalue_bound, rank as spectral_rank
 from gainrank.theorems import (
     CycleType,
@@ -784,10 +784,20 @@ def test_matching_dp_off_by_one_is_a_serialized_spot_check_failure(monkeypatch):
     graphs = list(enumerate_connected_graphs(5))
     rep = run_alphabet_slice(graphs, GainSetSpec.parse("signed").values(), max_failures=10**9)
     spot = [f for f in rep.failures if f.message.startswith("spot check mismatch")]
-    assert len(spot) == -(-len(graphs) // certify._SPOT_EVERY)  # every 97th graph
-    assert rep.failures[0] is spot[0]
-    g = parse_gain_graph(spot[0].graph_text)
-    assert (g.n, len(g.edges)) == (graphs[0].n, len(graphs[0].edges))
+    # the graphs whose edge-set hash h = n, h * 1_000_003 + u*n + v + 1 per
+    # edge, mod 2^61, is 0 mod 97, recomputed here in Python integers
+    picked = []
+    for G in graphs:
+        h = G.n
+        for u, v in G.edges:
+            h = (h * 1_000_003 + u * G.n + v + 1) % (1 << 61)
+        if h % certify._SPOT_EVERY == 0:
+            picked.append(G)
+    assert picked and len(spot) == len(picked)
+    for f, G in zip(spot, picked):
+        assert underlying(parse_gain_graph(f.graph_text)) == G
+        # a graph's spot check is reported before its other failures
+        assert next(e for e in rep.failures if e.position == f.position) is f
 
 
 @pytest.mark.parametrize("alphabet", [

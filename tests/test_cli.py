@@ -367,6 +367,28 @@ def test_enumerate_failures_do_not_depend_on_the_worker_count(tmp_path, monkeypa
     assert bodies[0] == bodies[1]
 
 
+def test_enumerate_spot_checks_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    from gainrank import certify
+
+    # an off-by-one matching DP fails every graph; the blossom spot checks
+    # say so on the graphs their edge-set hashes pick, whichever shard has them
+    real = certify._max_index_positive
+    monkeypatch.setattr(certify, "_max_index_positive", lambda counts: real(counts) + 1)
+    monkeypatch.setattr(cli, "MAX_FAILURES", 10**6)  # keep every failure, spot checks too
+    docs, bodies = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GAINRANK_WORKERS", workers)
+        out = tmp_path / f"failures-{workers}.txt"
+        assert cli.main(["enumerate", "--n-max", "5", "--gains", "signed",
+                         "--out", str(out), "--json"]) == 2
+        doc = _without_times(json.loads(capsys.readouterr().out))
+        docs.append({k: v for k, v in doc.items() if k != "failure_file"})
+        bodies.append(out.read_text())
+    assert docs[0] == docs[1]
+    assert bodies[0] == bodies[1]
+    assert bodies[0].count("# spot check mismatch") > 1
+
+
 def test_enumerate_rejects_uniform(capsys):
     assert cli.main(["enumerate", "--n-max", "3", "--gains", "uniform"]) == 1
     assert cli.main(["enumerate", "--n-max", "9", "--gains", "signed"]) == 1
@@ -389,12 +411,17 @@ def test_analyze_size_limit_is_an_input_error(tmp_path, capsys):
 @pytest.fixture
 def numeric_rank_off_by_one(monkeypatch):
     """The numeric rank backend reports one more than the rank."""
+    from dataclasses import replace
+
     from gainrank import theorems
 
-    real = theorems.spectral_rank
-    monkeypatch.setattr(
-        theorems, "spectral_rank", lambda g, mode=None: real(g, mode=mode) + (mode == "numeric")
-    )
+    real = theorems.inertia
+
+    def off_by_one(h, tol=None):
+        res = real(h, tol)
+        return replace(res, p_plus=res.p_plus + 1, rank=res.rank + 1)
+
+    monkeypatch.setattr(theorems, "inertia", off_by_one)
 
 
 def test_analyze_rank_backend_disagreement_exits_two(

@@ -2,7 +2,11 @@
 
 import hashlib
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, groupby
+from operator import attrgetter
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +237,36 @@ GRAPH_STREAM_SHA256 = "eb0384b93bf1a567e2b8c7223b0c9e4769247bc64522051ce699b00f7
 def test_cactus_stream_is_pinned(n):
     stream = ((st.n, st.edges, st.cycles) for st in enumerate_connected_cacti(n))
     assert _digest(stream) == CACTUS_STREAM_SHA256[n]
+
+
+def test_cactus_stream_does_not_depend_on_the_tree_block(monkeypatch):
+    monkeypatch.setattr(generators, "_TREE_BLOCK", 1000)  # 17 blocks of trees at n = 7
+    for n in (6, 7):
+        stream = ((st.n, st.edges, st.cycles) for st in enumerate_connected_cacti(n))
+        assert _digest(stream) == CACTUS_STREAM_SHA256[n]
+
+
+# sha256 of the n = 8 edge masks, a run per cycles tuple, as the trees decoded
+# all at once first produced them
+CACTUS_N8_MASKS_SHA256 = "13d2c07e7fe79f600c9d11d56b4cbe17cdd9cd91376bc706d4b75bdc32183fc7"
+
+
+def test_cactus_masks_at_n8_are_pinned_and_trees_decode_in_blocks():
+    h = hashlib.sha256()
+    for cycles, run in groupby(enumerate_connected_cacti(8), key=attrgetter("cycles")):
+        masks = np.fromiter(map(attrgetter("mask"), run), np.int64)
+        h.update(repr((cycles, len(masks))).encode())
+        h.update(masks.tobytes())
+    assert h.hexdigest() == CACTUS_N8_MASKS_SHA256
+    # one block of the 8^6 trees: 52 MB decoded at once, about 6.5 MB per block
+    tracemalloc.start()
+    try:
+        masks, cycles = next(generators._families(generators._pair_bits(8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(masks), cycles) == (generators._TREE_BLOCK, ())
+    assert peak < 16e6
 
 
 def test_connected_graph_stream_is_pinned():

@@ -9,8 +9,11 @@ import pytest
 from conftest import small_gain_graphs
 from hypothesis import given, settings
 
+from gainrank import spectral
+from gainrank.combinatorics import cyclomatic_number, matching_number
 from gainrank.errors import SizeLimitError
 from gainrank.gains import Gain
+from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph, random_tree
 from gainrank.graphs import GainGraph
 from gainrank.spectral import (
     EXACT_PRIME_BUDGET,
@@ -20,6 +23,7 @@ from gainrank.spectral import (
     hermitian_adjacency,
     inertia,
     rank,
+    vertex_cover,
 )
 
 
@@ -80,18 +84,98 @@ def test_backends_agree_on_root_of_unity_gains(q, g):
     assert rank(g, mode="oracle") == r
 
 
-def test_exact_rank_on_singular_blow_up():
-    # two twin classes joined by switched roots of unity: rank 2 at n = 40,
-    # so the certificate needs every prime the Hadamard bound asks for
+def _eliminations(monkeypatch, undercount_first=False):
+    """Log of the primes _rank_mod runs; with undercount_first, the first
+    prime after each clear of the log reports one less than its rank."""
+    log, real = [], spectral._rank_mod
+
+    def counted(rows, p):
+        log.append(p)
+        return real(rows, p) - (undercount_first and len(log) == 1)
+
+    monkeypatch.setattr(spectral, "_rank_mod", counted)
+    return log
+
+
+def _hadamard_primes(g, q):
+    """Primes the Hadamard certificate asks for on g, with no early stop."""
+    factors = spectral._prime_factors(q)
+    target = math.prod(d for d in g.degrees() if d) ** spectral._totient(q, factors)
+    count, prod, p = 0, 1, 1 << 61
+    while prod * prod <= target:
+        p, _ = spectral._next_modulus(q, factors, p)
+        prod, count = prod * p, count + 1
+    return count
+
+
+def _blow_up(q, t=20):
+    """Two twin classes of t vertices joined by switched q-th roots of unity: rank 2."""
+    shift = [(7 * v) % q for v in range(2 * t)]
+    return GainGraph.build(2 * t, [
+        (u, v, Gain.from_angle(3 + shift[u] - shift[v], q))
+        for u in range(t) for v in range(t, 2 * t)
+    ])
+
+
+def _roots8_tree(n, extra, seed):
+    """A seeded spanning tree with eighth-root gains, plus extra edges."""
+    return assign_gains(random_connected_graph(n, extra, seed), GainSetSpec("roots", q=8, seed=seed))
+
+
+def test_exact_rank_on_singular_blow_up(monkeypatch):
+    # rank 2 at n = 40, and 2 tau = 40 bounds nothing, so the certificate
+    # needs every prime the Hadamard bound asks for
+    log = _eliminations(monkeypatch)
     for q in (8, 23):
-        t = 20
-        shift = [(7 * v) % q for v in range(2 * t)]
-        edges = [
-            (u, v, Gain.from_angle(3 + shift[u] - shift[v], q))
-            for u in range(t) for v in range(t, 2 * t)
-        ]
-        g = GainGraph.build(2 * t, edges)
+        g = _blow_up(q)
+        log.clear()
         assert exact_rank(g) == 2 == rank(g, mode="numeric")
+        assert 2 * len(vertex_cover(g)) == g.n
+        assert len(log) == _hadamard_primes(g, q) > 1
+
+
+@given(small_gain_graphs())
+def test_vertex_cover_covers_every_edge(g):
+    cover = vertex_cover(g)
+    G = g.underlying()
+    assert all(u in cover or v in cover for u, v in G.edges)
+    assert len(cover) >= matching_number(G)  # it meets every edge of a matching
+    if cyclomatic_number(G) == 0:
+        assert len(cover) == matching_number(G)
+
+
+def test_vertex_cover_is_minimum_on_forests():
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(1, 60)
+        edges = [e for e in random_tree(n, rng) if rng.random() < 0.8]
+        g = GainGraph.build(n, [(u, v, "1") for u, v in edges])
+        assert len(vertex_cover(g)) == matching_number(g.underlying())
+
+
+def test_cover_bound_stops_the_search_at_one_prime(monkeypatch):
+    # the Hadamard bound alone asks for several primes; the first already
+    # reaches 2 tau, on the tree (tau = m) and on the tree plus two edges
+    log = _eliminations(monkeypatch)
+    for extra in (0, 2):
+        g = _roots8_tree(150, extra, seed=11)
+        log.clear()
+        r = exact_rank(g)
+        assert r == rank(g, mode="numeric") == 2 * len(vertex_cover(g)) < g.n
+        assert len(log) == 1 < _hadamard_primes(g, 8)
+
+
+def test_an_unlucky_first_prime_is_never_accepted(monkeypatch):
+    # where the Hadamard bound asks for several primes, a first prime that
+    # loses one rank falls short of every bound, so the search goes on to a
+    # prime that reaches the rank
+    log = _eliminations(monkeypatch, undercount_first=True)
+    graphs = [_roots8_tree(n, 0, seed=n) for n in (45, 80, 150)]
+    for g in graphs + [_roots8_tree(150, 2, seed=11), _blow_up(8)]:
+        assert _hadamard_primes(g, 8) > 1
+        log.clear()
+        assert exact_rank(g) == rank(g, mode="numeric")
+        assert len(log) >= 2
 
 
 def _dense_graph(n, q, seed):
