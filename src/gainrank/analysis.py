@@ -14,7 +14,7 @@ from .combinatorics import CycleRecord, cycle_record, enumerate_cycles
 from .combinatorics.transversal import TRANSVERSAL_LIMIT
 from .errors import SizeLimitError, TheoremViolation
 from .graphs import GainGraph
-from .spectral import EXACT_PRIME_BUDGET, block_inertia, hermitian_adjacency, inertia
+from .spectral import EXACT_PRIME_BUDGET, block_inertia, pendant_peel
 from .spectral import rank as spectral_rank
 from .theorems import (
     BoundReport,
@@ -95,10 +95,10 @@ def analyze(
 
     mode None lets the rank backend pick itself (exact where possible);
     an explicit mode forces that backend. With mode="numeric" the reported
-    rank is taken from the same eigenvalue cut as the inertia, so the
-    rank = p+ + n- identity is consistent by construction at any tol. Any
-    other backend is checked against the inertia only at a tol no smaller
-    than auto_tolerance; below it the check lands in `skipped`.
+    rank is p+ + n- of the inertia itself, so the rank = p+ + n- identity
+    is consistent by construction at any tol. Any other backend is checked
+    against the inertia only at a tol no smaller than the auto_tolerance of
+    the eigenvalues that were cut; below it the check lands in `skipped`.
     """
     violations: list[str] = []
     skipped: dict[str, str] = {}
@@ -106,10 +106,14 @@ def analyze(
     basic = check_rank_bounds(facts)
     verdict = verify_equivalence(facts)
 
-    # H is the direct sum of its components: each is eigensolved once
-    ine = block_inertia([
-        (f.inertia or inertia(hermitian_adjacency(f.graph))).eigenvalues for f in facts.components
-    ], tol)
+    # H is the direct sum of its components: one that kept no eigenvalues
+    # from its rank path is peeled to its pendant pairs, which need no cut
+    blocks, pairs = [], 0
+    for f in facts.components:
+        k, w = (0, f.inertia.eigenvalues) if f.inertia else pendant_peel(f.graph)
+        blocks.append(w)
+        pairs += k
+    ine = block_inertia(blocks, tol, pairs)
     if any(f.exact_refused for f in facts.components):
         skipped["exact_rank"] = f"more than EXACT_PRIME_BUDGET ({EXACT_PRIME_BUDGET}) primes"
     if mode is None:

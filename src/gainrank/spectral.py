@@ -2,11 +2,12 @@
 polynomial.
 
 The numeric path goes through numpy's Hermitian eigensolver, and cuts a
-block-diagonal matrix's inertia from its blocks' eigenvalues. The exact path
-takes gains that are q-th roots of unity and eliminates over F_p for as many
-primes p = 1 (mod q) as a Hadamard bound on the minors asks for, or until
-the rank meets a proven upper bound. The oracle path delegates to the
-combinatorial coefficient expansion.
+block-diagonal matrix's inertia from its blocks' eigenvalues; pendant pairs,
+peeled off by congruence, add exact (1, 0, 1) blocks that take no cut. The
+exact path takes gains that are q-th roots of unity and eliminates over F_p
+for as many primes p = 1 (mod q) as a Hadamard bound on the minors asks
+for, or until the rank meets a proven upper bound. The oracle path
+delegates to the combinatorial coefficient expansion.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .graphs import GainGraph
 # eigenvalue magnitudes below max(RANK_TOL_FLOOR, n * eps * max|lambda|)
 # count as zero; test instances keep nonzero eigenvalues far above this
 RANK_TOL_FLOOR = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def hermitian_adjacency(g: GainGraph) -> np.ndarray:
@@ -55,8 +58,8 @@ class InertiaResult:
 
 def auto_tolerance(w: np.ndarray) -> float:
     n = len(w)
-    scale = float(np.max(np.abs(w))) if n else 0.0
-    return max(RANK_TOL_FLOOR, n * np.finfo(float).eps * scale)
+    scale = float(np.abs(w).max()) if n else 0.0
+    return max(RANK_TOL_FLOOR, n * _EPS * scale)
 
 
 def inertia(h: np.ndarray, tol: float | None = None) -> InertiaResult:
@@ -64,19 +67,22 @@ def inertia(h: np.ndarray, tol: float | None = None) -> InertiaResult:
     return block_inertia([eigenvalues(h)], tol)
 
 
-def block_inertia(blocks: list[np.ndarray], tol: float | None = None) -> InertiaResult:
+def block_inertia(
+    blocks: list[np.ndarray], tol: float | None = None, pairs: int = 0
+) -> InertiaResult:
     """inertia of a block-diagonal matrix from its blocks' eigenvalues, which
-    together are its spectrum: one cut, at tol or their auto tolerance."""
+    together are its spectrum: one cut, at tol or their auto tolerance. pairs
+    counts further 2 x 2 blocks of inertia (1, 0, 1), such as pendant_peel's,
+    which take no cut."""
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     w = blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
     auto = auto_tolerance(w)
     if tol is None:
         tol = auto
-    p = int(np.sum(w > tol))
-    m = int(np.sum(w < -tol))
-    z = len(w) - p - m
-    return InertiaResult(p, z, m, p + m, tol, auto, w)
+    p = int(np.count_nonzero(w > tol))
+    m = int(np.count_nonzero(w < -tol))
+    return InertiaResult(p + pairs, len(w) - p - m, m + pairs, p + m + 2 * pairs, tol, auto, w)
 
 
 def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
@@ -213,27 +219,68 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
     return rank
 
 
-def vertex_cover(g: GainGraph) -> set[int]:
-    """A greedy vertex cover: a leaf's neighbour while a leaf is left, else a
-    vertex of largest degree. Some minimum cover holds a leaf's neighbour,
-    and a forest always has a leaf, so on forests it is minimum: size m."""
+def _cover_walk(g: GainGraph) -> Iterator[tuple[int | None, int]]:
+    """vertex_cover's picks in order, as (leaf, u): u is the one neighbour
+    left to a leaf, or a vertex of largest degree (leaf None) when no leaf
+    is left. Each pick deletes u's edges before it is yielded."""
     adj = [set(a) for a in g.neighbors()]
-    leaves, cover = [v for v, a in enumerate(adj) if len(a) == 1], set()
+    leaves = [v for v, a in enumerate(adj) if len(a) == 1]
     while True:
         while leaves and not adj[leaves[-1]]:  # isolated since it was listed
             leaves.pop()
         if leaves:
-            (u,) = adj[leaves.pop()]
+            leaf = leaves.pop()
+            (u,) = adj[leaf]
         else:
-            u = max(range(g.n), key=lambda v: len(adj[v]), default=None)
+            leaf, u = None, max(range(g.n), key=lambda v: len(adj[v]), default=None)
             if u is None or not adj[u]:
-                return cover
-        cover.add(u)
+                return
         for x in adj[u]:
             adj[x].discard(u)
             if len(adj[x]) == 1:
                 leaves.append(x)
         adj[u].clear()
+        yield leaf, u
+
+
+def vertex_cover(g: GainGraph) -> set[int]:
+    """A greedy vertex cover: a leaf's neighbour while a leaf is left, else a
+    vertex of largest degree. Some minimum cover holds a leaf's neighbour,
+    and a forest always has a leaf, so on forests it is minimum: size m."""
+    return {u for _, u in _cover_walk(g)}
+
+
+def pendant_peel(g: GainGraph) -> tuple[int, np.ndarray]:
+    """Pendant pairs peeled off H = H(G, phi) by congruence: (k, w), where H
+    has inertia (k + i+(w), i0(w), k + i-(w)).
+
+    The pairs are vertex_cover's leaf picks before its first largest-degree
+    pick: a leaf v and its one neighbour u in the graph the earlier pairs
+    leave. Ordering that graph's vertices v, u, rest,
+
+        H = [[0, a, 0], [conj(a), 0, b^*], [0, b, H']],   |a| = 1.
+
+    Subtracting b_x/a times row v = (0, a, 0) from each row x of the rest
+    clears b and nothing else, and the matching column step clears b^*: with
+    T that invertible row operation, T H T^* = [[0, a], [conj(a), 0]] (+) H'.
+    Sylvester's law of inertia gives i(H) = (1, 0, 1) + i(H'), exactly, the
+    block's eigenvalues being +-|a| = +-1 (Yu, Qu & Tu, Appl. Math. Comput.
+    265, 2015); by induction, k pairs add k to p+ and to n-. Of
+    H(G - the 2k paired vertices) only the vertices that keep an edge are
+    eigensolved; w ends with an exact 0.0 for each vertex left isolated, so a
+    graph with no edge left makes no eigensolve.
+    """
+    gone: set[int] = set()
+    for leaf, u in _cover_walk(g):
+        if leaf is None:
+            break
+        gone |= {leaf, u}
+    core = {x for e in g.edges if e.u not in gone and e.v not in gone for x in (e.u, e.v)}
+    zeros = np.zeros(g.n - len(gone) - len(core))
+    if not core:
+        return len(gone) // 2, zeros
+    h = hermitian_adjacency(g.delete_vertices(v for v in range(g.n) if v not in core)[0])
+    return len(gone) // 2, np.concatenate([eigenvalues(h), zeros])
 
 
 def exact_rank(g: GainGraph) -> int:

@@ -177,7 +177,10 @@ def test_analyze_eigensolves_each_component_once(monkeypatch):
     cases = [
         (floats, [12]),  # float gains: the numeric rank's eigenvalues
         (_union(_TRIANGLE_TAIL, float_triangle), [5, 3]),  # a cross-check, float gains
-        (_union((12, [(e.u, e.v, e.gain) for e in exact.edges]), _POINT), [12, 1]),
+        # exact n > 9: two pendant pairs peel off and only the 8-vertex core
+        # is eigensolved; the point's one call is its n <= 9 cross-check
+        (_union((12, [(e.u, e.v, e.gain) for e in exact.edges]), _POINT), [8, 1]),
+        (GainGraph.build(12, [(j, j + 1, "i") for j in range(11)]), []),  # P12 peels to nothing
         (GainGraph.build(4, _SQUARE[1]), [4]),  # the n <= 9 cross-check's eigenvalues
     ]
     for g, want in cases:

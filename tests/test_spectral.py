@@ -178,6 +178,78 @@ def test_an_unlucky_first_prime_is_never_accepted(monkeypatch):
         assert len(log) >= 2
 
 
+_KINDS = ("trivial", "signed", "gaussian", "roots:8", "uniform")
+
+
+def _cuts(g):
+    """(p+, n0, n-) by pendant pairs plus the core's cut, and by the full spectrum."""
+    k, w = spectral.pendant_peel(g)
+    assert len(w) == g.n - 2 * k
+    peeled = spectral.block_inertia([w], None, k)
+    full = inertia(hermitian_adjacency(g))
+    return (peeled.p_plus, peeled.n_zero, peeled.n_minus), (full.p_plus, full.n_zero, full.n_minus)
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges.extend((e.u + offset, e.v + offset, e.gain) for e in g.edges)
+        offset += g.n
+    return GainGraph.build(offset, edges)
+
+
+def _seeded_graph(rng, kind):
+    """A tree, a tree with extra edges, or several of them beside isolated
+    vertices; at most about 40 vertices in all."""
+    parts = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        n = rng.randint(1, 40 // (len(parts) + 1))
+        extra = min(rng.choice((0, 0, 1, 2, 4)), (n - 1) * (n - 2) // 2)
+        shape = random_connected_graph(n, extra, seed=rng.randrange(1 << 30))
+        parts.append(assign_gains(shape, GainSetSpec.parse(kind, seed=rng.randrange(1 << 30))))
+    parts += [GainGraph.build(1, [])] * rng.choice((0, 0, 1, 3))
+    rng.shuffle(parts)
+    return _disjoint_union(*parts)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_pendant_pairs_and_the_core_cut_give_the_full_inertia(kind):
+    rng = random.Random(f"peel-{kind}")
+    peeled_some = 0
+    for _ in range(60):
+        g = _seeded_graph(rng, kind)
+        peeled, full = _cuts(g)
+        assert peeled == full, (kind, g)
+        peeled_some += spectral.pendant_peel(g)[0] > 0
+    assert peeled_some > 30
+
+
+@settings(max_examples=80)
+@given(small_gain_graphs())
+def test_pendant_peel_keeps_the_inertia_of_small_graphs(g):
+    peeled, full = _cuts(g)
+    assert peeled == full
+
+
+@pytest.mark.parametrize("n, edges, pairs, core, want", [
+    (3, [(0, 1), (1, 2)], 1, 0, (1, 1, 1)),  # P3: one pair, the other leaf left isolated
+    (4, [(0, 1), (0, 2), (0, 3)], 1, 0, (1, 2, 1)),  # K1,3: the first pair isolates two leaves
+    # C4 with a pendant path of two vertices: one pair, the cycle is the core
+    (6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)], 1, 4, (2, 2, 2)),
+    # C4 with one pendant vertex: peeling its support opens the cycle into P3
+    (5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)], 2, 0, (2, 1, 2)),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 0, 4, (1, 2, 1)),  # no leaf: all of it is the core
+])
+def test_pendant_peel_by_hand(monkeypatch, n, edges, pairs, core, want):
+    sizes, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or real(a))
+    g = GainGraph.build(n, [(u, v, "1") for u, v in edges])
+    k, w = spectral.pendant_peel(g)
+    assert (k, sizes) == (pairs, [core] if core else [])
+    peeled, full = _cuts(g)
+    assert peeled == full == want
+
+
 def _dense_graph(n, q, seed):
     rng = random.Random(seed)
     return GainGraph.build(n, [
