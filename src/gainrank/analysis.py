@@ -94,11 +94,14 @@ def analyze(
     """Compute the full report for one gain graph.
 
     mode None lets the rank backend pick itself (exact where possible);
-    an explicit mode forces that backend. With mode="numeric" the reported
-    rank is p+ + n- of the inertia itself, so the rank = p+ + n- identity
-    is consistent by construction at any tol. Any other backend is checked
-    against the inertia only at a tol no smaller than the auto_tolerance of
-    the eigenvalues that were cut; below it the check lands in `skipped`.
+    an explicit mode forces that backend. The inertia always comes from
+    pendant_peel: every component's pendant pairs plus one cut of the cores
+    they leave. So a float-gain rank, a cut of the full spectrum, meets it
+    by a second route. With mode="numeric" the reported rank is p+ + n- of
+    the inertia itself, so the rank = p+ + n- identity is consistent by
+    construction at any tol. Any other backend is checked against the
+    inertia only at a tol no smaller than the auto_tolerance of the
+    eigenvalues that were cut; below it the check lands in `skipped`.
     """
     violations: list[str] = []
     skipped: dict[str, str] = {}
@@ -106,14 +109,10 @@ def analyze(
     basic = check_rank_bounds(facts)
     verdict = verify_equivalence(facts)
 
-    # H is the direct sum of its components: one that kept no eigenvalues
-    # from its rank path is peeled to its pendant pairs, which need no cut
-    blocks, pairs = [], 0
-    for f in facts.components:
-        k, w = (0, f.inertia.eigenvalues) if f.inertia else pendant_peel(f.graph)
-        blocks.append(w)
-        pairs += k
-    ine = block_inertia(blocks, tol, pairs)
+    # H is the direct sum of its components, each peeled to its pendant
+    # pairs, which need no cut, and a core, which is cut with the others
+    peels = [pendant_peel(f.graph) for f in facts.components]
+    ine = block_inertia([w for _, w in peels], tol, sum(k for k, _ in peels))
     if any(f.exact_refused for f in facts.components):
         skipped["exact_rank"] = f"more than EXACT_PRIME_BUDGET ({EXACT_PRIME_BUDGET}) primes"
     if mode is None:

@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full invariant report for one graph file")
     pa.add_argument("path")
     pa.add_argument("--tol", type=float, default=None, help=(
-        "zero threshold for the eigenvalues analyze computes: each kept full "
-        "spectrum and each pendant-peeled core; pendant pairs take no cut"))
+        "zero threshold for the inertia's one cut, of the cores that pendant "
+        "pairs leave; the pairs take no cut"))
     pa.add_argument("--mode", choices=("numeric", "exact", "oracle"), default=None)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)

@@ -8,6 +8,7 @@ only consumes the canonical direction or the real part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import SizeLimitError
 from ..gains import Gain
@@ -107,6 +108,35 @@ def two_core(adj: list[int], alive: int) -> int:
             if deg[w] == 1:
                 leaves.append(w)
     return core
+
+
+def cover_walk(adj: list[int], alive: int) -> Iterator[tuple[int | None, int]]:
+    """Greedy cover picks on the subgraph induced on `alive`, in order, as
+    (leaf, u): u is the one neighbour left to a leaf, or a vertex of largest
+    degree, the least such (leaf None), when no leaf is left. Each pick
+    deletes u's edges before it is yielded, and the walk ends with the last
+    edge. A forest always has a leaf, so there every pick is a leaf pick and
+    the picks form a maximum matching."""
+    deg = [(a & alive).bit_count() if alive >> v & 1 else 0 for v, a in enumerate(adj)]
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    while True:
+        while leaves and not deg[leaves[-1]]:  # isolated since it was listed
+            leaves.pop()
+        if leaves:
+            leaf = leaves.pop()
+            u = (adj[leaf] & alive).bit_length() - 1
+        else:
+            top = max(deg, default=0)
+            if not top:
+                return
+            leaf, u = None, deg.index(top)
+        alive ^= 1 << u
+        deg[u] = 0
+        for x in vertices(adj[u] & alive):
+            deg[x] -= 1
+            if deg[x] == 1:
+                leaves.append(x)
+        yield leaf, u
 
 
 def mask_cycles(adj: list[int], limit: int = CYCLE_LIMIT) -> list[tuple[int, ...]]:

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from ..errors import SizeLimitError
 from ..graphs import GainGraph, SimpleGraph
-from .cycles import neighbour_masks, two_core, vertices
+from .cycles import cover_walk, neighbour_masks, two_core, vertices
 
 TRANSVERSAL_LIMIT = 20
 
@@ -59,31 +59,6 @@ def _core_cycle(adj: list[int], core: int) -> list[int]:
         back = 1 << v
         v = (ahead & -ahead).bit_length() - 1
     return walk[at[v]:]
-
-
-def _forest_matching(adj: list[int], alive: int) -> int:
-    """Matching number of the forest induced on `alive`: match each leaf to
-    its neighbour, which is optimal on forests."""
-    deg = [0] * len(adj)
-    leaves = []
-    for v in vertices(alive):
-        deg[v] = (adj[v] & alive).bit_count()
-        if deg[v] == 1:
-            leaves.append(v)
-    matched = 0
-    while leaves:
-        v = leaves.pop()
-        ahead = adj[v] & alive
-        if not alive >> v & 1 or not ahead:
-            continue
-        u = ahead.bit_length() - 1
-        alive ^= 1 << v | 1 << u
-        matched += 1
-        for w in vertices(adj[u] & alive):
-            deg[w] -= 1
-            if deg[w] == 1:
-                leaves.append(w)
-    return matched
 
 
 def is_bipartite(G: SimpleGraph | GainGraph) -> bool:
@@ -126,9 +101,9 @@ def max_acyclic_deletion_matching(G: SimpleGraph | GainGraph) -> tuple[int, froz
     V0 ranges over vertex sets whose removal leaves a forest (the empty set
     included when G already is one). The search is a stack of (removed,
     kept for good) pairs: a node whose 2-core is empty is a leaf, scored by
-    leaf matching on its forest; otherwise it branches on a cycle of the
-    core, branch i deleting the i-th free cycle vertex and keeping the free
-    ones before it. The witness is the first V0 the search reaches at the
+    the number of cover_walk picks on its forest; otherwise it branches on a
+    cycle of the core, branch i deleting the i-th free cycle vertex and
+    keeping the free ones before it. The witness is the first V0 the search reaches at the
     maximum: G - V0 is a forest whose matching number is the value. V0 is
     not promised to be minimal or lexicographically first.
     """
@@ -145,8 +120,8 @@ def max_acyclic_deletion_matching(G: SimpleGraph | GainGraph) -> tuple[int, froz
         if alive.bit_count() // 2 <= best:
             continue  # no forest on these vertices can beat the best matching
         core = two_core(adj, alive)
-        if not core:
-            value = _forest_matching(adj, alive)
+        if not core:  # a forest, whose cover walk picks a maximum matching
+            value = sum(1 for _ in cover_walk(adj, alive))
             if value > best:
                 best, witness = value, removed
             continue

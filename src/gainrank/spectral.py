@@ -15,11 +15,11 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics.cycles import cover_walk, neighbour_masks
 from .errors import SizeLimitError
 from .graphs import GainGraph
 
@@ -50,7 +50,6 @@ class InertiaResult:
     rank: int
     tol_used: float
     auto_tol: float  # the cut the solver's error calls for, whatever tol_used is
-    eigenvalues: np.ndarray = field(repr=False, compare=False)  # the values that were cut
 
     def __post_init__(self):
         assert self.rank == self.p_plus + self.n_minus
@@ -82,7 +81,7 @@ def block_inertia(
         tol = auto
     p = int(np.count_nonzero(w > tol))
     m = int(np.count_nonzero(w < -tol))
-    return InertiaResult(p + pairs, len(w) - p - m, m + pairs, p + m + 2 * pairs, tol, auto, w)
+    return InertiaResult(p + pairs, len(w) - p - m, m + pairs, p + m + 2 * pairs, tol, auto)
 
 
 def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
@@ -219,42 +218,18 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
     return rank
 
 
-def _cover_walk(g: GainGraph) -> Iterator[tuple[int | None, int]]:
-    """vertex_cover's picks in order, as (leaf, u): u is the one neighbour
-    left to a leaf, or a vertex of largest degree (leaf None) when no leaf
-    is left. Each pick deletes u's edges before it is yielded."""
-    adj = [set(a) for a in g.neighbors()]
-    leaves = [v for v, a in enumerate(adj) if len(a) == 1]
-    while True:
-        while leaves and not adj[leaves[-1]]:  # isolated since it was listed
-            leaves.pop()
-        if leaves:
-            leaf = leaves.pop()
-            (u,) = adj[leaf]
-        else:
-            leaf, u = None, max(range(g.n), key=lambda v: len(adj[v]), default=None)
-            if u is None or not adj[u]:
-                return
-        for x in adj[u]:
-            adj[x].discard(u)
-            if len(adj[x]) == 1:
-                leaves.append(x)
-        adj[u].clear()
-        yield leaf, u
-
-
 def vertex_cover(g: GainGraph) -> set[int]:
     """A greedy vertex cover: a leaf's neighbour while a leaf is left, else a
     vertex of largest degree. Some minimum cover holds a leaf's neighbour,
     and a forest always has a leaf, so on forests it is minimum: size m."""
-    return {u for _, u in _cover_walk(g)}
+    return {u for _, u in cover_walk(neighbour_masks(g), (1 << g.n) - 1)}
 
 
 def pendant_peel(g: GainGraph) -> tuple[int, np.ndarray]:
     """Pendant pairs peeled off H = H(G, phi) by congruence: (k, w), where H
     has inertia (k + i+(w), i0(w), k + i-(w)).
 
-    The pairs are vertex_cover's leaf picks before its first largest-degree
+    The pairs are cover_walk's leaf picks before its first largest-degree
     pick: a leaf v and its one neighbour u in the graph the earlier pairs
     leave. Ordering that graph's vertices v, u, rest,
 
@@ -271,7 +246,7 @@ def pendant_peel(g: GainGraph) -> tuple[int, np.ndarray]:
     graph with no edge left makes no eigensolve.
     """
     gone: set[int] = set()
-    for leaf, u in _cover_walk(g):
+    for leaf, u in cover_walk(neighbour_masks(g), (1 << g.n) - 1):
         if leaf is None:
             break
         gone |= {leaf, u}

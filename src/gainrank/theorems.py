@@ -8,7 +8,7 @@ paper over a disagreement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .combinatorics import (
     cycle_matching_condition,
@@ -23,7 +23,7 @@ from .combinatorics.cycles import CycleRecord
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
 from .graphs import GainGraph, pendant_vertices, serialize_gain_graph, underlying
-from .spectral import InertiaResult, hermitian_adjacency, inertia
+from .spectral import hermitian_adjacency, inertia
 from .spectral import rank as spectral_rank
 
 TYPE_TOL = 1e-9
@@ -119,7 +119,7 @@ class StructuralReport:
     (types) every cycle is of the required type, (matching) contracting the
     cycles changes nothing about the matching number away from them. A later
     flag is None when an earlier failure made it unevaluable. Witness vertices
-    refer to the graph the report was asked about, even for components.
+    refer to the graph the report was asked about.
     """
 
     holds: bool
@@ -128,7 +128,6 @@ class StructuralReport:
     cycles_disjoint: bool
     types_ok: bool | None
     matching_ok: bool | None
-    components: tuple["StructuralReport", ...] = field(default=())
 
     def __bool__(self) -> bool:
         return self.holds
@@ -156,7 +155,6 @@ class ComponentFacts:
     rank: int
     backend: str
     exact_refused: bool  # exact rank refused past EXACT_PRIME_BUDGET; backend numeric
-    inertia: InertiaResult | None  # the eigenvalue cut the rank path took, if it took one
     m: int
     c: int
     cycles: tuple[tuple[int, ...], ...] | None  # None when two cycles share a vertex
@@ -177,10 +175,9 @@ class GraphFacts:
     c: int
 
 
-def _component_rank(g: GainGraph) -> tuple[int, str, bool, InertiaResult | None]:
+def _component_rank(g: GainGraph) -> tuple[int, str, bool]:
     """Rank of a connected piece, exact whenever it can be, its backend,
-    whether the exact rank was refused at the prime budget, and the
-    eigenvalue cut at the piece's auto tolerance where one was taken.
+    and whether the exact rank was refused at the prime budget.
 
     Gains that are q-th roots of unity get the exact rank mod primes
     p = 1 (mod q). It needs no tolerance: rank mod P <= rank, and p divides
@@ -188,37 +185,37 @@ def _component_rank(g: GainGraph) -> tuple[int, str, bool, InertiaResult | None]
     the Hadamard bound on N(d) reach the rank. Float gains, and a
     certificate that needs more than EXACT_PRIME_BUDGET primes where one
     prime does not find full rank, get the numeric eigenvalue cut. Small
-    graphs additionally cross-check the exact rank against the numeric
-    value; a disagreement is an internal bug, raised as a TheoremViolation
-    that carries the component.
+    graphs with an edge additionally cross-check the exact rank against the
+    numeric value; a disagreement is an internal bug, raised as a
+    TheoremViolation that carries the component. A lone vertex has exact
+    rank 0 with no prime, and takes no cross-check.
     """
     try:
         r = spectral_rank(g, mode="exact")
     except (ValueError, SizeLimitError) as exc:  # float gains, or past the prime budget
-        numeric = inertia(hermitian_adjacency(g))
-        return numeric.rank, "numeric", isinstance(exc, SizeLimitError), numeric
-    if g.n > CROSS_CHECK_LIMIT:
-        return r, "exact", False, None
-    numeric = inertia(hermitian_adjacency(g))
-    if numeric.rank != r:
+        return inertia(hermitian_adjacency(g)).rank, "numeric", isinstance(exc, SizeLimitError)
+    if g.n > CROSS_CHECK_LIMIT or not g.edges:
+        return r, "exact", False
+    numeric = inertia(hermitian_adjacency(g)).rank
+    if numeric != r:
         raise TheoremViolation(
-            f"rank backends disagree on n={g.n}: exact={r}, numeric={numeric.rank}",
+            f"rank backends disagree on n={g.n}: exact={r}, numeric={numeric}",
             instance=serialize_gain_graph(g),
         )
-    return r, "exact", False, numeric
+    return r, "exact", False
 
 
 def component_facts(g: GainGraph) -> GraphFacts:
     """Facts of every connected component of g, from one pass over them."""
     out = []
     for sub, kept in g.components():
-        r, backend, refused, numeric = _component_rank(sub)
+        r, backend, refused = _component_rank(sub)
         G = underlying(sub)
         cycles, overlap = cycle_structure(G)
         disjoint = cycles is not None
         records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
         out.append(ComponentFacts(
-            graph=sub, kept=kept, rank=r, backend=backend, exact_refused=refused, inertia=numeric,
+            graph=sub, kept=kept, rank=r, backend=backend, exact_refused=refused,
             m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
             overlap=overlap, records=records,
             types=tuple(classify_cycle(sub, rec) for rec in records) if disjoint else None,
@@ -325,7 +322,6 @@ def _structural(g: GainGraph | GraphFacts, accepted: set[CycleType]) -> Structur
         cycles_disjoint=all(p.cycles_disjoint for p in parts),
         types_ok=merged([p.types_ok for p in parts]),
         matching_ok=merged([p.matching_ok for p in parts]),
-        components=tuple(parts),
     )
 
 

@@ -174,14 +174,18 @@ def test_analyze_eigensolves_each_component_once(monkeypatch):
     floats = assign_gains(random_connected_graph(12, 4, seed=7), GainSetSpec("uniform", seed=8))
     exact = assign_gains(random_connected_graph(12, 4, seed=7), GainSetSpec("gaussian", seed=8))
     float_triangle = (3, [(0, 1, "c(0.6,0.8)"), (1, 2, "1"), (2, 0, "1")])
+    # the rank path eigensolves float gains and the n <= 9 cross-check; the
+    # inertia eigensolves every component's pendant-peeled core once more
     cases = [
-        (floats, [12]),  # float gains: the numeric rank's eigenvalues
-        (_union(_TRIANGLE_TAIL, float_triangle), [5, 3]),  # a cross-check, float gains
+        (floats, [12, 8]),  # float gains: the numeric rank, then an 8-vertex core
+        # the tail peels off the cross-checked triangle; the float triangle
+        # is ranked, then peeled to itself
+        (_union(_TRIANGLE_TAIL, float_triangle), [5, 3, 3, 3]),
         # exact n > 9: two pendant pairs peel off and only the 8-vertex core
-        # is eigensolved; the point's one call is its n <= 9 cross-check
-        (_union((12, [(e.u, e.v, e.gain) for e in exact.edges]), _POINT), [8, 1]),
+        # is eigensolved; the point has no edge, so no cross-check and no core
+        (_union((12, [(e.u, e.v, e.gain) for e in exact.edges]), _POINT), [8]),
         (GainGraph.build(12, [(j, j + 1, "i") for j in range(11)]), []),  # P12 peels to nothing
-        (GainGraph.build(4, _SQUARE[1]), [4]),  # the n <= 9 cross-check's eigenvalues
+        (GainGraph.build(4, _SQUARE[1]), [4, 4]),  # the cross-check, then the leafless core
     ]
     for g, want in cases:
         sizes.clear()

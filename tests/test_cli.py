@@ -460,3 +460,76 @@ def test_verify_writes_a_refined_interval_violation(tmp_path, monkeypatch, capsy
     assert cli.main(args) == 2
     assert json.loads(capsys.readouterr().out)["failures"] == 2
     assert out.read_text().count("failed theorem_violation") == 2
+
+
+# two triangles sharing vertex 0, one float gain on each: rank 5, and the
+# triangle 0-1-2 loses its rank-3 cycle when edge 1-2 is dropped
+_BOWTIE = (
+    "n 5\ne 0 1 c(0.6,0.8)\ne 0 2 1\ne 1 2 1\ne 0 3 c(0.6,0.8)\ne 0 4 1\ne 3 4 1\n"
+)
+
+
+def test_a_float_rank_that_loses_an_edge_disagrees_with_the_inertia(
+    tmp_path, monkeypatch, capsys
+):
+    from gainrank import theorems
+
+    real = theorems.hermitian_adjacency
+
+    def drop_edge_1_2(g):
+        h = real(g)
+        h[1, 2] = h[2, 1] = 0
+        return h
+
+    p = tmp_path / "bowtie.txt"
+    p.write_text(_BOWTIE)
+    assert cli.main(["analyze", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 5
+    # the numeric rank path sees rank 4; the inertia, pendant pairs plus the
+    # core's cut, comes from the true matrix
+    monkeypatch.setattr(theorems, "hermitian_adjacency", drop_edge_1_2)
+    assert cli.main(["analyze", str(p), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank"] == 4 and doc["rank_backend"] == "numeric"
+    assert doc["violations"] == ["rank 4 (numeric) disagrees with inertia sum 2+3 at tol 1e-10"]
+
+
+def _edgeless_report(n: int) -> dict:
+    """analyze --json on n vertices and no edge."""
+    backend = "exact" if n else "trivial"
+    bounds = {"rank": 0, "m": 0, "c": 0, "lower_basic": 0, "upper_basic": 0, "holds_basic": True}
+    holds = {
+        "holds": True, "first_failure": None, "witness": None,
+        "cycles_disjoint": True, "types_ok": True, "matching_ok": True,
+    }
+    return {
+        "command": "analyze", "schema_version": "1",
+        "n": n, "edge_count": 0, "component_count": n, "m": 0, "c": 0,
+        "rank": 0, "rank_backend": backend,
+        "inertia": {"p_plus": 0, "n_zero": n, "n_minus": 0},
+        "basic_bounds": bounds,
+        "refined_bounds": {
+            **bounds, "b": 0, "acyclic_deletion_value": 0,
+            "lower_refined": 0, "upper_refined": 0, "holds_refined": True,
+        },
+        "cycles": [], "disjoint_cycles": True, "condition_iii": True,
+        "verdict": {
+            "spectral_lower": True, "spectral_upper": True,
+            "structural_lower": holds, "structural_upper": holds,
+            "consistent": True, "rank": 0, "rank_backend": backend,
+        },
+        "violations": [], "skipped": {}, "ok": True,
+    }
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_analyze_without_edges_makes_no_eigensolve(tmp_path, monkeypatch, capsys, n):
+    import numpy as np
+
+    sizes, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or real(a))
+    p = tmp_path / "edgeless.txt"
+    p.write_text(f"n {n}\n")
+    assert cli.main(["analyze", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == _edgeless_report(n)
+    assert sizes == []

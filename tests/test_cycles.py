@@ -1,17 +1,22 @@
 """Cycle enumeration and per-cycle gain records."""
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gainrank.combinatorics import matching_number
 from gainrank.combinatorics.cycles import (
     canonical_cycle,
+    cover_walk,
     cycle_record,
     enumerate_cycles,
+    neighbour_masks,
 )
 from gainrank.errors import SizeLimitError
 from gainrank.gains import Gain
+from gainrank.generators import enumerate_connected_cacti, random_connected_graph
 from gainrank.graphs import GainGraph, SimpleGraph
 
 
@@ -77,3 +82,36 @@ def test_cycle_record_validation(triangle):
     g = GainGraph.build(4, [(0, 1, "1"), (1, 2, "1"), (2, 3, "1")])
     with pytest.raises(ValueError):
         cycle_record(g, (0, 1, 2, 3))
+
+
+def test_cover_walk_on_trees_picks_a_maximum_matching():
+    # every labeled tree with n <= 7: the acyclic family of the cactus enumeration
+    trees = 0
+    for n in range(2, 8):
+        for cactus in enumerate_connected_cacti(n):
+            if cactus.cycles:
+                continue
+            G = SimpleGraph(n, cactus.edges)
+            picks = list(cover_walk(neighbour_masks(G), (1 << n) - 1))
+            assert all(leaf is not None for leaf, _ in picks)
+            assert len({v for pick in picks for v in pick}) == 2 * len(picks)  # a matching
+            assert len(picks) == matching_number(G)
+            trees += 1
+    assert trees == sum(n ** (n - 2) for n in range(2, 8))
+
+
+def test_cover_walk_picks_cover_every_edge():
+    rng = random.Random(31)
+    for seed in range(150):
+        n = rng.randint(1, 30)
+        G = random_connected_graph(n, min(rng.randint(0, 12), (n - 1) * (n - 2) // 2), seed)
+        adj = neighbour_masks(G)
+        # the whole graph, then a random induced subgraph
+        for alive in ((1 << n) - 1, rng.getrandbits(n)):
+            cover = 0
+            for _, u in cover_walk(adj, alive):
+                cover |= 1 << u
+            assert not cover & ~alive
+            for u, v in G.edges:
+                if alive >> u & alive >> v & 1:
+                    assert (cover >> u | cover >> v) & 1, (seed, alive, u, v)
