@@ -10,7 +10,7 @@ combinatorial computations.
 from .analysis import AnalysisReport, analyze, render_text, report_to_dict
 from .errors import ParseError, SizeLimitError, TheoremViolation
 from .gains import Gain
-from .graphs import GainGraph, SimpleGraph, parse_gain_graph, serialize_gain_graph, underlying
+from .graphs import GainGraph, SimpleGraph, parse_gain_graph, serialize_gain_graph
 from .theorems import (
     BoundReport,
     CycleType,
@@ -53,7 +53,6 @@ __all__ = [
     "report_to_dict",
     "serialize_gain_graph",
     "signed_cycle_rule",
-    "underlying",
     "upper_optimal_structural",
     "verify_equivalence",
     "__version__",

@@ -165,7 +165,10 @@ def worker_count() -> int:
     """Worker budget for batch drivers, from GAINRANK_WORKERS or the host."""
     env = os.environ.get("GAINRANK_WORKERS")
     if env:
-        w = int(env)
+        try:
+            w = int(env)
+        except ValueError:
+            raise ValueError(f"GAINRANK_WORKERS must be an integer, got {env!r}") from None
         if w < 1:
             raise ValueError("GAINRANK_WORKERS must be at least 1")
         return w

@@ -8,7 +8,12 @@ blocks and returns either the cycles or a witness of their overlap.
 """
 from __future__ import annotations
 
-from ..graphs import GainGraph, SimpleGraph, underlying
+from typing import TYPE_CHECKING
+
+from ..graphs import SimpleGraph
+
+if TYPE_CHECKING:  # annotations only; structure is read through underlying()
+    from ..graphs import GainGraph
 
 Edge = tuple[int, int]
 
@@ -16,6 +21,7 @@ Edge = tuple[int, int]
 def block_decomposition(G: SimpleGraph) -> tuple[tuple[Edge, ...], ...]:
     """Edges of each block, sorted within a block, blocks in the order
     Tarjan's search closes them (Hopcroft & Tarjan, CACM 16, 1973)."""
+    G = G.underlying()
     n = G.n
     # adjacency with edge indices so parallel traversal can skip the tree edge
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -69,8 +75,7 @@ def block_decomposition(G: SimpleGraph) -> tuple[tuple[Edge, ...], ...]:
 
 
 def cyclomatic_number(G: SimpleGraph | GainGraph) -> int:
-    if isinstance(G, GainGraph):
-        G = underlying(G)
+    G = G.underlying()
     return len(G.edges) - G.n + len(G.component_vertex_sets())
 
 
@@ -107,8 +112,7 @@ def cycle_structure(
     cycle, it is the first cycle block that meets an earlier cycle block in
     a cut vertex, joined with the earliest cycle block it meets.
     """
-    if isinstance(G, GainGraph):
-        G = underlying(G)
+    G = G.underlying()
     cycles: list[tuple[int, ...]] = []
     owner: dict[int, int] = {}  # vertex -> index of the first cycle through it
     overlap = None
@@ -149,8 +153,7 @@ def contract_cycles(
     of its least vertex. A caller that already holds the disjoint cycles of G
     passes them as `cycles`, which skips the block decomposition.
     """
-    if isinstance(G, GainGraph):
-        G = underlying(G)
+    G = G.underlying()
     if cycles is None:
         ok, cycles = cycles_pairwise_disjoint(G)
         if not ok:
@@ -194,8 +197,7 @@ def cycle_matching_condition(
     """
     from .matching import matching_number
 
-    if isinstance(G, GainGraph):
-        G = underlying(G)
+    G = G.underlying()
     contracted, new_id, from_cycles = contract_cycles(G, cycles)
     m_contracted = matching_number(contracted)
     without, _ = G.delete_vertices(v for v in range(G.n) if new_id[v] in from_cycles)

@@ -8,11 +8,13 @@ only consumes the canonical direction or the real part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import SizeLimitError
 from ..gains import Gain
-from ..graphs import GainGraph, SimpleGraph, underlying
+
+if TYPE_CHECKING:  # annotations only; structure is read through underlying()
+    from ..graphs import GainGraph, SimpleGraph
 
 CYCLE_LIMIT = 100_000
 
@@ -72,8 +74,7 @@ def enumerate_cycles(G: SimpleGraph | GainGraph, limit: int = CYCLE_LIMIT) -> li
 
 def neighbour_masks(G: SimpleGraph | GainGraph) -> list[int]:
     """One bitmask of neighbours per vertex."""
-    if isinstance(G, GainGraph):
-        G = underlying(G)
+    G = G.underlying()
     adj = [0] * G.n
     for u, v in G.edges:
         adj[u] |= 1 << v

@@ -11,12 +11,14 @@ from collections import deque
 
 from ..errors import SizeLimitError
 from ..graphs import SimpleGraph
+from .cycles import neighbour_masks
 
 BRUTEFORCE_LIMIT = 12
 
 
 def maximum_matching(G: SimpleGraph) -> list[tuple[int, int]]:
     """One maximum matching, as a list of (u, v) edges with u < v."""
+    G = G.underlying()
     n = G.n
     adj = G.neighbors()
     match = [-1] * n
@@ -103,10 +105,7 @@ def matching_number_bruteforce(G: SimpleGraph) -> int:
     """Exhaustive search over independent edge sets; independent of blossom."""
     if G.n > BRUTEFORCE_LIMIT:
         raise SizeLimitError(f"brute-force matching limited to n <= {BRUTEFORCE_LIMIT}, got n={G.n}")
-    adjmask = [0] * G.n
-    for u, v in G.edges:
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
+    adjmask = neighbour_masks(G)
     cache: dict[int, int] = {0: 0}
 
     def best(mask: int) -> int:
@@ -127,7 +126,7 @@ def matching_number_bruteforce(G: SimpleGraph) -> int:
 
 
 def is_matching(G: SimpleGraph, edges: list[tuple[int, int]]) -> bool:
-    edge_set = set(G.edges)
+    edge_set = set(G.underlying().edges)
     seen: set[int] = set()
     for u, v in edges:
         if (min(u, v), max(u, v)) not in edge_set:

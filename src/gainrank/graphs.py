@@ -3,6 +3,10 @@
 Gains are stored once per unordered edge in canonical (u < v) direction; the
 reverse-direction gain is the conjugate and is computed on demand, never
 stored. That makes Hermitian symmetry structurally unviolable.
+
+Structure that ignores the gains is read from `underlying()`: a gain graph's
+one SimpleGraph, built on first call, or a SimpleGraph itself. One routine
+cuts induced subgraphs of both, and components are cut in one pass.
 """
 from __future__ import annotations
 
@@ -60,18 +64,12 @@ class SimpleGraph:
             deg[v] += 1
         return deg
 
+    def underlying(self) -> "SimpleGraph":
+        return self
+
     def delete_vertices(self, s: Iterable[int]) -> tuple["SimpleGraph", tuple[int, ...]]:
         """Induced subgraph on V - s, plus the map new id -> old id."""
-        drop = set(s)
-        for x in drop:
-            if not 0 <= x < self.n:
-                raise ValueError(f"vertex {x} out of range")
-        kept = tuple(v for v in range(self.n) if v not in drop)
-        new_id = {old: i for i, old in enumerate(kept)}
-        edges = tuple(
-            (new_id[u], new_id[v]) for u, v in self.edges if u not in drop and v not in drop
-        )
-        return SimpleGraph(len(kept), edges), kept
+        return _induced(self, s, tuple)
 
     def component_vertex_sets(self) -> list[list[int]]:
         adj = self.neighbors()
@@ -118,11 +116,12 @@ class GainGraph:
                 raise ValueError(f"duplicate edge ({a.u}, {a.v})")
         return cls(n, tuple(canon))
 
-    def underlying(self) -> SimpleGraph:
+    @cached_property
+    def _underlying(self) -> SimpleGraph:  # built on first call, once per graph
         return SimpleGraph(self.n, tuple((e.u, e.v) for e in self.edges))
 
-    def neighbors(self) -> list[list[int]]:
-        return self.underlying().neighbors()
+    def underlying(self) -> SimpleGraph:
+        return self._underlying
 
     def degrees(self) -> list[int]:
         return self.underlying().degrees()
@@ -142,34 +141,35 @@ class GainGraph:
         raise KeyError(f"no edge between {u} and {v}")
 
     def delete_vertices(self, s: Iterable[int]) -> tuple["GainGraph", tuple[int, ...]]:
-        drop = set(s)
-        for x in drop:
-            if not 0 <= x < self.n:
-                raise ValueError(f"vertex {x} out of range")
-        kept = tuple(v for v in range(self.n) if v not in drop)
-        new_id = {old: i for i, old in enumerate(kept)}
-        edges = tuple(
-            GainEdge(new_id[e.u], new_id[e.v], e.gain)
-            for e in self.edges
-            if e.u not in drop and e.v not in drop
-        )
-        return GainGraph(len(kept), edges), kept
+        """Induced subgraph on V - s, gains kept, plus the map new id -> old id."""
+        return _induced(self, s, GainEdge._make)
 
     def components(self) -> list[tuple["GainGraph", tuple[int, ...]]]:
-        """Connected components, each reindexed, with maps new id -> parent id."""
-        out = []
-        for comp in self.underlying().component_vertex_sets():
-            keep = set(comp)
-            sub, kept = self.delete_vertices(v for v in range(self.n) if v not in keep)
-            out.append((sub, kept))
-        return out
+        """Connected components by least vertex, each reindexed, with maps new
+        id -> parent id; one pass over the vertices and one over the edges."""
+        comps = self.underlying().component_vertex_sets()
+        where = {v: (c, i) for c, comp in enumerate(comps) for i, v in enumerate(comp)}
+        edges: list[list[GainEdge]] = [[] for _ in comps]
+        for u, v, gain in self.edges:  # each component's edges keep their order
+            edges[where[u][0]].append(GainEdge(where[u][1], where[v][1], gain))
+        return [(GainGraph(len(comp), tuple(es)), tuple(comp)) for comp, es in zip(comps, edges)]
 
     def is_connected(self) -> bool:
         return self.underlying().is_connected()
 
 
-def underlying(g: GainGraph) -> SimpleGraph:
-    return g.underlying()
+def _induced(g, s: Iterable[int], make_edge):
+    """g - s renumbered in vertex order, and the map new id -> old id, for either
+    graph type; `make_edge` rebuilds an edge from its new ends and its gain, if any."""
+    drop = set(s)
+    for x in drop:
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} out of range")
+    kept = tuple(v for v in range(g.n) if v not in drop)
+    new_id = {old: i for i, old in enumerate(kept)}
+    edges = [e for e in g.edges if e[0] not in drop and e[1] not in drop]
+    sub = tuple(make_edge((new_id[e[0]], new_id[e[1]]) + e[2:]) for e in edges)
+    return type(g)(len(kept), sub), kept
 
 
 def with_trivial_gains(G: SimpleGraph) -> GainGraph:
@@ -185,15 +185,9 @@ def pendant_vertices(g: GainGraph | SimpleGraph) -> frozenset[int]:
 def quasi_pendant_vertices(g: GainGraph | SimpleGraph) -> frozenset[int]:
     """Vertices of degree >= 2 adjacent to a pendant vertex."""
     deg = g.degrees()
-    pend = pendant_vertices(g)
-    out = set()
-    for e in g.edges:
-        u, v = e[0], e[1]
-        if u in pend and deg[v] >= 2:
-            out.add(v)
-        if v in pend and deg[u] >= 2:
-            out.add(u)
-    return frozenset(out)
+    return frozenset(
+        y for e in g.underlying().edges for x, y in (e, e[::-1]) if deg[x] == 1 and deg[y] >= 2
+    )
 
 
 # -- text format -----------------------------------------------------------

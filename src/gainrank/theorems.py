@@ -22,7 +22,7 @@ from .combinatorics import (
 from .combinatorics.cycles import CycleRecord
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
-from .graphs import GainGraph, pendant_vertices, serialize_gain_graph, underlying
+from .graphs import GainGraph, pendant_vertices, serialize_gain_graph
 from .spectral import hermitian_adjacency, inertia
 from .spectral import rank as spectral_rank
 
@@ -210,7 +210,7 @@ def component_facts(g: GainGraph) -> GraphFacts:
     out = []
     for sub, kept in g.components():
         r, backend, refused = _component_rank(sub)
-        G = underlying(sub)
+        G = sub.underlying()
         cycles, overlap = cycle_structure(G)
         disjoint = cycles is not None
         records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
@@ -260,7 +260,7 @@ def check_refined_bounds(g: GainGraph | GraphFacts) -> BoundReport:
     is asserted because it is proven, not observed. The two searches run
     first, so a graph past their size limit fails before any rank is taken.
     """
-    G = underlying(_graph(g))
+    G = _graph(g).underlying()
     b, _ = odd_cycle_transversal(G)
     adv, _ = max_acyclic_deletion_matching(G)
     base = check_rank_bounds(g)
@@ -385,7 +385,7 @@ def signed_cycle_rule(l: int, sign: int) -> bool:
 def _rank_and_matching(g: GainGraph) -> tuple[int, int]:
     """Rank and matching number alone, all the reduction checks read of a subgraph."""
     rank = sum(_component_rank(sub)[0] for sub, _ in g.components())
-    return rank, matching_number(underlying(g))
+    return rank, matching_number(g.underlying())
 
 
 def pendant_reduction_check(g: GainGraph | GraphFacts) -> bool | None:
@@ -394,7 +394,7 @@ def pendant_reduction_check(g: GainGraph | GraphFacts) -> bool | None:
     None when the graph has no pendant vertex. The pair removed is the
     smallest pendant and its unique neighbour.
     """
-    G = underlying(_graph(g))
+    G = _graph(g).underlying()
     pend = pendant_vertices(G)
     if not pend:
         return None

@@ -16,7 +16,7 @@ from gainrank.combinatorics.blocks import (
 from gainrank.combinatorics.cycles import mask_cycles, neighbour_masks
 from gainrank.errors import SizeLimitError
 from gainrank.generators import enumerate_connected_graphs, random_connected_graph
-from gainrank.graphs import SimpleGraph, underlying
+from gainrank.graphs import SimpleGraph
 
 
 def figure_eight():
@@ -29,7 +29,7 @@ def is_cycle_block(blk):
 
 
 def test_blocks_partition_edges(double_squares):
-    G = underlying(double_squares)
+    G = double_squares.underlying()
     blocks = block_decomposition(G)
     all_edges = [e for blk in blocks for e in blk]
     assert sorted(all_edges) == sorted(G.edges)
@@ -108,7 +108,7 @@ def test_two_cycles_through_one_vertex_are_not_disjoint(double_squares):
     ok, cycles = cycles_pairwise_disjoint(double_squares)
     assert not ok and cycles is None
     with pytest.raises(ValueError):
-        contract_cycles(underlying(double_squares))
+        contract_cycles(double_squares.underlying())
 
 
 def test_disjoint_cycles_listed_canonically():

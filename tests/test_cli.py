@@ -227,11 +227,12 @@ def test_enumerate_reports_exact_escalations(monkeypatch, capsys):
 
 
 def test_bad_worker_env_is_an_input_error(monkeypatch, capsys):
-    monkeypatch.setenv("GAINRANK_WORKERS", "0")
-    assert cli.main(["verify", "--count", "5", "--gains", "signed"]) == 1
-    assert "GAINRANK_WORKERS" in capsys.readouterr().err
-    assert cli.main(["enumerate", "--n-max", "3", "--gains", "signed"]) == 1
-    assert "GAINRANK_WORKERS" in capsys.readouterr().err
+    for value in ("0", "two"):
+        monkeypatch.setenv("GAINRANK_WORKERS", value)
+        assert cli.main(["verify", "--count", "5", "--gains", "signed"]) == 1
+        assert "GAINRANK_WORKERS" in capsys.readouterr().err
+        assert cli.main(["enumerate", "--n-max", "3", "--gains", "signed"]) == 1
+        assert "GAINRANK_WORKERS" in capsys.readouterr().err
 
 
 def test_verify_failure_path(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,7 @@ from gainrank.generators import (
     random_connected_graph,
     random_tree,
 )
-from gainrank.graphs import SimpleGraph, serialize_gain_graph, underlying
+from gainrank.graphs import SimpleGraph, serialize_gain_graph
 from gainrank.theorems import verify_equivalence
 
 
@@ -99,7 +99,7 @@ def test_assign_gains_deterministic():
     a = assign_gains(G, GainSetSpec("gaussian", seed=11))
     b = assign_gains(G, GainSetSpec("gaussian", seed=11))
     assert a == b
-    assert underlying(a).edges == G.edges
+    assert a.underlying().edges == G.edges
 
 
 def test_make_cycle_hits_target():

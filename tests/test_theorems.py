@@ -10,7 +10,7 @@ from gainrank.combinatorics.matching import matching_number
 from gainrank.combinatorics.blocks import cyclomatic_number
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
-from gainrank.graphs import GainGraph, underlying
+from gainrank.graphs import GainGraph
 from gainrank.combinatorics import cycle_record
 from gainrank.theorems import (
     TYPE_TOL,

@@ -15,7 +15,7 @@ from gainrank.combinatorics.transversal import (
 )
 from gainrank.errors import SizeLimitError
 from gainrank.generators import enumerate_connected_graphs, random_connected_graph
-from gainrank.graphs import SimpleGraph, underlying
+from gainrank.graphs import SimpleGraph
 
 
 def test_bipartite_detection(double_squares, triangle):
@@ -25,7 +25,7 @@ def test_bipartite_detection(double_squares, triangle):
 
 
 def test_find_cycle(square, triangle):
-    cyc = find_cycle(underlying(square))
+    cyc = find_cycle(square.underlying())
     assert cyc is not None and len(cyc) == 4
     tree = SimpleGraph.build(4, [(0, 1), (1, 2), (1, 3)])
     assert find_cycle(tree) is None
@@ -65,7 +65,7 @@ def test_transversal_witness_hits_every_odd_cycle():
 def test_acyclic_deletion_on_double_squares(double_squares):
     adv, witness = max_acyclic_deletion_matching(double_squares)
     assert adv == 3
-    H, _ = underlying(double_squares).delete_vertices(witness)
+    H, _ = double_squares.underlying().delete_vertices(witness)
     assert find_cycle(H) is None
     assert matching_number(H) == 3
 
