@@ -93,15 +93,16 @@ def analyze(
 ) -> AnalysisReport:
     """Compute the full report for one gain graph.
 
-    mode None lets the rank backend pick itself (exact where possible);
-    an explicit mode forces that backend. The inertia always comes from
-    pendant_peel: every component's pendant pairs plus one cut of the cores
-    they leave. So a float-gain rank, a cut of the full spectrum, meets it
-    by a second route. With mode="numeric" the reported rank is p+ + n- of
-    the inertia itself, so the rank = p+ + n- identity is consistent by
-    construction at any tol. Any other backend is checked against the
-    inertia only at a tol no smaller than the auto_tolerance of the
-    eigenvalues that were cut; below it the check lands in `skipped`.
+    mode None lets the rank backend pick itself (exact where possible); an
+    explicit mode forces that backend. The inertia always comes from
+    pendant_peel: every component's pendant pairs (for float gains, those
+    walked in its facts) plus one cut of the cores they leave. So a float-gain
+    rank cut from the full spectrum meets it by a second route. With
+    mode="numeric" the reported rank is p+ + n- of the inertia itself, so the
+    rank = p+ + n- identity is consistent by construction at any tol. Any other
+    backend is checked against the inertia only at a tol no smaller than the
+    auto_tolerance of the eigenvalues that were cut; below it the check lands
+    in `skipped`.
     """
     violations: list[str] = []
     skipped: dict[str, str] = {}
@@ -111,7 +112,7 @@ def analyze(
 
     # H is the direct sum of its components, each peeled to its pendant
     # pairs, which need no cut, and a core, which is cut with the others
-    peels = [pendant_peel(f.graph) for f in facts.components]
+    peels = [pendant_peel(f.graph, f.peel) for f in facts.components]
     ine = block_inertia([w for _, w in peels], tol, sum(k for k, _ in peels))
     if any(f.exact_refused for f in facts.components):
         skipped["exact_rank"] = f"more than EXACT_PRIME_BUDGET ({EXACT_PRIME_BUDGET}) primes"

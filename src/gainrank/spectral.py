@@ -225,9 +225,23 @@ def vertex_cover(g: GainGraph) -> set[int]:
     return {u for _, u in cover_walk(neighbour_masks(g), (1 << g.n) - 1)}
 
 
-def pendant_peel(g: GainGraph) -> tuple[int, np.ndarray]:
+def pendant_pairs(g: GainGraph) -> tuple[int, frozenset[int]]:
+    """(k, core): the k pendant pairs pendant_peel takes off g, with no
+    eigensolve, and the vertices of what they leave that keep an edge."""
+    gone: set[int] = set()
+    for leaf, u in cover_walk(neighbour_masks(g), (1 << g.n) - 1):
+        if leaf is None:
+            break
+        gone |= {leaf, u}
+    core = {x for e in g.edges if e.u not in gone and e.v not in gone for x in (e.u, e.v)}
+    return len(gone) // 2, frozenset(core)
+
+
+def pendant_peel(
+    g: GainGraph, pairs: tuple[int, frozenset[int]] | None = None
+) -> tuple[int, np.ndarray]:
     """Pendant pairs peeled off H = H(G, phi) by congruence: (k, w), where H
-    has inertia (k + i+(w), i0(w), k + i-(w)).
+    has inertia (k + i+(w), i0(w), k + i-(w)). pairs: pendant_pairs(g), if known.
 
     The pairs are cover_walk's leaf picks before its first largest-degree
     pick: a leaf v and its one neighbour u in the graph the earlier pairs
@@ -245,17 +259,12 @@ def pendant_peel(g: GainGraph) -> tuple[int, np.ndarray]:
     eigensolved; w ends with an exact 0.0 for each vertex left isolated, so a
     graph with no edge left makes no eigensolve.
     """
-    gone: set[int] = set()
-    for leaf, u in cover_walk(neighbour_masks(g), (1 << g.n) - 1):
-        if leaf is None:
-            break
-        gone |= {leaf, u}
-    core = {x for e in g.edges if e.u not in gone and e.v not in gone for x in (e.u, e.v)}
-    zeros = np.zeros(g.n - len(gone) - len(core))
+    k, core = pairs or pendant_pairs(g)
+    zeros = np.zeros(g.n - 2 * k - len(core))
     if not core:
-        return len(gone) // 2, zeros
+        return k, zeros
     h = hermitian_adjacency(g.delete_vertices(v for v in range(g.n) if v not in core)[0])
-    return len(gone) // 2, np.concatenate([eigenvalues(h), zeros])
+    return k, np.concatenate([eigenvalues(h), zeros])
 
 
 def exact_rank(g: GainGraph) -> int:

@@ -23,7 +23,7 @@ from .combinatorics.cycles import CycleRecord
 from .errors import SizeLimitError, TheoremViolation
 from .gains import Gain
 from .graphs import GainGraph, pendant_vertices, serialize_gain_graph
-from .spectral import hermitian_adjacency, inertia
+from .spectral import hermitian_adjacency, inertia, pendant_pairs
 from .spectral import rank as spectral_rank
 
 TYPE_TOL = 1e-9
@@ -162,6 +162,7 @@ class ComponentFacts:
     records: tuple[CycleRecord, ...] | None  # each cycle's gain walk, when cycles is set
     types: tuple[CycleType, ...] | None  # one per cycle, when cycles is set
     condition_iii: bool | None  # defined only when cycles are disjoint
+    peel: tuple[int, frozenset[int]] | None  # float gains: pendant_pairs' (k, core)
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ def _component_rank(g: GainGraph) -> tuple[int, str, bool]:
     graphs with an edge additionally cross-check the exact rank against the
     numeric value; a disagreement is an internal bug, raised as a
     TheoremViolation that carries the component. A lone vertex has exact
-    rank 0 with no prime, and takes no cross-check.
+    rank 0 with no prime, and takes no cross-check. It never peels, so the
+    reduction checks, ranking subgraphs here, meet component_facts' 2k.
     """
     try:
         r = spectral_rank(g, mode="exact")
@@ -206,20 +208,33 @@ def _component_rank(g: GainGraph) -> tuple[int, str, bool]:
 
 
 def component_facts(g: GainGraph) -> GraphFacts:
-    """Facts of every connected component of g, from one pass over them."""
+    """Facts of every connected component of g, from one pass over them.
+
+    A float-gain component its k pendant pairs cover has rank 2k by the
+    pendant lemma (spectral.pendant_peel), with no eigensolve. The pairs are
+    then a matching and their supports a cover, so k = m, checked against
+    the blossom. A forest meets condition (iii): it contracts nothing.
+    """
     out = []
     for sub, kept in g.components():
-        r, backend, refused = _component_rank(sub)
         G = sub.underlying()
+        m = matching_number(G)
+        peel = pendant_pairs(sub) if any(e.gain.q is None for e in sub.edges) else None
+        covered = peel is not None and not peel[1]  # the pairs leave no edge
+        if covered and peel[0] != m:
+            msg = f"{peel[0]} pendant pairs cover n={sub.n}, but m={m}"
+            raise TheoremViolation(msg, instance=serialize_gain_graph(sub))
+        r, backend, refused = (2 * m, "numeric", False) if covered else _component_rank(sub)
         cycles, overlap = cycle_structure(G)
         disjoint = cycles is not None
         records = tuple(cycle_record(sub, v) for v in cycles) if disjoint else None
+        cond = not cycles or cycle_matching_condition(G, cycles)[0] if disjoint else None
         out.append(ComponentFacts(
             graph=sub, kept=kept, rank=r, backend=backend, exact_refused=refused,
-            m=matching_number(G), c=cyclomatic_number(G), cycles=cycles,
-            overlap=overlap, records=records,
+            m=m, c=cyclomatic_number(G), cycles=cycles, overlap=overlap, records=records,
             types=tuple(classify_cycle(sub, rec) for rec in records) if disjoint else None,
-            condition_iii=cycle_matching_condition(G, cycles)[0] if disjoint else None,
+            condition_iii=cond,
+            peel=peel,
         ))
     return GraphFacts(
         g, tuple(out), sum(f.rank for f in out), sum(f.m for f in out), sum(f.c for f in out)

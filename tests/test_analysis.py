@@ -174,10 +174,24 @@ def test_analyze_eigensolves_each_component_once(monkeypatch):
     floats = assign_gains(random_connected_graph(12, 4, seed=7), GainSetSpec("uniform", seed=8))
     exact = assign_gains(random_connected_graph(12, 4, seed=7), GainSetSpec("gaussian", seed=8))
     float_triangle = (3, [(0, 1, "c(0.6,0.8)"), (1, 2, "1"), (2, 0, "1")])
-    # the rank path eigensolves float gains and the n <= 9 cross-check; the
-    # inertia eigensolves every component's pendant-peeled core once more
+    float_tree = assign_gains(random_connected_graph(30, 0, seed=9), GainSetSpec("uniform", seed=10))
+    # a float path 0-...-5 with pendant paths 2-6-7 and 4-8-9-10
+    float_spider = GainGraph.build(11, [
+        (0, 1, "c(0.6,0.8)"), (1, 2, "1"), (2, 3, "c(0.28,0.96)"), (3, 4, "-1"), (4, 5, "1"),
+        (2, 6, "i"), (6, 7, "c(0.6,-0.8)"), (4, 8, "1"), (8, 9, "1"), (9, 10, "c(-0.8,0.6)"),
+    ])
+    # float gains on a triangle with a pendant vertex at each corner
+    float_corona = GainGraph.build(6, float_triangle[1] + [(0, 3, "1"), (1, 4, "1"), (2, 5, "1")])
+    # the rank path eigensolves float gains that keep a core and the n <= 9
+    # cross-check; the inertia eigensolves every component's pendant-peeled
+    # core once more. Float gains that pendant pairs cover take no eigensolve.
     cases = [
         (floats, [12, 8]),  # float gains: the numeric rank, then an 8-vertex core
+        (float_tree, []),
+        (float_spider, []),
+        (float_corona, []),
+        # the tail's pair peels off the float triangle: its rank, then its core
+        (_union((5, float_triangle[1] + [(2, 3, "1"), (3, 4, "-1")])), [5, 3]),
         # the tail peels off the cross-checked triangle; the float triangle
         # is ranked, then peeled to itself
         (_union(_TRIANGLE_TAIL, float_triangle), [5, 3, 3, 3]),

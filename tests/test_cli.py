@@ -435,6 +435,22 @@ def test_analyze_rank_backend_disagreement_exits_two(
     assert "n 3" in captured.err  # the instance, serialized for replay
 
 
+def test_analyze_pair_count_mismatch_exits_two(tmp_path, monkeypatch, capsys):
+    """A float-gain path that pendant pairs cover, with the pair count one
+    too many: the check against the matching number stops analyze."""
+    from gainrank import theorems
+
+    real = theorems.pendant_pairs
+    monkeypatch.setattr(theorems, "pendant_pairs", lambda g: (real(g)[0] + 1, real(g)[1]))
+    p = tmp_path / "float_path.txt"
+    p.write_text("n 4\ne 0 1 c(0.6,0.8)\ne 1 2 1\ne 2 3 1\n")
+    assert cli.main(["analyze", str(p), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3 pendant pairs cover n=4, but m=2" in captured.err
+    assert "n 4" in captured.err  # the instance, serialized for replay
+
+
 def test_verify_writes_rank_backend_disagreements_and_continues(
     tmp_path, monkeypatch, numeric_rank_off_by_one, capsys
 ):

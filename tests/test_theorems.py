@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from gainrank.combinatorics.matching import matching_number
 from gainrank.combinatorics.blocks import cyclomatic_number
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
-from gainrank.graphs import GainGraph
+from gainrank.graphs import GainGraph, serialize_gain_graph
 from gainrank.combinatorics import cycle_record
 from gainrank.theorems import (
     TYPE_TOL,
@@ -18,6 +19,7 @@ from gainrank.theorems import (
     check_rank_bounds,
     check_refined_bounds,
     classify_cycle,
+    component_facts,
     cycle_inertia,
     deletion_bounds_check,
     graph_rank,
@@ -258,3 +260,108 @@ def test_deletion_bounds(double_squares):
         assert deletion_bounds_check(double_squares, v)
     with pytest.raises(ValueError):
         deletion_bounds_check(double_squares, 8)
+
+
+def _float_graphs_pendant_pairs_cover(count):
+    """Seeded uniform-gain graphs on at most 40 vertices that pendant pairs
+    cover: even seeds are random trees with pendant paths hung on them; odd
+    seeds hang a path of one or three edges on every vertex of a random
+    connected graph with one to four extra edges, so each base vertex is
+    paired along its path."""
+    from gainrank.generators import GainSetSpec, random_connected_graph
+
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        spec = GainSetSpec("uniform", seed=seed)
+        if seed % 2 == 0:
+            base = random_connected_graph(rng.randint(2, 20), 0, seed=seed)
+            hangs = [(v, rng.randint(1, 4)) for v in range(base.n) if rng.random() < 0.3]
+        else:
+            k = rng.randint(3, 10)
+            base = random_connected_graph(k, rng.randint(1, min(4, (k - 1) * (k - 2) // 2)), seed=seed)
+            hangs = [(v, rng.choice((1, 3))) for v in range(base.n)]
+        edges, n = list(base.edges), base.n
+        for v, length in hangs:
+            for _ in range(min(length, 40 - n)):  # cut short only on trees
+                edges.append((v, n))
+                v, n = n, n + 1
+        sample = random.Random(seed + 1)
+        out.append(GainGraph.build(n, [(u, v, spec.sample(sample)) for u, v in edges]))
+    return out
+
+
+def test_float_rank_from_covering_pendant_pairs_matches_the_spectrum():
+    graphs = _float_graphs_pendant_pairs_cover(200)
+    assert max(g.n for g in graphs) <= 40
+    assert sum(g.n <= len(g.edges) for g in graphs) == 100  # the odd seeds have a cycle
+    for g in graphs:
+        facts = component_facts(g)
+        (f,) = facts.components
+        assert f.peel is not None and f.peel[1] == frozenset() and f.backend == "numeric"
+        want = inertia(hermitian_adjacency(g)).rank
+        assert facts.rank == 2 * f.peel[0] == want == 2 * matching_number(g.underlying())
+
+
+def test_a_wrong_pair_count_is_a_theorem_violation(monkeypatch):
+    from gainrank import theorems
+
+    real = theorems.pendant_pairs
+    monkeypatch.setattr(theorems, "pendant_pairs", lambda g: (real(g)[0] + 1, real(g)[1]))
+    path = GainGraph.build(4, [(0, 1, "c(0.6,0.8)"), (1, 2, "1"), (2, 3, "1")])
+    with pytest.raises(TheoremViolation) as exc:
+        component_facts(path)
+    assert "3 pendant pairs cover n=4, but m=2" in str(exc.value)
+    assert exc.value.instance == serialize_gain_graph(path)
+
+
+def test_pendant_reduction_check_eigensolves_the_float_subgraph(monkeypatch):
+    """The check ranks G - x - y by its spectrum, not by pendant pairs, so on
+    a float-gain tree it still compares two routes."""
+    import numpy as np
+
+    from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph
+    from gainrank.graphs import pendant_vertices
+
+    real, sizes = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    path = GainGraph.build(8, [(j, j + 1, "c(0.6,0.8)") for j in range(7)])
+    tree = assign_gains(random_connected_graph(25, 0, seed=11), GainSetSpec("uniform", seed=12))
+    for g in (path, tree):
+        facts = component_facts(g)
+        assert sizes == []  # pendant pairs cover a tree
+        G = g.underlying()
+        x = min(pendant_vertices(G))
+        sub, _ = g.delete_vertices((x, G.neighbors()[x][0]))
+        want = sorted(c.n for c, _ in sub.components() if c.edges)
+        assert pendant_reduction_check(facts) is True
+        assert want and sorted(sizes) == want  # each component of G - x - y with an edge
+        sizes.clear()
+
+
+def test_forests_meet_condition_iii_with_no_matching(monkeypatch):
+    from gainrank.combinatorics import matching
+    from gainrank.generators import GainSetSpec, assign_gains, random_connected_graph
+
+    real, calls = matching.maximum_matching, []
+
+    def counted(G):
+        calls.append(G.n)
+        return real(G)
+
+    monkeypatch.setattr(matching, "maximum_matching", counted)
+    tree = assign_gains(random_connected_graph(30, 0, seed=5), GainSetSpec("gaussian", seed=6))
+    square = GainGraph.build(4, [(0, 1, "1"), (1, 2, "1"), (2, 3, "1"), (3, 0, "1")])
+    edgeless = GainGraph.build(2000, [])
+    # m of each component, and on a component with a cycle the contracted
+    # graph's and G - V(C)'s
+    for g, want in ((tree, 1), (square, 3), (edgeless, 2000)):
+        calls.clear()
+        facts = component_facts(g)
+        assert len(calls) == want
+        assert all(f.condition_iii is True for f in facts.components)
