@@ -22,7 +22,6 @@ from .theorems import (
     cycle_inertia,
     graph_rank,
     lower_optimal_structural,
-    signed_cycle_rule,
     upper_optimal_structural,
     verify_equivalence,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "render_text",
     "report_to_dict",
     "serialize_gain_graph",
-    "signed_cycle_rule",
     "upper_optimal_structural",
     "verify_equivalence",
     "__version__",

@@ -39,18 +39,18 @@ Two engines, sized to what they must cover on a single core:
   in Z[sqrt(2)], so it is P + Q*sqrt(2) with integers P and Q, and zero
   exactly when both are: no threshold decides a rank. A real part takes
   one of five values, so the coefficient sweep, one term per subset of the
-  c cycle slots, ranks 5^c real-part classes per graph.
-  A sampled gain assignment is drawn as its c cycle octant sums: edge
-  octants map onto them by a surjective homomorphism onto (Z/8)^c, so
-  uniform edge octants give uniform independent sums, and the sample reads
-  its rank and structural flags from its class. A failure is serialized as
-  its class's representative: the class octant on the first edge of each
-  cycle, gain 1 elsewhere. The same table gives condition (iii); spot
-  checks draw an octant on every edge, find the class by walking the
-  cycles, and compare the matching number, condition (iii) and the rank
-  with the blossom and oracle routes. Trees
-  are instead certified by a direct eigensolve against a greedy leaf
-  matching, exact on forests and vectorized over the packed adjacency
+  c cycle slots, ranks 5^c real-part classes per graph; every class is
+  checked, so no failure depends on the draws. Each graph counts
+  min(8^E, cap) instances, cap assignments drawn as their c cycle octant
+  sums (a surjective homomorphism from edge octants onto (Z/8)^c keeps
+  them uniform and independent); the draws fix only that count and the
+  random stream. A failure is serialized as its class's representative:
+  the class octant on the first edge of each cycle, gain 1 elsewhere. The
+  same table gives condition (iii); spot checks draw an octant on every
+  edge, find the class by walking the cycles, and compare the matching
+  number, condition (iii) and the rank with the blossom and oracle routes.
+  Trees are instead certified by a direct eigensolve against a greedy
+  leaf matching, exact on forests and vectorized over the packed adjacency
   bitmasks, and both against the table's matching number: three routes,
   which keep the two sides of the equivalence independent where the
   coefficient route would be circular.
@@ -96,11 +96,9 @@ _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on 1 grap
 _CACTUS_CHUNK = 20000  # cactus structures per chunk: fixes the draws and spot-check lattice
 _CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a cactus chunk
 
-# real parts of the eighth roots of unity, indexed by octant
-_COS8 = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-# octant -> r with _COS8[octant] == _COS8[r], r in 0..4: the real-part class
+# octant j -> r in 0..4 with cos(pi j/4) == cos(pi r/4): the real-part class
 _COS_CLASS = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int8)
-# -2 * _COS8[r] for the real-part classes r = 0..4, as a + b*sqrt(2): rows a, b
+# -2 cos(pi r/4) for the real-part classes r = 0..4, as a + b*sqrt(2): rows a, b
 _MINUS_2COS8 = np.array([[-2, 0, 0, 0, 2], [0, -1, 0, 1, 0]], dtype=np.int64)
 _ALPHABET_STAGES = ("enumerate", "facts", "eigensolve", "checks")
 _CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws", "spot_checks")
@@ -756,9 +754,9 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
 class _ClassTable(NamedTuple):
     """Per-graph facts and per-class results of one packed chunk.
 
-    Column sum_k r_k * 5^k is the class with Re phi(C_k) = _COS8[r_k] in cycle
-    slot k; an absent cycle reads class 0. A chunk whose graphs have at most
-    c cycles has 5^c columns.
+    Column sum_k r_k * 5^k is the class with Re phi(C_k) = cos(pi r_k/4) in
+    cycle slot k; an absent cycle reads class 0. A chunk whose graphs have at
+    most c cycles has 5^c columns.
     """
 
     m: np.ndarray  # (B,) matching number
@@ -852,7 +850,7 @@ def _cactus_class_table(chunk: _CactusChunk, timings: dict[str, float]) -> _Clas
 def _class_instance(st: CactusStructure, col: int) -> GainGraph:
     """The deterministic representative of class column col: its octant r_k
     on the first edge of cycle k, gain 1 elsewhere. Re phi(C_k) is then
-    _COS8[r_k] whichever way that edge is stored."""
+    cos(pi r_k/4) whichever way that edge is stored."""
     octant = {tuple(sorted(cyc[:2])): col // 5**k % 5 for k, cyc in enumerate(st.cycles)}
     return GainGraph.build(
         st.n, [(u, v, Gain.from_angle(octant.get((u, v), 0), 8)) for u, v in st.edges]
@@ -902,36 +900,24 @@ def _flush_cactus_chunk(
     want_lower = rank == (2 * m_dp - 2 * c)[:, None]
     want_upper = rank == (2 * m_dp + c)[:, None]
     bad_class = (want_lower != table.lower) | (want_upper != table.upper)
-    # every class a graph has, its first 5^c columns, must obey both
-    # theorems' bounds 2m - 2c <= r <= min(2m + c, 2m + b), b the odd
-    # cycles, which hold for every unit gain; a class that fails the
-    # equivalence is reported as that
+    # every class a graph has, its first 5^c columns, must satisfy the
+    # equivalence and both theorems' bounds 2m - 2c <= r <= min(2m + c,
+    # 2m + b), b the odd cycles, which hold for every unit gain: one failure
+    # per failing (graph, class), reported as the equivalence if it fails both
     K = rank.shape[1]
     odd = (chunk.cyc_len % 2).sum(axis=1)
     least, most = 2 * m_dp - 2 * c, 2 * m_dp + np.minimum(c, odd)
-    keys = np.flatnonzero((rank < least[:, None]) | (rank > most[:, None]))
-    i, r = np.divmod(keys, K)
-    failing = [keys[~bad_class[i, r] & (r < 5 ** c[i])]]  # keys i * K + r of (graph, class)
+    out_of_bounds = (rank < least[:, None]) | (rank > most[:, None])
+    own = np.arange(K) < (5**c)[:, None]
+    failing = np.flatnonzero((bad_class | out_of_bounds) & own)  # keys i * K + r, ascending
 
-    # a deterministic sample of octant assignments, drawn as their cycle
-    # octant sums: uniform edge octants map onto (Z/8)^c by a surjective
-    # homomorphism, so the sums are uniform and independent. Tiny assignment
-    # spaces only repeat instances, which verifies the same thing twice.
-    # Only a chunk with a failing class looks its draws up; the draw itself
-    # always runs, so the stream, and every spot check after it, stays fixed
-    sums = rng.integers(0, 8, size=(chunk.cyc_mask.shape[1], B, cap), dtype=np.int8)
+    # the draws, cap octant assignments per graph as their cycle octant
+    # sums, fix only the instance count, min(8^E, cap) per graph: every
+    # class is checked above, so no failure depends on them. They still
+    # run, so every spot check after them reads the same stream
+    rng.integers(0, 8, size=(chunk.cyc_mask.shape[1], B, cap), dtype=np.int8)
     space = np.minimum(8.0 ** chunk.ecount, float(cap)).astype(np.int64)
-    if bad_class.any():
-        cls = np.zeros((B, cap), dtype=_COS_CLASS.dtype)
-        for k, sums_k in enumerate(sums):
-            sums_k[c <= k] = 0  # an absent cycle reads class 0
-            cls += 5**k * _COS_CLASS[sums_k]
-        bad = np.take_along_axis(bad_class, cls, axis=1)
-        # one failure per failing drawn (graph, class); bincount rather than
-        # np.unique, which imports numpy.ma on first use
-        failing.append(np.flatnonzero(np.bincount(np.nonzero(bad)[0] * K + cls[bad])))
     # each failure is serialized as its class's representative
-    failing = np.sort(np.concatenate(failing))
     for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
         i, r = divmod(key, K)
         if bad_class[i, r]:
@@ -1003,9 +989,9 @@ def run_cactus_slice(
     memory and change no output.
 
     report.timings splits the run into the stages enumerate, pack,
-    matching_dp, sweep (the class table), trees, draws (the bound check,
-    the sampled assignments, their class lookup and failures) and
-    spot_checks (seconds).
+    matching_dp, sweep (the class table), trees, draws (the equivalence and
+    bound check of every class, the sampled assignments and the failures)
+    and spot_checks (seconds).
     """
     if n_max > GRAPH_ENUM_LIMIT:  # refused before any work, not after n_max - 1 is done
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")

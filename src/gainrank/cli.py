@@ -7,13 +7,15 @@ one JSON document per invocation (--json); text output is a projection of
 the same data.
 
 Exit codes: 0 clean, 1 input or parameter problem, 2 a proven statement
-failed on a concrete instance, which means a bug here, not new mathematics.
+failed, or an internal check raised, on a concrete instance, which means a
+bug here, not new mathematics.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -58,16 +60,36 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _internal_error(exc: ValueError, g: GainGraph) -> int:
+    """A ValueError once the input has been checked is a bug here: exit 2
+    with the instance, serialized for replay."""
+    print(f"internal error: {exc}\n{serialize_gain_graph(g)}", file=sys.stderr)
+    return EXIT_VIOLATION
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.path)
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {args.tol!r}")
+        if args.mode == "exact":
+            for e in g.edges:
+                if e.gain.q is None:
+                    raise ValueError(f"--mode exact needs rational-angle gains; "
+                                     f"edge ({e.u}, {e.v}) has {e.gain.token()}")
+    except (OSError, ParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         rep = analyze(g, tol=args.tol, mode=args.mode)
-    except (OSError, ParseError, ValueError, SizeLimitError) as exc:
+    except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TheoremViolation as exc:
         print(f"violation: {exc}\n{exc.instance}", file=sys.stderr)
         return EXIT_VIOLATION
+    except ValueError as exc:
+        return _internal_error(exc, g)
     doc = {"command": "analyze", **report_to_dict(rep)}
     _emit(doc, args.json, render_text(rep))
     return EXIT_OK if rep.ok else EXIT_VIOLATION
@@ -83,10 +105,12 @@ def cmd_cycles(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     try:
         found = enumerate_cycles(g, limit=args.max_cycles)
+        summaries = [CycleSummary.of(g, rec) for rec in cycle_records(g, found)]
     except SizeLimitError:  # one hint: the option, not the library's "raise the limit"
         print(f"error: more than {args.max_cycles} cycles; raise --max-cycles", file=sys.stderr)
         return EXIT_INPUT
-    summaries = [CycleSummary.of(g, rec) for rec in cycle_records(g, found)]
+    except ValueError as exc:
+        return _internal_error(exc, g)
     doc = {"command": "cycles", "schema_version": SCHEMA_VERSION, "count": len(summaries)}
     doc["cycles"] = [cs.row() for cs in summaries]
     lines = [f"{len(summaries)} cycle(s)", *(cs.line() for cs in summaries)]

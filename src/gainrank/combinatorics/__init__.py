@@ -8,35 +8,16 @@ from .blocks import (
     cyclomatic_number,
 )
 from .cycles import CYCLE_LIMIT, CycleRecord, canonical_cycle, cycle_record, cycle_records, enumerate_cycles
-from .elementary import (
-    COEFF_TOL,
-    ElementarySubgraph,
-    char_coeff_combinatorial,
-    char_coeffs_combinatorial,
-    elementary_spanning_subgraphs,
-    rank_combinatorial,
-)
-from .matching import (
-    is_matching,
-    matching_number,
-    matching_number_bruteforce,
-    maximum_matching,
-)
-from .transversal import (
-    find_cycle,
-    is_bipartite,
-    max_acyclic_deletion_matching,
-    odd_cycle_transversal,
-)
+from .elementary import COEFF_TOL, char_coeffs_combinatorial, rank_combinatorial
+from .matching import matching_number, maximum_matching
+from .transversal import max_acyclic_deletion_matching, odd_cycle_transversal
 
 __all__ = [
     "CYCLE_LIMIT",
     "COEFF_TOL",
     "CycleRecord",
-    "ElementarySubgraph",
     "block_decomposition",
     "canonical_cycle",
-    "char_coeff_combinatorial",
     "char_coeffs_combinatorial",
     "contract_cycles",
     "cycle_matching_condition",
@@ -45,13 +26,8 @@ __all__ = [
     "cycle_structure",
     "cycles_pairwise_disjoint",
     "cyclomatic_number",
-    "elementary_spanning_subgraphs",
     "enumerate_cycles",
-    "find_cycle",
-    "is_bipartite",
-    "is_matching",
     "matching_number",
-    "matching_number_bruteforce",
     "max_acyclic_deletion_matching",
     "maximum_matching",
     "odd_cycle_transversal",

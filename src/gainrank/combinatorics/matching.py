@@ -1,19 +1,14 @@
-"""Maximum matching: blossom algorithm plus an exhaustive oracle.
+"""Maximum matching: the blossom algorithm.
 
-The blossom implementation is the classic array formulation (BFS alternating
-forest, base[] pointers, contraction by marking the blossom path through the
-least common ancestor). The oracle enumerates independent edge sets by
-branching on the lowest uncovered vertex and is limited to small graphs.
+The classic array formulation (BFS alternating forest, base[] pointers,
+contraction by marking the blossom path through the least common ancestor).
+The tests hold it against an exhaustive search over independent edge sets.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from ..errors import SizeLimitError
 from ..graphs import SimpleGraph
-from .cycles import neighbour_masks
-
-BRUTEFORCE_LIMIT = 12
 
 
 def maximum_matching(G: SimpleGraph) -> list[tuple[int, int]]:
@@ -99,39 +94,3 @@ def maximum_matching(G: SimpleGraph) -> list[tuple[int, int]]:
 
 def matching_number(G: SimpleGraph) -> int:
     return len(maximum_matching(G))
-
-
-def matching_number_bruteforce(G: SimpleGraph) -> int:
-    """Exhaustive search over independent edge sets; independent of blossom."""
-    if G.n > BRUTEFORCE_LIMIT:
-        raise SizeLimitError(f"brute-force matching limited to n <= {BRUTEFORCE_LIMIT}, got n={G.n}")
-    adjmask = neighbour_masks(G)
-    cache: dict[int, int] = {0: 0}
-
-    def best(mask: int) -> int:
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        v = (mask & -mask).bit_length() - 1
-        res = best(mask & ~(1 << v))  # v stays unmatched
-        avail = adjmask[v] & mask
-        while avail:
-            u_bit = avail & -avail
-            avail ^= u_bit
-            res = max(res, 1 + best(mask & ~(1 << v) & ~u_bit))
-        cache[mask] = res
-        return res
-
-    return best((1 << G.n) - 1)
-
-
-def is_matching(G: SimpleGraph, edges: list[tuple[int, int]]) -> bool:
-    edge_set = set(G.underlying().edges)
-    seen: set[int] = set()
-    for u, v in edges:
-        if (min(u, v), max(u, v)) not in edge_set:
-            return False
-        if u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True

@@ -61,18 +61,6 @@ def _core_cycle(adj: list[int], core: int) -> list[int]:
     return walk[at[v]:]
 
 
-def is_bipartite(G: SimpleGraph | GainGraph) -> bool:
-    adj = neighbour_masks(G)
-    return _bipartite(adj, (1 << len(adj)) - 1)
-
-
-def find_cycle(G: SimpleGraph | GainGraph) -> list[int] | None:
-    """Vertices of some cycle, in cycle order, or None in a forest."""
-    adj = neighbour_masks(G)
-    core = two_core(adj, (1 << len(adj)) - 1)
-    return _core_cycle(adj, core) if core else None
-
-
 def odd_cycle_transversal(G: SimpleGraph | GainGraph) -> tuple[int, frozenset[int]]:
     """Minimum vertex set meeting every odd cycle, with one witness.
 

@@ -172,22 +172,9 @@ def _induced(g, s: Iterable[int], make_edge):
     return type(g)(len(kept), sub), kept
 
 
-def with_trivial_gains(G: SimpleGraph) -> GainGraph:
-    one = Gain.one()
-    return GainGraph(G.n, tuple(GainEdge(u, v, one) for u, v in G.edges))
-
-
 def pendant_vertices(g: GainGraph | SimpleGraph) -> frozenset[int]:
     """All vertices of degree exactly 1."""
     return frozenset(v for v, d in enumerate(g.degrees()) if d == 1)
-
-
-def quasi_pendant_vertices(g: GainGraph | SimpleGraph) -> frozenset[int]:
-    """Vertices of degree >= 2 adjacent to a pendant vertex."""
-    deg = g.degrees()
-    return frozenset(
-        y for e in g.underlying().edges for x, y in (e, e[::-1]) if deg[x] == 1 and deg[y] >= 2
-    )
 
 
 # -- text format -----------------------------------------------------------

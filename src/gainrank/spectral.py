@@ -1,5 +1,4 @@
-"""Hermitian adjacency matrices: eigenvalues, inertia, rank, characteristic
-polynomial.
+"""Hermitian adjacency matrices: eigenvalues, inertia and rank.
 
 The numeric path goes through numpy's Hermitian eigensolver, and cuts a
 block-diagonal matrix's inertia from its blocks' eigenvalues; pendant pairs,
@@ -82,17 +81,6 @@ def block_inertia(
     p = int(np.count_nonzero(w > tol))
     m = int(np.count_nonzero(w < -tol))
     return InertiaResult(p + pairs, len(w) - p - m, m + pairs, p + m + 2 * pairs, tol, auto)
-
-
-def char_poly_numeric(h: np.ndarray) -> tuple[float, ...]:
-    """Coefficients (a_1, ..., a_n) of lambda^n + a_1 lambda^(n-1) + ... + a_n,
-    computed from the eigenvalues via elementary symmetric polynomials."""
-    w = eigenvalues(h)
-    if len(w) == 0:
-        return ()
-    coeffs = np.poly(w)
-    assert np.max(np.abs(np.imag(coeffs))) < 1e-8
-    return tuple(float(c) for c in np.real(coeffs)[1:])
 
 
 # -- exact rank modulo primes above p = 1 (mod q) --------------------------

@@ -376,27 +376,6 @@ def verify_equivalence(g: GainGraph | GraphFacts) -> OptimalityVerdict:
     )
 
 
-def signed_cycle_rule(l: int, sign: int) -> bool:
-    """Even cycle with all gains in {+1, -1}: when is it the singular type?
-
-    Builds the cycle, classifies it, and asserts the classification agrees
-    with the residue rule: singular iff (l = 0 mod 4 and product +1) or
-    (l = 2 mod 4 and product -1).
-    """
-    if l % 2 != 0 or l < 4:
-        raise ValueError(f"even length at least 4 required, got {l}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    edges = [(i, i + 1, "1") for i in range(l - 1)]
-    edges.append((0, l - 1, "1" if sign == 1 else "-1"))
-    g = GainGraph.build(l, edges)
-    t = classify_cycle(g, tuple(range(l)))
-    is_singular = t is CycleType.EVEN_SINGULAR
-    expected = (l % 4 == 0 and sign == 1) or (l % 4 == 2 and sign == -1)
-    assert is_singular == expected, f"signed cycle rule broken at l={l}, sign={sign}"
-    return is_singular
-
-
 def _rank_and_matching(g: GainGraph) -> tuple[int, int]:
     """Rank and matching number alone, all the reduction checks read of a subgraph."""
     rank = sum(_component_rank(sub)[0] for sub, _ in g.components())

@@ -15,22 +15,9 @@ import pytest
 
 from gainrank.certify import certify_equivalences
 from gainrank.combinatorics.blocks import cyclomatic_number
-from gainrank.combinatorics.elementary import (
-    char_coeff_combinatorial,
-    elementary_spanning_subgraphs,
-    rank_combinatorial,
-)
-from gainrank.combinatorics.matching import (
-    is_matching,
-    matching_number,
-    matching_number_bruteforce,
-    maximum_matching,
-)
-from gainrank.combinatorics.transversal import (
-    find_cycle,
-    max_acyclic_deletion_matching,
-    odd_cycle_transversal,
-)
+from gainrank.combinatorics.elementary import rank_combinatorial
+from gainrank.combinatorics.matching import matching_number, maximum_matching
+from gainrank.combinatorics.transversal import max_acyclic_deletion_matching, odd_cycle_transversal
 from gainrank.gains import Gain
 from gainrank.generators import (
     GainSetSpec,
@@ -40,8 +27,8 @@ from gainrank.generators import (
     make_extremal,
     random_connected_graph,
 )
-from gainrank.graphs import SimpleGraph, with_trivial_gains
-from gainrank.spectral import char_poly_numeric, hermitian_adjacency, inertia, rank
+from gainrank.graphs import SimpleGraph
+from gainrank.spectral import hermitian_adjacency, inertia, rank
 from gainrank.theorems import (
     CycleType,
     check_rank_bounds,
@@ -50,8 +37,17 @@ from gainrank.theorems import (
     cycle_inertia,
     deletion_bounds_check,
     pendant_reduction_check,
-    signed_cycle_rule,
     verify_equivalence,
+)
+from twins import (
+    char_coeff_combinatorial,
+    char_poly_numeric,
+    elementary_spanning_subgraphs,
+    find_cycle,
+    is_matching,
+    matching_number_bruteforce,
+    signed_cycle_rule,
+    with_trivial_gains,
 )
 
 BASE_SEED = 74520011

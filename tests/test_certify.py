@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from gainrank import certify
 from gainrank.certify import (
-    _COS8,
     _COS_CLASS,
     _ALPHABET_STAGES,
     _CACTUS_CHUNK,
@@ -43,7 +42,6 @@ from gainrank.combinatorics import (
     enumerate_cycles,
     matching_number,
 )
-from gainrank.combinatorics.matching import matching_number_bruteforce
 from gainrank.errors import SizeLimitError, TheoremViolation
 from gainrank.gains import Gain
 from gainrank.generators import (
@@ -63,6 +61,7 @@ from gainrank.theorems import (
 )
 
 from conftest import simple_graphs
+from twins import matching_number_bruteforce
 
 
 def adjacency_masks(G):
@@ -130,10 +129,15 @@ def test_packed_dp_induced_subsets():
     assert counts[0].tolist() == [1, 4, 2]
 
 
+def _cos8(octants):
+    """Re of the eighth roots of unity at the given octants: cos(pi r/4)."""
+    return [math.cos(math.pi * r / 4) for r in octants]
+
+
 def test_cos_table():
     for k in range(8):
-        assert _COS8[k] == pytest.approx(math.cos(2 * math.pi * k / 8), abs=1e-12)
-        assert _COS8[_COS_CLASS[k]] == _COS8[k] and 0 <= _COS_CLASS[k] <= 4
+        assert _cos8([_COS_CLASS[k]]) == pytest.approx(_cos8([k]), abs=1e-12)
+        assert 0 <= _COS_CLASS[k] <= 4
 
 
 def test_rank_threshold_monotone():
@@ -910,7 +914,7 @@ def test_cactus_class_table_matches_numeric_rank_and_structure(n):
     for i, st in enumerate(structs):
         for classes in product(range(5), repeat=len(st.cycles)):
             # the class's eighth root on the first edge of each cycle fixes
-            # Re phi(C) = _COS8[r] whichever way that edge is stored
+            # Re phi(C) = cos(pi r/4) whichever way that edge is stored
             gain_on = {}
             for cyc, r in zip(st.cycles, classes):
                 gain_on[tuple(sorted(cyc[:2]))] = Gain.from_angle(r, 8)
@@ -999,7 +1003,7 @@ def test_row_slices_keep_the_three_cycle_table(monkeypatch):
 
 
 def test_row_slices_keep_the_cactus_report_and_failure_list(monkeypatch):
-    # a raised class column fails cyclic graphs through the draws, and a cut
+    # a raised class column fails cyclic graphs in the class table, and a cut
     # at 1.1 misranks every tree with an eigenvalue of magnitude in (0, 1.1]
     _raise_class_columns(monkeypatch, [1])
     monkeypatch.setattr(certify, "nonzero_eigenvalue_bound", lambda n, d, q: 2.2)
@@ -1087,7 +1091,7 @@ def test_class_representative_walks_to_its_class():
         g = parse_gain_graph(serialize_gain_graph(_class_instance(st, col)))
         assert _octant_class(g, st.cycles) == col
         reals = [cycle_record(g, cyc).real_part for cyc in st.cycles]
-        assert reals == pytest.approx(_COS8[[col % 5, col // 5]], abs=1e-12)
+        assert reals == pytest.approx(_cos8([col % 5, col // 5]), abs=1e-12)
 
 
 def _patch_class_rank(monkeypatch, cols, new_rank):
@@ -1124,7 +1128,7 @@ def test_raised_class_column_fails_on_its_class_representative(monkeypatch, col)
         g = parse_gain_graph(f.graph_text)
         cycles = enumerate_cycles(g)
         reals = [cycle_record(g, cyc).real_part for cyc in cycles] + [1.0] * (2 - len(cycles))
-        assert sorted(reals) == pytest.approx(sorted(_COS8[[col, 0]]), abs=1e-12), f.graph_text
+        assert sorted(reals) == pytest.approx(sorted(_cos8([col, 0])), abs=1e-12), f.graph_text
         assert _octant_class(g, cycles) in (col, 5 * col)
 
 
@@ -1145,7 +1149,7 @@ def test_two_cycle_column_claiming_the_upper_bound_fails_on_its_representative(m
         g = parse_gain_graph(f.graph_text)
         cycles = enumerate_cycles(g)
         reals = sorted(cycle_record(g, cyc).real_part for cyc in cycles)
-        assert reals == pytest.approx(sorted(_COS8[[2, 3]]), abs=1e-12), f.graph_text
+        assert reals == pytest.approx(sorted(_cos8([2, 3])), abs=1e-12), f.graph_text
         assert _octant_class(g, cycles) in (col, 3 + 5 * 2)
 
 
@@ -1214,23 +1218,43 @@ def test_a_rank_outside_the_bounds_is_a_serialized_bound_failure(monkeypatch, si
         assert r == (least - 1 if side == "lower" else 2 * m + c + 1), f.message
 
 
+def test_every_failing_class_is_reported_whatever_the_draws(monkeypatch):
+    # every class of every cyclic graph pushed above 2m + c: one draw per
+    # graph reaches at most one of its classes, yet each class fails on its
+    # own, as the equivalence or the bound, and is reported once
+    def above(rank, table, chunk):
+        cyclic = (chunk.ncyc > 0)[:, None]
+        return np.where(cyclic, (2 * table.m + chunk.ncyc + 1)[:, None], rank)
+
+    _patch_class_rank(monkeypatch, range(25), above)
+    rep = run_cactus_slice(n_max=6, cap=1, seed=0, max_failures=10**6)
+    cactus = [f for f in rep.failures if f.message.startswith("cactus ")]
+    spot = [f for f in rep.failures if f.message.startswith("spot check mismatch")]
+    assert len(cactus) + len(spot) == len(rep.failures)
+    classes = sum(
+        5 ** len(st.cycles) for n in range(2, 7) for st in enumerate_connected_cacti(n) if st.cycles
+    )
+    assert len(cactus) == classes == 21_740
+    assert len({f.graph_text for f in cactus}) == len(cactus)  # one per (graph, class)
+
+
 def _failure_digest(rep):
     failures = [(f.message, f.graph_text) for f in rep.failures]
     return hashlib.sha256(repr(failures).encode()).hexdigest()
 
 
 # sha256 of run_cactus_slice(n_max=6, cap=20, seed=0)'s failure list under
-# two mutations, as the engine first produced it: a raised class column,
-# found through the draws' class lookup, and an oracle rank off by one,
-# found by the spot checks alone while the class table stays clean
-RAISED_COLUMN_SHA256 = "acd326bded6c21f60678803caea817a4d78ff8b192ab017fb5edc5f4cad9b03f"
+# two mutations: a raised class column, found in the class table for every
+# (graph, class) it fails, and an oracle rank off by one, found by the spot
+# checks alone while the class table stays clean
+RAISED_COLUMN_SHA256 = "778f89ff27234116b225d1e95bdb1a2a8fb9421cdbc83d577c7fd1550d64a630"
 ORACLE_OFF_SHA256 = "ed9e0f550336439f11a39433c54fc2fd4fff85133795b0c9f4a6e8e4d4cfb1c1"
 
 
 def test_raised_class_column_keeps_its_failure_list(monkeypatch):
     _raise_class_columns(monkeypatch, [1])
     rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
-    assert len(rep.failures) == 3887
+    assert len(rep.failures) == 3898
     assert _failure_digest(rep) == RAISED_COLUMN_SHA256
 
 

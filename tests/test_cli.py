@@ -451,6 +451,49 @@ def test_analyze_pair_count_mismatch_exits_two(tmp_path, monkeypatch, capsys):
     assert "n 4" in captured.err  # the instance, serialized for replay
 
 
+def test_an_internal_value_error_in_analyze_exits_two_with_the_instance(
+    tmp_path, monkeypatch, capsys
+):
+    """A float-gain triangle with a tail keeps a core, so a pair count one
+    too many reaches pendant_peel, whose ValueError is a bug, not bad input."""
+    from gainrank import theorems
+
+    real = theorems.pendant_pairs
+    monkeypatch.setattr(theorems, "pendant_pairs", lambda g: (real(g)[0] + 1, real(g)[1]))
+    p = tmp_path / "float_tail.txt"
+    p.write_text("n 5\ne 0 1 c(0.6,0.8)\ne 1 2 1\ne 0 2 1\ne 2 3 1\ne 3 4 1\n")
+    assert cli.main(["analyze", str(p), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "n 5\ne 0 1 c(" in captured.err  # the instance, serialized for replay
+
+
+def test_an_internal_value_error_in_cycles_exits_two_with_the_instance(
+    triangle_file, monkeypatch, capsys
+):
+    def broken(g, found):
+        raise ValueError("made-up walk failure")
+
+    monkeypatch.setattr(cli, "cycle_records", broken)
+    assert cli.main(["cycles", triangle_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: made-up walk failure\nn 3\n")
+
+
+def test_exact_mode_on_a_float_gain_is_an_input_error(tmp_path, monkeypatch, capsys):
+    from gainrank import analysis
+
+    monkeypatch.setattr(analysis, "component_facts", None)  # rejected before any analysis
+    p = tmp_path / "float_edge.txt"
+    p.write_text("n 2\ne 0 1 c(0.6,0.8)\n")
+    assert cli.main(["analyze", str(p), "--mode", "exact"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mode exact needs rational-angle gains; edge (0, 1)")
+    assert cli.main(["analyze", str(p), "--tol", "-1"]) == 1
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_verify_writes_rank_backend_disagreements_and_continues(
     tmp_path, monkeypatch, numeric_rank_off_by_one, capsys
 ):

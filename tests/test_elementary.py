@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gainrank.combinatorics.elementary import (
-    char_coeff_combinatorial,
-    char_coeffs_combinatorial,
-    elementary_spanning_subgraphs,
-    rank_combinatorial,
-)
+from gainrank.combinatorics.elementary import char_coeffs_combinatorial, rank_combinatorial
 from gainrank.errors import SizeLimitError
 from gainrank.gains import Gain
 from gainrank.graphs import GainGraph
-from gainrank.spectral import char_poly_numeric, exact_rank, hermitian_adjacency
+from gainrank.spectral import exact_rank, hermitian_adjacency
 
 from conftest import small_gain_graphs
+from twins import char_coeff_combinatorial, char_poly_numeric, elementary_spanning_subgraphs
 
 GAUSSIAN = ("1", "i", "-1", "-i")
 

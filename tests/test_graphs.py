@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import small_gain_graphs
 from hypothesis import given
+from twins import with_trivial_gains
 
 from gainrank.combinatorics import (
     cycle_matching_condition,
@@ -24,9 +25,7 @@ from gainrank.graphs import (
     SimpleGraph,
     parse_gain_graph,
     pendant_vertices,
-    quasi_pendant_vertices,
     serialize_gain_graph,
-    with_trivial_gains,
 )
 from gainrank.spectral import pendant_peel, vertex_cover
 
@@ -122,10 +121,8 @@ def _components_by_deletion(g):
 
 def test_pendant_and_quasi_pendant(double_squares):
     assert pendant_vertices(double_squares) == frozenset({7})
-    assert quasi_pendant_vertices(double_squares) == frozenset({0})
     path = SimpleGraph.build(3, [(0, 1), (1, 2)])
     assert pendant_vertices(path) == frozenset({0, 2})
-    assert quasi_pendant_vertices(path) == frozenset({1})
 
 
 def test_with_trivial_gains():

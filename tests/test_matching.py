@@ -4,13 +4,9 @@ from itertools import combinations
 
 from conftest import simple_graphs
 from hypothesis import given, settings
+from twins import is_matching, matching_number_bruteforce
 
-from gainrank.combinatorics.matching import (
-    is_matching,
-    matching_number,
-    matching_number_bruteforce,
-    maximum_matching,
-)
+from gainrank.combinatorics.matching import matching_number, maximum_matching
 from gainrank.graphs import SimpleGraph
 
 

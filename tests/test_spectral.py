@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import small_gain_graphs
 from hypothesis import given, settings
+from twins import char_poly_numeric
 
 from gainrank import spectral
 from gainrank.combinatorics import cyclomatic_number, matching_number
@@ -17,7 +18,6 @@ from gainrank.generators import GainSetSpec, assign_gains, random_connected_grap
 from gainrank.graphs import GainGraph
 from gainrank.spectral import (
     EXACT_PRIME_BUDGET,
-    char_poly_numeric,
     eigenvalues,
     exact_rank,
     hermitian_adjacency,

@@ -25,12 +25,12 @@ from gainrank.theorems import (
     graph_rank,
     lower_optimal_structural,
     pendant_reduction_check,
-    signed_cycle_rule,
     upper_optimal_structural,
     verify_equivalence,
 )
 from gainrank.spectral import hermitian_adjacency, inertia
 from gainrank.spectral import rank as spectral_rank
+from twins import signed_cycle_rule
 
 
 def make_cycle_with_gain(l, token):

@@ -5,14 +5,10 @@ import random
 from itertools import combinations
 
 import pytest
+from twins import find_cycle, is_bipartite, matching_number_bruteforce
 
-from gainrank.combinatorics.matching import matching_number, matching_number_bruteforce
-from gainrank.combinatorics.transversal import (
-    find_cycle,
-    is_bipartite,
-    max_acyclic_deletion_matching,
-    odd_cycle_transversal,
-)
+from gainrank.combinatorics.matching import matching_number
+from gainrank.combinatorics.transversal import max_acyclic_deletion_matching, odd_cycle_transversal
 from gainrank.errors import SizeLimitError
 from gainrank.generators import enumerate_connected_graphs, random_connected_graph
 from gainrank.graphs import SimpleGraph
