@@ -39,16 +39,15 @@ Two engines, sized to what they must cover on a single core:
   in Z[sqrt(2)], so it is P + Q*sqrt(2) with integers P and Q, and zero
   exactly when both are: no threshold decides a rank. A real part takes
   one of five values, so the coefficient sweep, one term per subset of the
-  c cycle slots, ranks 5^c real-part classes per graph; every class is
-  checked, so no failure depends on the draws. Each graph counts
-  min(8^E, cap) instances, cap assignments drawn as their c cycle octant
-  sums (a surjective homomorphism from edge octants onto (Z/8)^c keeps
-  them uniform and independent); the draws fix only that count and the
-  random stream. A failure is serialized as its class's representative:
-  the class octant on the first edge of each cycle, gain 1 elsewhere. The
-  same table gives condition (iii); spot checks draw an octant on every
-  edge, find the class by walking the cycles, and compare the matching
-  number, condition (iii) and the rank with the blossom and oracle routes.
+  c cycle slots, ranks 5^c real-part classes per graph, and every class is
+  checked. Each graph counts min(8^E, cap) instances. A failure is
+  serialized as its class's representative: the class octant on the first
+  edge of each cycle, gain 1 elsewhere. The same table gives condition
+  (iii). Spot checks take the cyclic graphs whose edge-set hash, as in the
+  alphabet engine, is a multiple of 997, draw an octant for every edge
+  from the seed and that hash, find the class by walking the cycles, and
+  compare the matching number, condition (iii) and the rank with the
+  blossom and oracle routes; so chunking changes no output.
   Trees are instead certified by a direct eigensolve against a greedy
   leaf matching, exact on forests and vectorized over the packed adjacency
   bitmasks, and both against the table's matching number: three routes,
@@ -93,15 +92,15 @@ _EIG_ERROR = 1e3  # eigvalsh on H with ||H||_2 <= deg errs by at most _EIG_ERROR
 _SOLVE_ROWS = 1 << 12  # rows per slice of every batched array in both engines: bounds memory
 _DP_N_MAX = 8  # largest n the packed matching table, and so the alphabet engine, serves
 _SPOT_EVERY = 97  # the blossom route re-derives m and condition (iii) on 1 graph in 97
-_CACTUS_CHUNK = 20000  # cactus structures per chunk: fixes the draws and spot-check lattice
-_CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive every 997th graph of a cactus chunk
+_CACTUS_CHUNK = 20000  # cactus structures per chunk: bounds the class tables' memory
+_CACTUS_SPOT_EVERY = 997  # the scalar engines re-derive cyclic graphs whose hash it divides
 
 # octant j -> r in 0..4 with cos(pi j/4) == cos(pi r/4): the real-part class
 _COS_CLASS = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int8)
 # -2 cos(pi r/4) for the real-part classes r = 0..4, as a + b*sqrt(2): rows a, b
 _MINUS_2COS8 = np.array([[-2, 0, 0, 0, 2], [0, -1, 0, 1, 0]], dtype=np.int64)
 _ALPHABET_STAGES = ("enumerate", "facts", "eigensolve", "checks")
-_CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws", "spot_checks")
+_CACTUS_STAGES = ("enumerate", "pack", "matching_dp", "sweep", "trees", "checks", "spot_checks")
 
 
 @dataclass
@@ -371,6 +370,14 @@ def _stage(timings: dict[str, float], name: str, t: float) -> float:
     return now
 
 
+def _append_failures(rep: SliceReport, events: list, max_failures: int, failure) -> None:
+    """Report a chunk's failed checks graph by graph, up to max_failures. An
+    event is (graph, kind, row, detail), kind 0 a check of the whole graph,
+    and failure(*event) builds its Failure: only reported ones are built."""
+    for event in sorted(events, key=lambda e: e[:3])[: max(0, max_failures - len(rep.failures))]:
+        rep.failures.append(failure(*event))
+
+
 # per chunk row: graph, exponents (q past its last edge), rank, flags; per graph: the rest
 _AlphabetRows = namedtuple("_AlphabetRows", "gid expo rank lower upper m c cond_iii")
 
@@ -499,7 +506,8 @@ def _flush_alphabet_chunk(
             events.append((k, 0, start[k], f"spot check mismatch: {message}"))
     events += [(k, 1, copy[k], "") for k in np.nonzero((gap > 1e-9) | ~same_flags)[0]]
     events += [(gid[i], 2, i, "") for i in np.nonzero(failed)[0]]
-    for k, kind, i, message in sorted(events)[: max(0, max_failures - len(rep.failures))]:
+
+    def failure(k: int, kind: int, i: int, message: str) -> Failure:
         if kind == 1:
             message = (
                 f"switching check failed: {compared} differ by {gap[k]:.3g}, "
@@ -517,8 +525,9 @@ def _flush_alphabet_chunk(
                 f"m={m[k]} c={c[k]}"
             )
         inst = _build_instance(graphs[k], alphabet, pos[expo[i, : len(graphs[k].edges)]])
-        rep.failures.append(Failure(message, serialize_gain_graph(inst), int(rep.graphs + k)))
+        return Failure(message, serialize_gain_graph(inst), int(rep.graphs + k))
 
+    _append_failures(rep, events, max_failures, failure)
     rep.graphs += B
     rep.classes += sum(counts)
     rep.switching_checks += B
@@ -722,24 +731,34 @@ class _CactusChunk:
     structs: list[CactusStructure]
     adjmask: np.ndarray  # (B, n) neighbour bitmasks
     ecount: np.ndarray  # (B,) edge count
+    codes: np.ndarray  # (B, max edges) edge codes u*n + v as _pack_edges lays them out
     cyc_mask: np.ndarray  # (B, slots) cycle vertex bitmasks, 0 for an absent cycle slot
     cyc_len: np.ndarray  # (B, slots), 0 for an absent cycle slot
     ncyc: np.ndarray  # (B,) number of cycles
 
 
 def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
-    """Pack a chunk from the structures' edge masks. Cycle vertex masks are
-    built once per run of structures that share one cycles tuple, then
-    gathered; cycle lengths and counts are their popcounts. There is one
-    cycle slot per three vertices the enumeration reaches: c disjoint cycles
-    need n >= 3c."""
+    """Pack a chunk from the structures' edge masks. Edge codes follow mask
+    bit order, which is sorted edge order, so a graph hashes as it does in
+    the alphabet engine. Cycle vertex masks are built once per run of
+    structures that share one cycles tuple, then gathered; cycle lengths and
+    counts are their popcounts. There is one cycle slot per three vertices
+    the enumeration reaches: c disjoint cycles need n >= 3c."""
     B = len(structs)
     masks = np.fromiter(map(attrgetter("mask"), structs), np.int64, B)
+    pairs = list(combinations(range(n), 2))
     adjmask = np.zeros((B, n), dtype=np.int64)
-    for i, (u, v) in enumerate(combinations(range(n), 2)):
+    for i, (u, v) in enumerate(pairs):
         bit = masks >> i & 1
         adjmask[:, u] |= bit << v
         adjmask[:, v] |= bit << u
+    ecount = np.bitwise_count(masks).astype(np.int64)
+    # lowest set bit first; past the last edge that bit is 0, indexing code 0
+    pair_code, full = np.array([u * n + v for u, v in pairs] + [0]), (1 << len(pairs)) - 1
+    codes, rest = np.empty((B, int(ecount.max(initial=0))), dtype=np.int64), masks
+    for e in range(codes.shape[1]):
+        low = rest & -rest
+        codes[:, e], rest = pair_code[np.bitwise_count((low - 1) & full)], rest ^ low
 
     runs = [(cyc, len(list(same))) for cyc, same in groupby(structs, attrgetter("cycles"))]
     run_masks = np.zeros((len(runs), GRAPH_ENUM_LIMIT // 3), dtype=np.int64)
@@ -747,8 +766,8 @@ def _pack_cacti(n: int, structs: list[CactusStructure]) -> _CactusChunk:
         run_masks[r, : len(cyc)] = [sum(1 << a for a in c) for c in cyc]
     cyc_mask = np.repeat(run_masks, [size for _, size in runs], axis=0)
     cyc_len = np.bitwise_count(cyc_mask).astype(np.int64)
-    ecount = np.bitwise_count(masks).astype(np.int64)
-    return _CactusChunk(n, structs, adjmask, ecount, cyc_mask, cyc_len, (cyc_len > 0).sum(axis=1))
+    ncyc = (cyc_len > 0).sum(axis=1)
+    return _CactusChunk(n, structs, adjmask, ecount, codes, cyc_mask, cyc_len, ncyc)
 
 
 class _ClassTable(NamedTuple):
@@ -858,16 +877,12 @@ def _class_instance(st: CactusStructure, col: int) -> GainGraph:
 
 
 def _flush_cactus_chunk(
-    chunk: _CactusChunk,
-    cap: int,
-    rng: np.random.Generator,
-    rep: SliceReport,
-    max_failures: int,
+    chunk: _CactusChunk, cap: int, seed: int, rep: SliceReport, max_failures: int
 ) -> None:
-    B, n = len(chunk.structs), chunk.n
-    c = chunk.ncyc
+    B, n, c = len(chunk.structs), chunk.n, chunk.ncyc
     table = _cactus_class_table(chunk, rep.timings)
     m_dp, cond_iii, rank = table.m, table.cond_iii, table.rank
+    events = []  # kind 0: a failed tree or spot check, detail its message and instance
 
     # trees: eigensolve vs leaf matching, independent of the matching-count table
     t = time.perf_counter()
@@ -883,19 +898,39 @@ def _flush_cactus_chunk(
             r_eig[lo : lo + _SOLVE_ROWS] = _rank_by_cut(np.abs(wt), deg, 1)[0]
         m_leaf = _leaf_matching(adj)
         bad = (r_eig != 2 * m_leaf) | (m_dp[tree_rows] != m_leaf)
-        for j in np.nonzero(bad)[0][: max(0, max_failures - len(rep.failures))]:
-            i = tree_rows[j]
-            rep.failures.append(
-                Failure(
-                    message=(
-                        f"tree certification failed: eig rank {int(r_eig[j])}, "
-                        f"leaf matching m {int(m_leaf[j])}, table m {int(m_dp[i])}"
-                    ),
-                    graph_text=serialize_gain_graph(_class_instance(chunk.structs[i], 0)),
-                )
+        for j in np.flatnonzero(bad).tolist():
+            i = int(tree_rows[j])
+            message = (
+                f"tree certification failed: eig rank {int(r_eig[j])}, "
+                f"leaf matching m {int(m_leaf[j])}, table m {int(m_dp[i])}"
             )
+            events.append((i, 0, 0, (message, _class_instance(chunk.structs[i], 0))))
         rank[tree_rows] = r_eig[:, None]
     t = _stage(rep.timings, "trees", t)
+
+    # spot checks on the cyclic graphs whose edge-set hash _CACTUS_SPOT_EVERY
+    # divides: an octant from seed and hash on every edge, cycles walked
+    h = _edge_set_hashes(n, chunk.codes, chunk.ecount)
+    for i in np.flatnonzero((h % _CACTUS_SPOT_EVERY == 0) & (c > 0)).tolist():
+        st, draw = chunk.structs[i], random.Random(f"{seed}/{h[i]}")
+        inst = GainGraph.build(
+            st.n, [(u, v, Gain.from_angle(draw.randrange(8), 8)) for u, v in st.edges]
+        )
+        mb = matching_number(inst.underlying())
+        walks = (cycle_record(inst, cyc).gain for cyc in st.cycles)
+        col = sum(int(_COS_CLASS[g.k * (8 // g.q)]) * 5**k for k, g in enumerate(walks))
+        ro = rank_combinatorial(inst)
+        cond = cycle_matching_condition(inst.underlying(), st.cycles)[0]
+        r0 = int(rank[i, col])
+        if mb != int(m_dp[i]) or ro != r0 or cond != bool(cond_iii[i]):
+            message = (
+                f"spot check mismatch: blossom m {mb} vs table {int(m_dp[i])}, "
+                f"oracle rank {ro} vs table {r0} (class {col}), "
+                f"blossom cond (iii) {cond} vs table {bool(cond_iii[i])}"
+            )
+            events.append((i, 0, 0, (message, inst)))
+        rep.cross_checks += 1
+    t = _stage(rep.timings, "spot_checks", t)
 
     want_lower = rank == (2 * m_dp - 2 * c)[:, None]
     want_upper = rank == (2 * m_dp + c)[:, None]
@@ -911,15 +946,9 @@ def _flush_cactus_chunk(
     own = np.arange(K) < (5**c)[:, None]
     failing = np.flatnonzero((bad_class | out_of_bounds) & own)  # keys i * K + r, ascending
 
-    # the draws, cap octant assignments per graph as their cycle octant
-    # sums, fix only the instance count, min(8^E, cap) per graph: every
-    # class is checked above, so no failure depends on them. They still
-    # run, so every spot check after them reads the same stream
-    rng.integers(0, 8, size=(chunk.cyc_mask.shape[1], B, cap), dtype=np.int8)
-    space = np.minimum(8.0 ** chunk.ecount, float(cap)).astype(np.int64)
-    # each failure is serialized as its class's representative
-    for key in failing[: max(0, max_failures - len(rep.failures))].tolist():
-        i, r = divmod(key, K)
+    def failure(i: int, kind: int, r: int, detail) -> Failure:
+        if kind == 0:
+            return Failure(detail[0], serialize_gain_graph(detail[1]))
         if bad_class[i, r]:
             message = (
                 f"cactus equivalence failed: rank={int(rank[i, r])} "
@@ -932,46 +961,13 @@ def _flush_cactus_chunk(
                 f"[{int(least[i])}, {int(most[i])}], m={int(m_dp[i])} c={int(c[i])} "
                 f"odd cycles={int(odd[i])}"
             )
-        rep.failures.append(
-            Failure(message, serialize_gain_graph(_class_instance(chunk.structs[i], r)))
-        )
-    t = _stage(rep.timings, "draws", t)
+        return Failure(message, serialize_gain_graph(_class_instance(chunk.structs[i], r)))
 
-    # spot checks tie the vectorized tables back to the scalar engines on a
-    # deterministic lattice of cyclic instances: a random octant on every
-    # edge, classified by walking its cycles
-    for i in range(0, B, _CACTUS_SPOT_EVERY):
-        if c[i] == 0:
-            continue
-        st = chunk.structs[i]
-        G = SimpleGraph.build(st.n, st.edges)  # the edges decoded once, in the same order
-        mb = matching_number(G)
-        octs = rng.integers(0, 8, len(G.edges))
-        inst = GainGraph.build(
-            st.n, [(u, v, Gain.from_angle(int(o), 8)) for (u, v), o in zip(G.edges, octs)]
-        )
-        walks = (cycle_record(inst, cyc).gain for cyc in st.cycles)
-        col = sum(int(_COS_CLASS[g.k * (8 // g.q)]) * 5**k for k, g in enumerate(walks))
-        ro = rank_combinatorial(inst)
-        cond = cycle_matching_condition(G, st.cycles)[0]
-        r0 = int(rank[i, col])
-        mismatch = mb != int(m_dp[i]) or ro != r0 or cond != bool(cond_iii[i])
-        if mismatch and len(rep.failures) < max_failures:
-            rep.failures.append(
-                Failure(
-                    message=(
-                        f"spot check mismatch: blossom m {mb} vs table {int(m_dp[i])}, "
-                        f"oracle rank {ro} vs table {r0} (class {col}), "
-                        f"blossom cond (iii) {cond} vs table {bool(cond_iii[i])}"
-                    ),
-                    graph_text=serialize_gain_graph(inst),
-                )
-            )
-        rep.cross_checks += 1
-    _stage(rep.timings, "spot_checks", t)
-
+    events += [(key // K, 1, key % K, None) for key in failing.tolist()]
+    _append_failures(rep, events, max_failures, failure)
     rep.graphs += B
-    rep.instances += int(space.sum())
+    rep.instances += int(np.minimum(8.0 ** chunk.ecount, float(cap)).sum())
+    _stage(rep.timings, "checks", t)
 
 
 def run_cactus_slice(
@@ -983,15 +979,15 @@ def run_cactus_slice(
 ) -> SliceReport:
     """All disjoint-cycle connected graphs to n_max, eighth-root gains.
 
-    Structures are certified in chunks of _CACTUS_CHUNK, which fix the
-    draws (cap per graph, at least 1) and the spot-check lattice; each
-    chunk's batched arrays run in slices of _SOLVE_ROWS graphs, which bound
-    memory and change no output.
+    Each graph counts min(8^E, cap) instances, cap at least 1, and seed
+    fixes the spot checks' octants. Structures are certified in chunks of
+    _CACTUS_CHUNK, whose batched arrays run in slices of _SOLVE_ROWS graphs;
+    both bound memory and change no output, failures graph by graph.
 
     report.timings splits the run into the stages enumerate, pack,
-    matching_dp, sweep (the class table), trees, draws (the equivalence and
-    bound check of every class, the sampled assignments and the failures)
-    and spot_checks (seconds).
+    matching_dp, sweep (the class table), trees, checks (the equivalence and
+    bound check of every class, the instance count and the failures) and
+    spot_checks (seconds).
     """
     if n_max > GRAPH_ENUM_LIMIT:  # refused before any work, not after n_max - 1 is done
         raise SizeLimitError(f"cactus enumeration limited to n <= {GRAPH_ENUM_LIMIT}")
@@ -999,7 +995,6 @@ def run_cactus_slice(
         raise ValueError(f"infeasible cap {cap}")
     t0 = time.perf_counter()
     rep = SliceReport(name=name, timings=dict.fromkeys(_CACTUS_STAGES, 0.0))
-    rng = np.random.Generator(np.random.PCG64(seed))
     for n in range(2, n_max + 1):
         structs = enumerate_connected_cacti(n)
         while True:
@@ -1010,7 +1005,7 @@ def run_cactus_slice(
                 break
             packed = _pack_cacti(n, batch)
             _stage(rep.timings, "pack", t)
-            _flush_cactus_chunk(packed, cap, rng, rep, max_failures)
+            _flush_cactus_chunk(packed, cap, seed, rep, max_failures)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

@@ -613,6 +613,19 @@ def test_chunk_hashes_equal_the_per_graph_hash():
         assert got.tolist() == [_edge_set_hash(G) for G in same], n
 
 
+def test_a_cactus_hashes_alike_from_its_edge_mask_and_its_edge_list():
+    # both engines key their spot checks by this hash, so a labeled graph
+    # must get one value whichever engine packs it
+    for n in range(2, 7):
+        structs = list(enumerate_connected_cacti(n))
+        chunk = _pack_cacti(n, structs)
+        graphs = [SimpleGraph.build(n, st.edges) for st in structs]
+        _, ecount, codes = certify._pack_edges(n, [G.edges for G in graphs], chunk.codes.shape[1])
+        got = certify._edge_set_hashes(n, chunk.codes, chunk.ecount).tolist()
+        assert got == certify._edge_set_hashes(n, codes, ecount).tolist(), n
+        assert got == [_edge_set_hash(G) for G in graphs], n
+
+
 def _reference_flags(G, gvals):
     """(lower, upper) per row of gain values, one graph at a time: blossom
     condition (iii), block-decomposition cycles and float cycle products."""
@@ -834,7 +847,7 @@ def test_cactus_slice_tiny(monkeypatch):
 
 def test_cactus_slice_reports_stage_timings():
     rep = run_cactus_slice(n_max=6, cap=5, seed=0)
-    stages = ("enumerate", "pack", "matching_dp", "sweep", "trees", "draws", "spot_checks")
+    stages = ("enumerate", "pack", "matching_dp", "sweep", "trees", "checks", "spot_checks")
     assert _CACTUS_STAGES == stages
     assert set(rep.timings) == set(_CACTUS_STAGES)
     assert all(t >= 0.0 for t in rep.timings.values())
@@ -885,13 +898,15 @@ def test_one_pass_packer_matches_per_structure_packing(n):
     B = len(structs)
     adjmask = np.zeros((B, n), dtype=np.int64)
     ecount = np.zeros(B, dtype=np.int64)
+    codes = np.zeros((B, max(len(st.edges) for st in structs)), dtype=np.int64)
     cyc_mask = np.zeros((B, 2), dtype=np.int64)
     cyc_len = np.zeros((B, 2), dtype=np.int64)
     ncyc = np.zeros(B, dtype=np.int64)
     for i, st in enumerate(structs):
-        for u, v in st.edges:
+        for e, (u, v) in enumerate(st.edges):
             adjmask[i, u] |= 1 << v
             adjmask[i, v] |= 1 << u
+            codes[i, e] = u * n + v
         ecount[i] = len(st.edges)
         for k, cyc in enumerate(st.cycles):
             cyc_mask[i, k] = sum(1 << a for a in cyc)
@@ -899,7 +914,7 @@ def test_one_pass_packer_matches_per_structure_packing(n):
         ncyc[i] = len(st.cycles)
     assert chunk.structs == structs
     for name, want in [
-        ("adjmask", adjmask), ("ecount", ecount), ("cyc_mask", cyc_mask),
+        ("adjmask", adjmask), ("ecount", ecount), ("codes", codes), ("cyc_mask", cyc_mask),
         ("cyc_len", cyc_len), ("ncyc", ncyc),
     ]:
         got = getattr(chunk, name)
@@ -943,6 +958,7 @@ def _three_cycle_chunk():
         structs,
         adjmask=np.vstack([adjacency_masks(G) for G in graphs]),
         ecount=np.full(B, 11),
+        codes=certify._pack_edges(n, [G.edges for G in graphs], 11)[2],
         cyc_mask=np.tile([sum(1 << a for a in cyc) for cyc in cycles], (B, 1)),
         cyc_len=np.full((B, 3), 3),
         ncyc=np.full(B, 3),
@@ -1219,9 +1235,8 @@ def test_a_rank_outside_the_bounds_is_a_serialized_bound_failure(monkeypatch, si
 
 
 def test_every_failing_class_is_reported_whatever_the_draws(monkeypatch):
-    # every class of every cyclic graph pushed above 2m + c: one draw per
-    # graph reaches at most one of its classes, yet each class fails on its
-    # own, as the equivalence or the bound, and is reported once
+    # every class of every cyclic graph pushed above 2m + c: each class
+    # fails on its own, as the equivalence or the bound, and is reported once
     def above(rank, table, chunk):
         cyclic = (chunk.ncyc > 0)[:, None]
         return np.where(cyclic, (2 * table.m + chunk.ncyc + 1)[:, None], rank)
@@ -1245,16 +1260,17 @@ def _failure_digest(rep):
 
 # sha256 of run_cactus_slice(n_max=6, cap=20, seed=0)'s failure list under
 # two mutations: a raised class column, found in the class table for every
-# (graph, class) it fails, and an oracle rank off by one, found by the spot
-# checks alone while the class table stays clean
-RAISED_COLUMN_SHA256 = "778f89ff27234116b225d1e95bdb1a2a8fb9421cdbc83d577c7fd1550d64a630"
-ORACLE_OFF_SHA256 = "ed9e0f550336439f11a39433c54fc2fd4fff85133795b0c9f4a6e8e4d4cfb1c1"
+# (graph, class) it fails and by the one spot check whose octants land in
+# it, and an oracle rank off by one, found by the spot checks alone while
+# the class table stays clean
+RAISED_COLUMN_SHA256 = "4e7aed0e6640875bf4b251383a0ee91843f74533ca3adfe5266a2dd68f299b56"
+ORACLE_OFF_SHA256 = "df81a02ac4319aaf31b1d921c7f536cb4a81a358a99e56d62a27f194e7dd5309"
 
 
 def test_raised_class_column_keeps_its_failure_list(monkeypatch):
     _raise_class_columns(monkeypatch, [1])
     rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
-    assert len(rep.failures) == 3898
+    assert len(rep.failures) == 3899
     assert _failure_digest(rep) == RAISED_COLUMN_SHA256
 
 
@@ -1263,15 +1279,31 @@ def test_oracle_off_by_one_keeps_its_spot_check_failure_list(monkeypatch):
     monkeypatch.setattr(certify, "rank_combinatorial", lambda g: real(g) + 1)
     monkeypatch.setattr(certify, "_CACTUS_SPOT_EVERY", 7)
     rep = run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6)
-    assert len(rep.failures) == rep.cross_checks == 569
+    assert len(rep.failures) == rep.cross_checks == 561
     assert all(f.message.startswith("spot check mismatch") for f in rep.failures)
     assert _failure_digest(rep) == ORACLE_OFF_SHA256
+
+
+def test_the_cactus_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    # every per-graph choice, the spot checks included, comes from the
+    # edge-set hash, so cutting the structures into other chunks changes
+    # neither the counts nor the failure list, nor its order
+    _raise_class_columns(monkeypatch, [1])
+
+    def run(size):
+        monkeypatch.setattr(certify, "_CACTUS_CHUNK", size)
+        return _report_fields(run_cactus_slice(n_max=6, cap=20, seed=0, max_failures=10**6))
+
+    whole = run(20000)
+    assert run(1000) == whole and run(7) == whole
+    (graphs, instances, _, _, cross_checks), failures = whole
+    assert (graphs, instances, cross_checks, len(failures)) == (5429, 108_568, 4, 3899)
 
 
 def test_cactus_slice_to_seven_keeps_its_counts():
     rep = run_cactus_slice(7, cap=50, seed=0)
     assert rep.ok
-    assert (rep.graphs, rep.instances, rep.cross_checks) == (96_201, 4_810_008, 82)
+    assert (rep.graphs, rep.instances, rep.cross_checks) == (96_201, 4_810_008, 79)
 
 
 def test_cactus_size_limit_is_checked_before_any_enumeration(monkeypatch):

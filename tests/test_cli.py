@@ -168,6 +168,19 @@ def test_verify_runs_refined_bounds_up_to_the_transversal_limit(monkeypatch, cap
     assert checks["refined_bounds"] == {"passed": 5, "run": 5}
 
 
+def test_verify_counts_the_refined_bounds_it_skips(monkeypatch, capsys):
+    # past the searches' size limit the check is refused and counted, so
+    # every instance is either run or skipped
+    monkeypatch.setenv("GAINRANK_WORKERS", "1")
+    argv = ["verify", "--count", "20", "--n", "40", "--gains", "signed"]
+    assert cli.main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    run, skipped = doc["checks"]["refined_bounds"]["run"], doc["skipped"]["refined_bounds"]
+    assert run > 0 and skipped > 0 and run + skipped == 20
+    assert cli.main(argv) == 0
+    assert f"refined_bounds skipped on {skipped} instance(s)" in capsys.readouterr().out
+
+
 def test_verify_reports_elapsed_and_throughput(capsys):
     assert cli.main(["verify", "--count", "20", "--n", "6", "--gains", "signed", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -62,7 +62,8 @@ def test_every_public_name_in_src_is_read_by_the_program_or_an_entry_point():
     defined = _public_definitions()
     # names are matched by spelling, so each must have one definition
     assert {name: where for name, where in defined.items() if len(where) > 1} == {}
-    unread = {name for name in defined if name not in _references()}
+    read = _references()
+    unread = {name for name in defined if name not in read}
     assert unread - set(ENTRY_POINTS) == set(), "public names only tests read: move them to tests/twins.py"
     # the list names exactly the exceptions, so it cannot go stale
     assert set(ENTRY_POINTS) - unread == set()
